@@ -28,33 +28,18 @@ _ORACLE_SAMPLES = 200
 _ORACLE_SEED = 20240
 _EXHAUSTIVE_ORACLE_MAX = 14
 
-_SUITES = ("lemma4", "bounds", "oracle", "peeling", "invariance", "game")
-_SUITE_DEFAULT_MAX_N = {
-    "lemma4": 4,
-    "bounds": 14,
-    "oracle": 10,
-    "peeling": 12,
-    "invariance": 10,
-    "game": 10,
-}
-_SUITE_GUARD = {
-    "lemma4": 7,
-    "bounds": search.MAX_SEARCH_LENGTH,
-    "oracle": deletions.ORACLE_MAX_LENGTH,
-    "peeling": 16,
-    "invariance": 14,
-    "game": game.SCAN_MAX_LENGTH,
-}
-
 
 def _default_jobs() -> int:
     env = os.environ.get("PALSYM_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        jobs = int(env)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"PALSYM_JOBS must be a positive integer, got {env!r}")
+    return jobs
 
 
 def _parse(text: str, allow_digits: bool) -> words.Word:
@@ -185,7 +170,7 @@ def _cmd_construct(args) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_lemma4(max_n: int) -> list[Check]:
+def _suite_lemma4(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for c in bounds_mod.verify_family(max_n, check_equality=True):
         p = c.params
@@ -222,7 +207,7 @@ def _suite_bounds(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_oracle(max_n: int) -> list[Check]:
+def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
     rng = random.Random(_ORACLE_SEED)
     checks = []
     for n in range(1, max_n + 1):
@@ -252,7 +237,7 @@ def _suite_oracle(max_n: int) -> list[Check]:
     return checks
 
 
-def _suite_peeling(max_n: int) -> list[Check]:
+def _suite_peeling(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for n in range(2, max_n + 1):
         bad = None
@@ -309,7 +294,7 @@ def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-def _suite_game(max_n: int) -> list[Check]:
+def _suite_game(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for n in range(6, max_n + 1):
         value, word = game.max_game_value(n)
@@ -339,10 +324,21 @@ def _suite_game(max_n: int) -> list[Check]:
     return checks
 
 
+# suite name -> (runner, default --max-n, largest allowed --max-n)
+_SUITES = {
+    "lemma4": (_suite_lemma4, 4, 7),
+    "bounds": (_suite_bounds, 14, search.MAX_SEARCH_LENGTH),
+    "oracle": (_suite_oracle, 10, deletions.ORACLE_MAX_LENGTH),
+    "peeling": (_suite_peeling, 12, 16),
+    "invariance": (_suite_invariance, 10, 14),
+    "game": (_suite_game, 10, game.SCAN_MAX_LENGTH),
+}
+
+
 def _cmd_verify(args) -> int:
     suite = args.suite
-    max_n = args.max_n if args.max_n is not None else _SUITE_DEFAULT_MAX_N[suite]
-    guard = _SUITE_GUARD[suite]
+    runner, default_max_n, guard = _SUITES[suite]
+    max_n = args.max_n if args.max_n is not None else default_max_n
     if max_n < 0 or max_n > guard:
         print(
             f"--max-n {max_n} outside 0..{guard} for suite {suite}",
@@ -350,18 +346,7 @@ def _cmd_verify(args) -> int:
         )
         return 2
     jobs = args.jobs if args.jobs else _default_jobs()
-    if suite == "lemma4":
-        checks = _suite_lemma4(max_n)
-    elif suite == "bounds":
-        checks = _suite_bounds(max_n, jobs)
-    elif suite == "oracle":
-        checks = _suite_oracle(max_n)
-    elif suite == "peeling":
-        checks = _suite_peeling(max_n)
-    elif suite == "invariance":
-        checks = _suite_invariance(max_n, jobs)
-    else:
-        checks = _suite_game(max_n)
+    checks = runner(max_n, jobs)
 
     failures = 0
     for name, ok, detail in checks:
@@ -533,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(func=_cmd_construct)
 
     p_ver = sub.add_parser("verify", help="run a named self-check suite")
-    p_ver.add_argument("--suite", choices=_SUITES, required=True)
+    p_ver.add_argument("--suite", choices=tuple(_SUITES), required=True)
     p_ver.add_argument("--max-n", type=int, default=None)
     p_ver.add_argument("--jobs", type=int, default=None)
     p_ver.set_defaults(func=_cmd_verify)

@@ -1,17 +1,25 @@
 """Minimal number of deletions that leave a palindrome or antipalindrome.
 
 ``sd(w)`` equals the length of ``w`` minus the length of its longest
-symmetric subsequence, computed with the classic interval recurrences over
-longest palindromic (P) and longest antipalindromic (A) subsequences:
+symmetric subsequence.  The longest palindromic subsequence is
+LPS(w) = LCS(w, rev w) and the longest antipalindromic one is
+LAS(w) = LCS(w, comp rev w).  ``_mirror_lcs`` computes both with the
+bit-parallel LCS update of Allison & Dix (IPL 1986) and Hyyrö (2004): n
+steps of a few word operations each.  It is written with integer operators
+only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
+``las_length``) and on an ``int64`` numpy array (``search.sd_batch``).
+
+The classic interval recurrences over palindromic (P) and antipalindromic
+(A) subsequences
 
     P(i, i) = 1                       A(i, i) = 0
     P(i, j) = max(P(i+1, j), P(i, j-1), [w_i == w_j] * (P(i+1, j-1) + 2))
     A(i, j) = max(A(i+1, j), A(i, j-1), [w_i != w_j] * (A(i+1, j-1) + 2))
 
-Both tables are filled in one O(n^2) pass.  A deletion witness is recovered
-by backtracking with fixed tie-breaks so the output is reproducible.
-``brute_force_sd`` enumerates deletion sets outright and serves as an
-independent oracle for the tables.
+remain in ``_tables`` for two uses: ``sd_witness`` backtracks through them
+with fixed tie-breaks so the witness is reproducible, and the tests use
+them as the reference for the kernel.  ``brute_force_sd`` enumerates
+deletion sets outright and serves as an independent oracle for both.
 """
 
 from __future__ import annotations
@@ -50,7 +58,11 @@ class DeletionWitness:
 
 
 def _tables(s: str) -> tuple[list[list[int]], list[list[int]]]:
-    """Interval tables for palindromic and antipalindromic subsequences."""
+    """Interval tables for palindromic and antipalindromic subsequences.
+
+    ``pal[i][j]`` and ``anti[i][j]`` are the longest lengths inside
+    ``s[i..j]``; used by ``sd_witness`` and as the kernel's test reference.
+    """
     n = len(s)
     pal = [[0] * n for _ in range(n)]
     anti = [[0] * n for _ in range(n)]
@@ -74,31 +86,46 @@ def _tables(s: str) -> tuple[list[list[int]], list[list[int]]]:
     return pal, anti
 
 
+def _mirror_lcs(bits, n: int):
+    """LCS state vectors of w against rev w and against comp rev w.
+
+    ``bits`` is a packed word of length ``n`` (a Python ``int``) or an
+    ``int64`` array of them.  Bit i of each vector stands for the letter i
+    places from the right end of w.  The number of clear bits is the LCS
+    length, so LPS = n - popcount(vp) and LAS = n - popcount(va).
+    """
+    mask = (1 << n) - 1
+    comp = bits ^ mask
+    vp = va = bits | comp  # all ones, with the type and shape of bits
+    for k in range(n - 1, -1, -1):  # letters of w from the left end
+        sel = -((bits >> k) & 1)
+        # positions of w equal to this letter; their complement is the
+        # match set against comp rev w
+        match = (bits & sel) | (comp & ~sel)
+        u = vp & match
+        vp = ((vp + u) | (vp - u)) & mask
+        u = va & (match ^ mask)
+        va = ((va + u) | (va - u)) & mask
+    return vp, va
+
+
 def lps_length(w: Word) -> int:
     """Length of the longest palindromic subsequence."""
-    n = len(w)
-    if n == 0:
-        return 0
-    pal, _ = _tables(str(w))
-    return pal[0][n - 1]
+    vp, _ = _mirror_lcs(w.bits, len(w))
+    return len(w) - vp.bit_count()
 
 
 def las_length(w: Word) -> int:
     """Length of the longest antipalindromic subsequence; always even."""
-    n = len(w)
-    if n == 0:
-        return 0
-    _, anti = _tables(str(w))
-    return anti[0][n - 1]
+    _, va = _mirror_lcs(w.bits, len(w))
+    return len(w) - va.bit_count()
 
 
 def sd(w: Word) -> SdResult:
     """Minimal deletions taking ``w`` to a palindrome or antipalindrome."""
     n = len(w)
-    if n == 0:
-        return SdResult(0, 0, 0)
-    pal, anti = _tables(str(w))
-    lps, las = pal[0][n - 1], anti[0][n - 1]
+    vp, va = _mirror_lcs(w.bits, n)
+    lps, las = n - vp.bit_count(), n - va.bit_count()
     return SdResult(n - max(lps, las), lps, las)
 
 

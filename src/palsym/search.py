@@ -3,7 +3,7 @@
 ``sd_max(n)`` scans all 2^n packed words in ascending order, skips any word
 that is not the canonical representative of its reversal/complement orbit
 (sd is constant on orbits, so the maximum is unaffected), and evaluates the
-survivors with a vectorized batch version of the interval recurrences from
+survivors in numpy batches with the bit-parallel LCS kernel of
 ``deletions``.  Work is split into contiguous integer ranges, one per
 worker; per-range results are merged in range order, so the outcome is
 identical for any worker count.
@@ -22,10 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .bounds import lower_bound, upper_bound
+from .deletions import _mirror_lcs
 from .errors import LengthBudgetExceeded
 from .words import Word
 
-# 2^28 words times an O(n^2) kernel is the practical desk-scale edge.
+# 2^28 words is the practical desk-scale edge; _reverse_words also needs
+# n <= 32.
 MAX_SEARCH_LENGTH = 28
 
 _CHUNK = 1 << 15
@@ -58,33 +60,12 @@ def _canonical_mask(arr: np.ndarray, n: int) -> np.ndarray:
 def sd_batch(words, n: int) -> np.ndarray:
     """Vectorized sd over same-length words given as packed integers.
 
-    Runs the same interval recurrences as ``deletions.sd`` across the whole
-    batch at once; one int8 cell per (i, j, word).
+    Runs the bit-parallel kernel of ``deletions.sd`` across the whole batch
+    at once, one ``int64`` lane per word.
     """
     arr = np.ascontiguousarray(words, dtype=np.int64)
-    if n == 0:
-        return np.zeros(arr.shape, dtype=np.int64)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.int64)
-    letters = ((arr[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-    count = arr.shape[0]
-    pal = np.zeros((n, n, count), dtype=np.int8)
-    anti = np.zeros((n, n, count), dtype=np.int8)
-    for i in range(n):
-        pal[i, i] = 1
-    for gap in range(1, n):
-        for i in range(n - gap):
-            j = i + gap
-            eq = letters[:, i] == letters[:, j]
-            p_skip = np.maximum(pal[i + 1, j], pal[i, j - 1])
-            a_skip = np.maximum(anti[i + 1, j], anti[i, j - 1])
-            pal[i, j] = np.where(
-                eq, np.maximum(p_skip, pal[i + 1, j - 1] + 2), p_skip
-            )
-            anti[i, j] = np.where(
-                eq, a_skip, np.maximum(a_skip, anti[i + 1, j - 1] + 2)
-            )
-    longest = np.maximum(pal[0, n - 1], anti[0, n - 1]).astype(np.int64)
-    return n - longest
+    vp, va = _mirror_lcs(arr, n)
+    return np.minimum(np.bitwise_count(vp), np.bitwise_count(va)).astype(np.int64)
 
 
 def _scan_range(
@@ -140,6 +121,8 @@ class SearchConfig:
             raise ValueError("worker_count must be >= 1")
         if self.extremal_limit < 0:
             raise ValueError("extremal_limit must be >= 0")
+        if self.progress_interval is not None and self.progress_interval < 0:
+            raise ValueError("progress_interval must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,7 +152,6 @@ def sd_max(
     n: int,
     config: SearchConfig | None = None,
     prune: bool = True,
-    max_n: int = MAX_SEARCH_LENGTH,
 ) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
@@ -179,8 +161,10 @@ def sd_max(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > max_n:
-        raise LengthBudgetExceeded(f"n = {n} beyond the search guard {max_n}")
+    if n > MAX_SEARCH_LENGTH:
+        raise LengthBudgetExceeded(
+            f"n = {n} beyond the search guard {MAX_SEARCH_LENGTH}"
+        )
     config = config if config is not None else SearchConfig()
 
     total = 1 << n
@@ -195,7 +179,10 @@ def sd_max(
     else:
         with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
             futures = [
-                pool.submit(_scan_range, n, a, b, config.extremal_limit, prune)
+                pool.submit(
+                    _scan_range, n, a, b, config.extremal_limit, prune,
+                    config.progress_interval,
+                )
                 for a, b in ranges
             ]
             results = [f.result() for f in futures]

@@ -139,9 +139,6 @@ class Word:
         return self.symmetry_class() is not SymmetryClass.NEITHER
 
 
-EMPTY = Word(0, 0)
-
-
 def parse_word(text: str, allow_digits: bool = False) -> Word:
     """Parse a word from its text form.
 

@@ -1,10 +1,14 @@
-"""Brute-force reference implementations shared by the tests.
+"""Reference implementations shared by the tests.
 
-Everything here works on plain text so it stays independent of the
+The brute-force helpers work on plain text so they stay independent of the
 package's bit-packed representation and interval tables.
+``table_lengths`` reads the interval tables, which are the reference for
+the bit-parallel kernel behind ``sd`` and ``sd_batch``.
 """
 
 import itertools
+
+from palsym.deletions import _tables
 
 SWAP = str.maketrans("ab", "ba")
 
@@ -39,3 +43,11 @@ def brute_las(s: str) -> int:
 def all_texts(n: int):
     for combo in itertools.product("ab", repeat=n):
         yield "".join(combo)
+
+
+def table_lengths(s: str) -> tuple[int, int]:
+    """(lps, las) of ``s`` from the interval tables."""
+    if not s:
+        return 0, 0
+    pal, anti = _tables(s)
+    return pal[0][-1], anti[0][-1]

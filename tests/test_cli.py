@@ -124,6 +124,36 @@ def test_jobs_env_fallback(capsys, monkeypatch):
     assert "sd=2" in out
 
 
+@pytest.mark.parametrize("value", ["two", "0", "-3"])
+def test_jobs_env_invalid_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv("PALSYM_JOBS", value)
+    code, out, err = run_cli(capsys, "table", "--from", "6", "--to", "6")
+    assert code == 2
+    assert out == ""
+    assert "PALSYM_JOBS" in err
+
+
+def test_table_negative_progress_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--from", "6", "--to", "6", "--jobs", "1",
+        "--progress", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert "progress" in err
+
+
+def test_table_progress_with_workers(capfd):
+    argv = ["table", "--from", "15", "--to", "15", "--jobs", "2"]
+    assert main(argv) == 0
+    plain = capfd.readouterr()
+    assert main(argv + ["--progress", "0"]) == 0
+    reported = capfd.readouterr()
+    assert reported.out == plain.out
+    assert "n=15: scanned" in reported.err
+    assert "scanned" not in plain.err
+
+
 def test_construct(capsys):
     code, out, _ = run_cli(capsys, "construct", "1", "0", "0")
     assert code == 0

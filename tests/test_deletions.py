@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palsym import (
+    MAX_LENGTH,
     LengthBudgetExceeded,
     SymmetryClass,
     all_words,
@@ -14,7 +15,7 @@ from palsym import (
     sd_witness,
 )
 
-from _helpers import brute_las, brute_lps, is_symmetric_text
+from _helpers import brute_las, brute_lps, is_symmetric_text, table_lengths
 
 word_texts = st.text(alphabet="ab", max_size=12)
 
@@ -46,12 +47,37 @@ def test_sd_value_identity():
 
 
 def test_lps_las_against_subset_scan():
-    """Interval tables agree with a full subset scan (all words <= 9)."""
+    """The kernel agrees with a full subset scan (all words <= 9)."""
     for n in range(10):
         for w in all_words(n):
             s = str(w)
             assert lps_length(w) == brute_lps(s)
             assert las_length(w) == brute_las(s)
+
+
+def _check_against_tables(w):
+    lps, las = table_lengths(str(w))
+    assert lps_length(w) == lps
+    assert las_length(w) == las
+    r = sd(w)
+    assert (r.value, r.lps, r.las) == (len(w) - max(lps, las), lps, las)
+
+
+def test_kernel_matches_tables_exhaustive():
+    """The bit-parallel kernel equals the interval tables (all words <= 14)."""
+    for n in range(15):
+        for w in all_words(n):
+            _check_against_tables(w)
+
+
+@given(
+    st.integers(0, MAX_LENGTH).flatmap(
+        lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_kernel_matches_tables_sampled(text):
+    _check_against_tables(parse_word(text))
 
 
 def test_witness_examples():

@@ -1,10 +1,12 @@
 import json
-import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palsym import (
+    MAX_SEARCH_LENGTH,
     LengthBudgetExceeded,
     SdTableRow,
     SearchConfig,
@@ -21,24 +23,41 @@ from palsym import (
     sd_max,
 )
 
+from _helpers import table_lengths
+
 ONE = SearchConfig(worker_count=1)
 
 
-def test_batch_matches_scalar_exhaustive():
-    """The vectorized kernel equals the per-word tables (all words <= 10)."""
-    for n in range(1, 11):
+def test_batch_matches_tables_exhaustive():
+    """The batch kernel equals the interval tables (all words <= 16)."""
+    for n in range(17):
         values = sd_batch(np.arange(1 << n, dtype=np.int64), n)
+        assert values.dtype == np.int64
         for bits, value in enumerate(values):
-            assert value == sd(Word(n, bits)).value
+            text = str(Word(n, bits))
+            assert value == n - max(table_lengths(text))
 
 
-def test_batch_matches_scalar_sampled():
-    rng = random.Random(7)
-    n = 16
-    picks = [rng.randrange(1 << n) for _ in range(300)]
+@st.composite
+def _batches(draw):
+    n = draw(st.integers(1, MAX_SEARCH_LENGTH))
+    picks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20))
+    return n, picks
+
+
+@given(_batches())
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_tables_sampled(batch):
+    n, picks = batch
     values = sd_batch(np.array(picks, dtype=np.int64), n)
     for bits, value in zip(picks, values):
-        assert value == sd(Word(n, bits)).value
+        assert value == n - max(table_lengths(str(Word(n, bits))))
+
+
+def test_batch_empty():
+    values = sd_batch(np.array([], dtype=np.int64), 12)
+    assert values.shape == (0,)
+    assert values.dtype == np.int64
 
 
 def test_sd_max_small_values():
