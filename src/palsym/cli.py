@@ -14,6 +14,7 @@ import json
 import os
 import random
 import sys
+import time
 
 from . import bounds as bounds_mod
 from . import deletions, game, search, words
@@ -40,6 +41,15 @@ def _default_jobs() -> int:
     if jobs < 1:
         raise ValueError(f"PALSYM_JOBS must be a positive integer, got {env!r}")
     return jobs
+
+
+def _jobs(requested: int | None) -> int:
+    """Worker count from ``--jobs``, else from ``PALSYM_JOBS`` or the CPUs."""
+    if requested is None:
+        return _default_jobs()
+    if requested < 1:
+        raise ValueError(f"--jobs must be a positive integer, got {requested}")
+    return requested
 
 
 def _parse(text: str, allow_digits: bool) -> words.Word:
@@ -106,7 +116,7 @@ def _cmd_sd(args) -> int:
 
 def _cmd_table(args) -> int:
     config = search.SearchConfig(
-        worker_count=args.jobs if args.jobs else _default_jobs(),
+        worker_count=_jobs(args.jobs),
         extremal_limit=args.extremal_limit,
         progress_interval=args.progress,
     )
@@ -345,8 +355,7 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = args.jobs if args.jobs else _default_jobs()
-    checks = runner(max_n, jobs)
+    checks = runner(max_n, _jobs(args.jobs))
 
     failures = 0
     for name, ok, detail in checks:
@@ -361,9 +370,20 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- game
 
 
+def _print_game_stats(solver: game.GameSolver, start: float) -> None:
+    print(
+        f"stats: elapsed={time.perf_counter() - start:.3f}s "
+        f"states={solver.states} memo_hits={solver.memo_hits} "
+        f"cutoffs={solver.cutoffs}",
+        file=sys.stderr,
+    )
+
+
 def _cmd_game_solve(args) -> int:
     word = _parse(args.word, args.digits)
-    outcome = game.game_value(word)
+    start = time.perf_counter()
+    solver = game.GameSolver()
+    outcome = game.game_value(word, solver)
     if args.format == "json":
         payload = game.transcript(word, outcome.principal_line)
         payload["value"] = outcome.value
@@ -376,15 +396,21 @@ def _cmd_game_solve(args) -> int:
             f"word={word} value={outcome.value} line={line} "
             f"final={final or '(empty)'} class={final.symmetry_class().value}"
         )
+    if args.stats:
+        _print_game_stats(solver, start)
     return 0
 
 
 def _cmd_game_best(args) -> int:
-    value, word = game.max_game_value(args.n)
+    start = time.perf_counter()
+    solver = game.GameSolver()
+    value, word = game.max_game_value(args.n, solver)
     if args.format == "json":
         print(json.dumps({"n": args.n, "value": value, "word": str(word)}))
     else:
         print(f"n={args.n} value={value} word={word}")
+    if args.stats:
+        _print_game_stats(solver, start)
     return 0
 
 
@@ -460,6 +486,8 @@ def _cmd_game_play(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+_STATS_HELP = "print elapsed time, states, memo hits and cutoffs to stderr"
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -530,6 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     g_solve.add_argument("word")
     g_solve.add_argument("--digits", action="store_true")
     g_solve.add_argument("--format", choices=("text", "json"), default="text")
+    g_solve.add_argument("--stats", action="store_true", help=_STATS_HELP)
     g_solve.set_defaults(func=_cmd_game_solve)
 
     g_best = game_sub.add_parser(
@@ -537,6 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g_best.add_argument("n", type=int)
     g_best.add_argument("--format", choices=("text", "json"), default="text")
+    g_best.add_argument("--stats", action="store_true", help=_STATS_HELP)
     g_best.set_defaults(func=_cmd_game_best)
 
     g_play = game_sub.add_parser("play", help="interactive game against the engine")

@@ -4,8 +4,23 @@ Two players alternately delete one letter; the game stops as soon as the
 word is a palindrome or an antipalindrome, and the score is the total
 number of moves made.  The player who owns the starting word wants a long
 game (the maximizer), the opponent wants a short one (the minimizer), and
-the minimizer moves first.  Values are exact minimax counts memoized per
-(word, mover).
+the minimizer moves first.
+
+``GameSolver`` computes exact minimax values over packed
+``(bits, n, maximizer)`` states, using three facts:
+
+* deleting any letter of a run gives the same word, so a state has one
+  child per run (the run's first letter);
+* the value is invariant under reversal and complement, so the memo is
+  keyed by the orbit minimum of ``bits`` with ``n`` and the mover bit;
+* every finished game leaves a symmetric subsequence, so the value is at
+  least ``sd(w)``, and every word of length <= 2 is symmetric, so it is at
+  most ``n - 2``.  The minimizer stops at a child worth ``sd(w) - 1`` and
+  the maximizer at one worth ``n - 3`` (an alpha-beta-style cutoff, Knuth &
+  Moore 1975); both bounds are attained, so every memo entry is exact.
+
+``best_move`` returns the lowest optimal position: the first letter of the
+leftmost run whose child keeps the value.
 """
 
 from __future__ import annotations
@@ -13,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .deletions import sd
+from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded, TerminalStateError
-from .words import SymmetryClass, Word, complement_letter, parse_word
+from .words import Word, _reverse_bits, complement_letter, parse_word
 
 # All subsequences of the start word are potential states.
 GAME_MAX_LENGTH = 20
 # Full scan over starting words shares one memo table.
-SCAN_MAX_LENGTH = 14
+SCAN_MAX_LENGTH = 16
 
 
 class Player(Enum):
@@ -61,38 +76,72 @@ def legal_moves(state: GameState) -> list[int]:
     return list(range(1, len(state.word) + 1))
 
 
+def _run_children(bits: int, n: int):
+    """(1-based position, child bits) for each run of a packed word of
+    length n >= 1, left to right; the child drops the run's first letter."""
+    starts = (bits ^ (bits >> 1)) | (1 << (n - 1))
+    while starts:
+        low = starts.bit_length() - 1
+        starts ^= 1 << low
+        yield n - low, ((bits >> (low + 1)) << low) | (bits & ((1 << low) - 1))
+
+
 class GameSolver:
-    """Memoized minimax solver; one instance may serve many words."""
+    """Memoized minimax solver; one instance may serve many words.
+
+    ``states`` (memo entries: distinct non-symmetric orbit states solved),
+    ``memo_hits`` and ``cutoffs`` (states whose search stopped at a child
+    that reached the bound) count the work done so far.
+    """
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[Word, Player], int] = {}
+        self._memo: dict[int, int] = {}
+        self.memo_hits = 0
+        self.cutoffs = 0
+
+    @property
+    def states(self) -> int:
+        return len(self._memo)
 
     def value(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
         """Moves remaining under optimal play from this state."""
-        if word.is_symmetric():
+        return self._solve(word.bits, word.length, mover is Player.MAXIMIZER)
+
+    def _solve(self, bits: int, n: int, maximizer: bool) -> int:
+        mask = (1 << n) - 1
+        rev = _reverse_bits(bits, n)
+        if bits == rev or bits == rev ^ mask:
             return 0
-        key = (word, mover)
+        orbit_min = min(bits, rev, bits ^ mask, rev ^ mask)
+        key = (orbit_min << 7 | n << 1) | maximizer
         cached = self._memo.get(key)
         if cached is not None:
+            self.memo_hits += 1
             return cached
-        opponent = mover.other
-        children = (
-            self.value(word.delete(pos), opponent)
-            for pos in range(1, len(word) + 1)
-        )
-        best = min(children) if mover is Player.MINIMIZER else max(children)
-        result = 1 + best
-        self._memo[key] = result
-        return result
+        if maximizer:
+            best, stop = -1, n - 3
+        else:
+            vp, va = _mirror_lcs(bits, n)
+            best, stop = n, min(vp.bit_count(), va.bit_count()) - 1
+        for _, child in _run_children(bits, n):
+            v = self._solve(child, n - 1, not maximizer)
+            if v > best if maximizer else v < best:
+                best = v
+                if best == stop:
+                    self.cutoffs += 1
+                    break
+        self._memo[key] = best + 1
+        return best + 1
 
     def best_move(self, state: GameState) -> int:
         """Lowest position whose successor preserves the minimax value."""
         if state.is_terminal():
             raise TerminalStateError(f"word {state.word} is already symmetric")
-        target = self.value(state.word, state.mover) - 1
-        opponent = state.mover.other
-        for pos in range(1, len(state.word) + 1):
-            if self.value(state.word.delete(pos), opponent) == target:
+        word = state.word
+        target = self.value(word, state.mover) - 1
+        child_maximizer = state.mover is Player.MINIMIZER
+        for pos, child in _run_children(word.bits, word.length):
+            if self._solve(child, word.length - 1, child_maximizer) == target:
                 return pos
         raise AssertionError("some move must attain the minimax value")
 
@@ -118,10 +167,13 @@ def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:
     return solver.outcome(word)
 
 
-def max_game_value(n: int) -> tuple[int, Word]:
+def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]:
     """Best achievable game value over all starting words of length n.
 
     Returns the value and the lexicographically least word attaining it.
+    The value is constant on reversal/complement orbits, and that least
+    word is the least member of its orbit, so only orbit minima are
+    solved, in ascending order; they all start with a.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -129,15 +181,17 @@ def max_game_value(n: int) -> tuple[int, Word]:
         raise LengthBudgetExceeded(
             f"full scan supports at most {SCAN_MAX_LENGTH} letters, got {n}"
         )
-    solver = GameSolver()
-    best_value, best_word = -1, None
-    for bits in range(1 << n):
-        word = Word(n, bits)
-        value = solver.value(word)
+    solver = solver if solver is not None else GameSolver()
+    mask = (1 << n) - 1
+    best_value, best_bits = -1, 0
+    for bits in range(1 << (n - 1)):
+        rev = _reverse_bits(bits, n)
+        if bits > rev or bits > rev ^ mask:
+            continue
+        value = solver.value(Word(n, bits))
         if value > best_value:
-            best_value, best_word = value, word
-    assert best_word is not None
-    return best_value, best_word
+            best_value, best_bits = value, bits
+    return best_value, Word(n, best_bits)
 
 
 def opening_word(n: int) -> Word:

@@ -24,6 +24,7 @@ import numpy as np
 from .bounds import lower_bound, upper_bound
 from .deletions import _mirror_lcs
 from .errors import LengthBudgetExceeded
+from .words import _REV8 as _REV8_BYTES
 from .words import Word
 
 # 2^28 words is the practical desk-scale edge; _reverse_words also needs
@@ -33,9 +34,7 @@ MAX_SEARCH_LENGTH = 28
 _CHUNK = 1 << 15
 _POOL_MIN_WORDS = 1 << 15
 
-_REV8 = np.array(
-    [int(f"{i:08b}"[::-1], 2) for i in range(256)], dtype=np.int64
-)
+_REV8 = np.array(_REV8_BYTES, dtype=np.int64)
 
 
 def _reverse_words(arr: np.ndarray, n: int) -> np.ndarray:

@@ -42,12 +42,18 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
+# Bit reversal of every byte; shared with the solver and the numpy scan.
+_REV8 = tuple(int(f"{i:08b}"[::-1], 2) for i in range(256))
+
+
 def _reverse_bits(bits: int, n: int) -> int:
+    """Reversal of the low n bits, one byte-table lookup per byte."""
     out = 0
-    for _ in range(n):
-        out = (out << 1) | (bits & 1)
-        bits >>= 1
-    return out
+    width = 0
+    while width < n:
+        out = (out << 8) | _REV8[(bits >> width) & 0xFF]
+        width += 8
+    return out >> (width - n)
 
 
 @dataclass(frozen=True, slots=True)

@@ -4,10 +4,14 @@ The brute-force helpers work on plain text so they stay independent of the
 package's bit-packed representation and interval tables.
 ``table_lengths`` reads the interval tables, which are the reference for
 the bit-parallel kernel behind ``sd`` and ``sd_batch``.
+``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
+it tries every position and memoizes on ``(Word, Player)``, with no
+symmetry reduction and no cutoffs.
 """
 
 import itertools
 
+from palsym import GameOutcome, Player, Word
 from palsym.deletions import _tables
 
 SWAP = str.maketrans("ab", "ba")
@@ -51,3 +55,54 @@ def table_lengths(s: str) -> tuple[int, int]:
         return 0, 0
     pal, anti = _tables(s)
     return pal[0][-1], anti[0][-1]
+
+
+class ReferenceGameSolver:
+    """Minimax over every position; lowest optimal position on ties."""
+
+    def __init__(self) -> None:
+        self._memo: dict[tuple[Word, Player], int] = {}
+
+    def value(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
+        if word.is_symmetric():
+            return 0
+        key = (word, mover)
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        children = (
+            self.value(word.delete(pos), mover.other)
+            for pos in range(1, len(word) + 1)
+        )
+        best = min(children) if mover is Player.MINIMIZER else max(children)
+        self._memo[key] = 1 + best
+        return 1 + best
+
+    def best_move(self, word: Word, mover: Player) -> int:
+        target = self.value(word, mover) - 1
+        return next(
+            pos
+            for pos in range(1, len(word) + 1)
+            if self.value(word.delete(pos), mover.other) == target
+        )
+
+    def outcome(self, word: Word) -> GameOutcome:
+        total = self.value(word)
+        line = []
+        mover = Player.MINIMIZER
+        while not word.is_symmetric():
+            pos = self.best_move(word, mover)
+            line.append(pos)
+            word = word.delete(pos)
+            mover = mover.other
+        return GameOutcome(total, tuple(line))
+
+    def max_game_value(self, n: int) -> tuple[int, Word]:
+        """Scan of every word of length n in ascending order."""
+        best_value, best_word = -1, None
+        for bits in range(1 << n):
+            word = Word(n, bits)
+            value = self.value(word)
+            if value > best_value:
+                best_value, best_word = value, word
+        return best_value, best_word

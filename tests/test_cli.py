@@ -133,6 +133,24 @@ def test_jobs_env_invalid_exits_2(capsys, monkeypatch, value):
     assert "PALSYM_JOBS" in err
 
 
+def test_table_jobs_zero_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--from", "6", "--to", "6", "--jobs", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_verify_jobs_zero_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "game", "--max-n", "6", "--jobs", "0"
+    )
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
 def test_table_negative_progress_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "table", "--from", "6", "--to", "6", "--jobs", "1",
@@ -250,8 +268,28 @@ def test_game_best(capsys):
 
 
 def test_game_best_guard(capsys):
-    code, _, err = run_cli(capsys, "game", "best", "15")
+    code, _, err = run_cli(capsys, "game", "best", "17")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("game", "best", "9", "--format", "json"),
+        ("game", "solve", "abaabbbababbabaabb"),
+    ],
+)
+def test_game_stats_leave_stdout_unchanged(capsys, argv):
+    code, plain, plain_err = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain
+    assert plain_err == ""
+    assert err.startswith("stats: elapsed=")
+    for field in ("states=", "memo_hits=", "cutoffs="):
+        assert field in err
+    assert len(err.splitlines()) == 1
 
 
 def test_game_play_transcript_replays(capsys, monkeypatch):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _helpers import ReferenceGameSolver
 from palsym import (
     GameSolver,
     GameState,
@@ -20,6 +21,13 @@ from palsym import (
     sd,
     transcript,
 )
+from palsym.words import Word
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """One reference memo shared by the equivalence tests."""
+    return ReferenceGameSolver()
 
 
 def test_legal_moves():
@@ -108,9 +116,50 @@ def test_max_game_value_small():
 
 def test_max_game_value_guard():
     with pytest.raises(LengthBudgetExceeded):
-        max_game_value(15)
+        max_game_value(17)
     with pytest.raises(ValueError):
         max_game_value(0)
+
+
+def test_values_match_reference_exhaustive(reference):
+    """Both movers, every word of length <= 12."""
+    solver = GameSolver()
+    for n in range(13):
+        for w in all_words(n):
+            for mover in Player:
+                assert solver.value(w, mover) == reference.value(w, mover), (w, mover)
+
+
+def test_principal_lines_match_reference_exhaustive(reference):
+    """Lowest-position principal lines, every word of length <= 10."""
+    solver = GameSolver()
+    for n in range(11):
+        for w in all_words(n):
+            assert game_value(w, solver) == reference.outcome(w), w
+
+
+@given(st.integers(13, 18).flatmap(
+    lambda n: st.builds(Word, st.just(n), st.integers(0, (1 << n) - 1))
+))
+@settings(max_examples=25, deadline=None)
+def test_outcome_matches_reference_sampled(word):
+    reference = ReferenceGameSolver()
+    solver = GameSolver()
+    assert game_value(word, solver) == reference.outcome(word)
+    assert solver.value(word, Player.MAXIMIZER) == reference.value(
+        word, Player.MAXIMIZER
+    )
+
+
+def test_max_game_value_matches_reference(reference):
+    for n in range(1, 13):
+        assert max_game_value(n) == reference.max_game_value(n), n
+
+
+def test_solver_stats_count_work():
+    solver = GameSolver()
+    max_game_value(10, solver)
+    assert solver.states > 0 and solver.memo_hits > 0 and solver.cutoffs > 0
 
 
 def test_max_game_value_is_maximum():
