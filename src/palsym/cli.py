@@ -334,24 +334,25 @@ def _suite_game(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-# suite name -> (runner, default --max-n, largest allowed --max-n)
+# suite name -> (runner, default --max-n, smallest and largest allowed
+# --max-n); below the smallest a suite would run no check at all.
 _SUITES = {
-    "lemma4": (_suite_lemma4, 4, 7),
-    "bounds": (_suite_bounds, 14, search.MAX_SEARCH_LENGTH),
-    "oracle": (_suite_oracle, 10, deletions.ORACLE_MAX_LENGTH),
-    "peeling": (_suite_peeling, 12, 16),
-    "invariance": (_suite_invariance, 10, 14),
-    "game": (_suite_game, 10, game.SCAN_MAX_LENGTH),
+    "lemma4": (_suite_lemma4, 4, 0, 7),
+    "bounds": (_suite_bounds, 14, 2, search.MAX_SEARCH_LENGTH),
+    "oracle": (_suite_oracle, 10, 1, deletions.ORACLE_MAX_LENGTH),
+    "peeling": (_suite_peeling, 12, 2, 16),
+    "invariance": (_suite_invariance, 10, 1, 14),
+    "game": (_suite_game, 10, 1, game.SCAN_MAX_LENGTH),
 }
 
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    runner, default_max_n, guard = _SUITES[suite]
+    runner, default_max_n, lowest, guard = _SUITES[suite]
     max_n = args.max_n if args.max_n is not None else default_max_n
-    if max_n < 0 or max_n > guard:
+    if max_n < lowest or max_n > guard:
         print(
-            f"--max-n {max_n} outside 0..{guard} for suite {suite}",
+            f"--max-n {max_n} outside {lowest}..{guard} for suite {suite}",
             file=sys.stderr,
         )
         return 2

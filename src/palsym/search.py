@@ -1,12 +1,14 @@
 """Exhaustive search for the most asymmetric words of each length.
 
-``sd_max(n)`` scans all 2^n packed words in ascending order, skips any word
-that is not the canonical representative of its reversal/complement orbit
-(sd is constant on orbits, so the maximum is unaffected), and evaluates the
-survivors in numpy batches with the bit-parallel LCS kernel of
-``deletions``.  Work is split into contiguous integer ranges, one per
-worker; per-range results are merged in range order, so the outcome is
-identical for any worker count.
+``sd_max(n)`` keeps one word per reversal/complement orbit, the canonical
+(smallest) one; sd is constant on orbits, so the maximum is unaffected.
+A canonical word never starts with b (its complement would be smaller), so
+only the a-half [0, 2^(n-1)) of the packed words is scanned.  That range is
+cut into fixed-size tasks; each task filters its block to canonical words
+and evaluates them in one numpy batch with the bit-parallel LCS kernel of
+``deletions``.  The parent consumes task results in task order, merging
+them and printing progress, so the outcome is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -31,8 +35,9 @@ from .words import Word
 # n <= 32.
 MAX_SEARCH_LENGTH = 28
 
-_CHUNK = 1 << 15
-_POOL_MIN_WORDS = 1 << 15
+# Words per scan task.  A row whose scan fits in one task runs in-process,
+# so this also caps the arrays the parent allocates.
+_TASK = 1 << 14
 
 _REV8 = np.array(_REV8_BYTES, dtype=np.int64)
 
@@ -67,44 +72,19 @@ def sd_batch(words, n: int) -> np.ndarray:
     return np.minimum(np.bitwise_count(vp), np.bitwise_count(va)).astype(np.int64)
 
 
-def _scan_range(
-    n: int,
-    start: int,
-    stop: int,
-    limit: int,
-    prune: bool,
-    progress_interval: float | None = None,
+def _scan_task(
+    n: int, size: int, limit: int, prune: bool, lo: int
 ) -> tuple[int, list[int], int]:
-    """Best sd over packed words in [start, stop), with up to ``limit``
-    achievers in ascending order and the number of words evaluated."""
-    best = -1
-    hits: list[int] = []
-    scanned = 0
-    last_report = time.monotonic()
-    for lo in range(start, stop, _CHUNK):
-        arr = np.arange(lo, min(lo + _CHUNK, stop), dtype=np.int64)
-        if prune:
-            arr = arr[_canonical_mask(arr, n)]
-        if arr.size == 0:
-            continue
-        scanned += int(arr.size)
-        values = sd_batch(arr, n)
-        chunk_best = int(values.max())
-        if chunk_best > best:
-            best = chunk_best
-            hits = []
-        if chunk_best == best and len(hits) < limit:
-            idx = np.flatnonzero(values == chunk_best)
-            hits.extend(int(arr[i]) for i in idx[: limit - len(hits)])
-        if progress_interval is not None:
-            now = time.monotonic()
-            if now - last_report >= progress_interval:
-                print(
-                    f"n={n}: scanned {scanned} words, current max {best}",
-                    file=sys.stderr,
-                )
-                last_report = now
-    return best, hits, scanned
+    """Best sd over the packed words in [lo, lo + size) (-1 if none is
+    evaluated), up to ``limit`` of its achievers in ascending order, and
+    the number of words evaluated."""
+    arr = np.arange(lo, lo + size, dtype=np.int64)
+    if prune:
+        arr = arr[_canonical_mask(arr, n)]
+    values = sd_batch(arr, n)
+    best = int(values.max(initial=-1))
+    hits = arr[np.flatnonzero(values == best)[:limit]]
+    return best, hits.tolist(), int(arr.size)
 
 
 @dataclass
@@ -142,11 +122,6 @@ class TableMismatch(NamedTuple):
     expected: int
 
 
-def _split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    edges = [total * k // parts for k in range(parts + 1)]
-    return [(a, b) for a, b in zip(edges, edges[1:]) if a < b]
-
-
 def sd_max(
     n: int,
     config: SearchConfig | None = None,
@@ -155,8 +130,15 @@ def sd_max(
     """Exact maximum of sd over all 2^n words of length n.
 
     With ``prune`` (the default) only canonical orbit representatives are
-    evaluated; ``prune=False`` scans every word and exists to demonstrate
-    that the pruned maximum is the true one.
+    evaluated, and only the a-half [0, 2^(n-1)) is scanned, since every
+    canonical word starts with a; ``prune=False`` scans every word and
+    exists to demonstrate that the pruned maximum is the true one.
+
+    The scan runs as tasks of ``_TASK`` words in ascending order, in this
+    process when one worker is asked for or one task covers the range, else
+    on a process pool.  Results are merged in task order, so the row,
+    including the extremal words and their order, is the same for any
+    worker count; ``config.progress_interval`` prints scan totals to stderr.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -165,41 +147,43 @@ def sd_max(
             f"n = {n} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
     config = config if config is not None else SearchConfig()
+    limit = config.extremal_limit
 
-    total = 1 << n
-    ranges = _split_ranges(total, config.worker_count)
-    if config.worker_count == 1 or total < _POOL_MIN_WORDS:
-        results = [
-            _scan_range(
-                n, a, b, config.extremal_limit, prune, config.progress_interval
+    total = 1 << (n - 1) if prune else 1 << n
+    size = min(total, _TASK)
+    task = partial(_scan_task, n, size, limit, prune)
+    starts = range(0, total, size)
+
+    best, merged, scanned = -1, [], 0
+    last_report = time.monotonic()
+    with ExitStack() as stack:
+        if config.worker_count == 1 or total <= _TASK:
+            results = map(task, starts)
+        else:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=config.worker_count)
             )
-            for a, b in ranges
-        ]
-    else:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            futures = [
-                pool.submit(
-                    _scan_range, n, a, b, config.extremal_limit, prune,
-                    config.progress_interval,
-                )
-                for a, b in ranges
-            ]
-            results = [f.result() for f in futures]
-
-    best = max(r[0] for r in results)
-    scanned = sum(r[2] for r in results)
-    merged: list[int] = []
-    for value, hits, _ in results:
-        if value == best and len(merged) < config.extremal_limit:
-            merged.extend(hits[: config.extremal_limit - len(merged)])
+            results = pool.map(task, starts)
+        for task_best, hits, count in results:
+            scanned += count
+            if task_best > best:
+                best, merged = task_best, []
+            if task_best == best:
+                merged.extend(hits[: limit - len(merged)])
+            if config.progress_interval is not None:
+                now = time.monotonic()
+                if now - last_report >= config.progress_interval:
+                    print(
+                        f"n={n}: scanned {scanned} words, current max {best}",
+                        file=sys.stderr,
+                    )
+                    last_report = now
 
     if prune:
         extremal = tuple(Word(n, bits) for bits in merged)
     else:
         canon = {Word(n, bits).canonical() for bits in merged}
-        extremal = tuple(sorted(canon, key=lambda w: w.bits))[
-            : config.extremal_limit
-        ]
+        extremal = tuple(sorted(canon, key=lambda w: w.bits))[:limit]
 
     return SdTableRow(
         n=n,

@@ -131,15 +131,6 @@ class Word:
             return SymmetryClass.ANTIPALINDROME
         return SymmetryClass.NEITHER
 
-    def is_palindrome(self) -> bool:
-        return self.symmetry_class() in (SymmetryClass.PALINDROME, SymmetryClass.BOTH)
-
-    def is_antipalindrome(self) -> bool:
-        return self.symmetry_class() in (
-            SymmetryClass.ANTIPALINDROME,
-            SymmetryClass.BOTH,
-        )
-
     def is_symmetric(self) -> bool:
         """Palindrome or antipalindrome."""
         return self.symmetry_class() is not SymmetryClass.NEITHER

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -172,6 +173,26 @@ def test_table_progress_with_workers(capfd):
     assert "scanned" not in plain.err
 
 
+def test_table_progress_gives_scan_totals(capfd):
+    argv = ["table", "--from", "17", "--to", "17", "--jobs", "4"]
+    assert main(argv) == 0
+    plain = capfd.readouterr()
+    assert main(argv + ["--progress", "0"]) == 0
+    reported = capfd.readouterr()
+    assert reported.out == plain.out
+    assert "scanned=32896 " in plain.out and " sd=7 " in plain.out
+    lines = reported.err.splitlines()
+    counts, maxima = [], []
+    for line in lines:
+        match = re.fullmatch(r"n=17: scanned (\d+) words, current max (\d+)", line)
+        assert match, line
+        counts.append(int(match[1]))
+        maxima.append(int(match[2]))
+    assert counts == sorted(counts)
+    assert maxima == sorted(maxima)
+    assert lines[-1] == "n=17: scanned 32896 words, current max 7"
+
+
 def test_construct(capsys):
     code, out, _ = run_cli(capsys, "construct", "1", "0", "0")
     assert code == 0
@@ -241,6 +262,30 @@ def test_verify_guard_exit_2(capsys):
         capsys, "verify", "--suite", "oracle", "--max-n", "23"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "suite, max_n, lowest, guard",
+    [
+        ("lemma4", -1, 0, 7),
+        ("bounds", 0, 2, 28),
+        ("bounds", 1, 2, 28),
+        ("oracle", 0, 1, 22),
+        ("peeling", 0, 2, 16),
+        ("peeling", 1, 2, 16),
+        ("invariance", 0, 1, 14),
+        ("game", 0, 1, 16),
+    ],
+)
+def test_verify_max_n_below_suite_minimum_exits_2(
+    capsys, suite, max_n, lowest, guard
+):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--max-n", str(max_n), "--jobs", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"--max-n {max_n} outside {lowest}..{guard} for suite {suite}\n"
 
 
 def test_game_solve(capsys):

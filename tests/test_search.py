@@ -118,9 +118,47 @@ def test_unpruned_scans_everything():
 
 
 def test_worker_determinism():
-    lone = sd_max(15, SearchConfig(worker_count=1))
-    four = sd_max(15, SearchConfig(worker_count=4))
-    assert lone == four
+    """n = 19 scans 16 tasks on a pool; its first 90 extremal words come
+    from two of them, and the limit cuts the second task's list."""
+    rows = [
+        sd_max(19, SearchConfig(worker_count=jobs, extremal_limit=90))
+        for jobs in (1, 2, 3)
+    ]
+    assert len(rows[0].extremal) == 90
+    assert len({w.bits >> 14 for w in rows[0].extremal}) > 1
+    assert rows[1] == rows[0]
+    assert rows[2] == rows[0]
+
+
+def _plain_scan(n, limit):
+    """Maximum sd over every word of length n by a walk over all 2^n words,
+    its first ``limit`` canonical and plain achievers in ascending order,
+    and the number of canonical words."""
+    values = sd_batch(np.arange(1 << n, dtype=np.int64), n)
+    best = int(values.max())
+    canonical = [bits for bits in range(1 << n) if Word(n, bits).is_canonical()]
+    achievers = [bits for bits in range(1 << n) if values[bits] == best]
+    hits = [bits for bits in canonical if values[bits] == best]
+    return best, hits[:limit], achievers[:limit], len(canonical)
+
+
+def test_sd_max_matches_plain_scan():
+    """Scanning only the a-half in tasks gives the full scan's answer."""
+    for n in range(1, 19):
+        best, hits, achievers, count = _plain_scan(n, 64)
+        for jobs in (1, 2):
+            row = sd_max(n, SearchConfig(worker_count=jobs, extremal_limit=64))
+            assert row.sd == best
+            assert [w.bits for w in row.extremal] == hits
+            assert row.words_scanned == count
+        if n <= 14:
+            full = sd_max(
+                n, SearchConfig(worker_count=1, extremal_limit=64), prune=False
+            )
+            canon = sorted({Word(n, bits).canonical().bits for bits in achievers})
+            assert full.sd == best
+            assert [w.bits for w in full.extremal] == canon[:64]
+            assert full.words_scanned == 1 << n
 
 
 def test_extremal_limit_respected():
