@@ -9,16 +9,18 @@ steps of a few word operations each.  It is written with integer operators
 only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
 ``las_length``) and on an ``int64`` numpy array (``search.sd_batch``).
 
-The classic interval recurrences over palindromic (P) and antipalindromic
-(A) subsequences
+The classic interval recurrence for the longest palindromic (P) or
+antipalindromic (A) subsequence of w_i..w_j is
 
-    P(i, i) = 1                       A(i, i) = 0
-    P(i, j) = max(P(i+1, j), P(i, j-1), [w_i == w_j] * (P(i+1, j-1) + 2))
-    A(i, j) = max(A(i+1, j), A(i, j-1), [w_i != w_j] * (A(i+1, j-1) + 2))
+    T(i, j) = T(i+1, j-1) + 2                if the end pair counts,
+    T(i, j) = max(T(i+1, j), T(i, j-1))      otherwise,
 
-remain in ``_tables`` for two uses: ``sd_witness`` backtracks through them
-with fixed tie-breaks so the witness is reproducible, and the tests use
-them as the reference for the kernel.  ``brute_force_sd`` enumerates
+with P(i, i) = 1 and A(i, i) = 0.  An end pair counts for P when
+w_i == w_j and for A when w_i != w_j; keeping such a pair is always
+optimal.  ``_table`` fills T for either target and has two uses:
+``sd_witness`` builds the table of its target alone and backtracks through
+it with fixed tie-breaks so the witness is reproducible, and the tests use
+both tables as the reference for the kernel.  ``brute_force_sd`` enumerates
 deletion sets outright and serves as an independent oracle for both.
 """
 
@@ -57,33 +59,31 @@ class DeletionWitness:
     residual: Word
 
 
-def _tables(s: str) -> tuple[list[list[int]], list[list[int]]]:
-    """Interval tables for palindromic and antipalindromic subsequences.
+def _table(s: str, pal: bool) -> list[list[int]]:
+    """Interval table of palindromic (``pal``) or antipalindromic lengths.
 
-    ``pal[i][j]`` and ``anti[i][j]`` are the longest lengths inside
-    ``s[i..j]``; used by ``sd_witness`` and as the kernel's test reference.
+    ``t[i][j]`` is the longest such subsequence inside ``s[i..j]``; used by
+    ``sd_witness`` and as the kernel's test reference.  Rows fill from the
+    right end, and an end pair counts when ``mirror[j] == s[i]``.
     """
     n = len(s)
-    pal = [[0] * n for _ in range(n)]
-    anti = [[0] * n for _ in range(n)]
-    for i in range(n):
-        pal[i][i] = 1
-    for gap in range(1, n):
-        for i in range(n - gap):
-            j = i + gap
-            row_i, row_i1 = pal[i], pal[i + 1]
-            p_skip = row_i1[j] if row_i1[j] >= row_i[j - 1] else row_i[j - 1]
-            a_row_i, a_row_i1 = anti[i], anti[i + 1]
-            a_skip = a_row_i1[j] if a_row_i1[j] >= a_row_i[j - 1] else a_row_i[j - 1]
-            if s[i] == s[j]:
-                take = row_i1[j - 1] + 2
-                row_i[j] = take if take > p_skip else p_skip
-                a_row_i[j] = a_skip
-            else:
-                take = a_row_i1[j - 1] + 2
-                a_row_i[j] = take if take > a_skip else a_skip
-                row_i[j] = p_skip
-    return pal, anti
+    mirror = s if pal else s.translate(_SWAP)
+    t = [[0] * n for _ in range(n)]
+    below_row: list[int] = []  # row i + 1; the last row reads none of it
+    for i in range(n - 1, -1, -1):
+        row, c = t[i], s[i]
+        prev = row[i] = 1 if pal else 0
+        diag = 0
+        for j in range(i + 1, n):
+            below = below_row[j]
+            if mirror[j] == c:
+                prev = diag + 2
+            elif below > prev:
+                prev = below
+            row[j] = prev
+            diag = below
+        below_row = row
+    return t
 
 
 def _mirror_lcs(bits, n: int):
@@ -132,44 +132,38 @@ def sd(w: Word) -> SdResult:
 def sd_witness(w: Word) -> DeletionWitness:
     """A minimal deletion set, deterministic under fixed tie-breaks.
 
-    The witness targets a palindrome when lps >= las, else an
-    antipalindrome.  Backtracking prefers keeping a matching end pair and,
-    when single drops tie, drops the right end before the left.
+    The witness targets a palindrome when the kernel gives lps >= las, else
+    an antipalindrome, and backtracks through the table of that target
+    only.  A pairing end pair is always kept (it is always optimal); when
+    one end must go, the right end is dropped if that keeps the value.
     """
     n = len(w)
-    if n == 0:
-        return DeletionWitness((), SymmetryClass.PALINDROME, w)
+    vp, va = _mirror_lcs(w.bits, n)
+    want_pal = vp.bit_count() <= va.bit_count()
     s = str(w)
-    pal, anti = _tables(s)
-    lps, las = pal[0][n - 1], anti[0][n - 1]
-    if lps >= las:
-        target, table, want_pal = SymmetryClass.PALINDROME, pal, True
-    else:
-        target, table, want_pal = SymmetryClass.ANTIPALINDROME, anti, False
+    t = _table(s, want_pal)
 
     kept: list[int] = []
     i, j = 0, n - 1
-    while i <= j:
-        if i == j:
-            if want_pal:
-                kept.append(i)
-            break
-        pair_ok = (s[i] == s[j]) if want_pal else (s[i] != s[j])
-        inner = table[i + 1][j - 1] if i + 1 <= j - 1 else 0
-        if pair_ok and table[i][j] == inner + 2:
-            kept.append(i)
-            kept.append(j)
+    while i < j:
+        if (s[i] == s[j]) == want_pal:
+            kept += (i, j)
             i += 1
             j -= 1
-        elif table[i][j] == table[i][j - 1]:
+        elif t[i][j] == t[i][j - 1]:
             j -= 1
         else:
             i += 1
+    if i == j and want_pal:
+        kept.append(i)
 
+    kept.sort()
     kept_set = set(kept)
     deleted = tuple(p + 1 for p in range(n) if p not in kept_set)
-    residual = parse_word("".join(s[p] for p in sorted(kept_set)))
-    return DeletionWitness(deleted, target, residual)
+    residual = parse_word("".join(s[p] for p in kept))
+    if want_pal:
+        return DeletionWitness(deleted, SymmetryClass.PALINDROME, residual)
+    return DeletionWitness(deleted, SymmetryClass.ANTIPALINDROME, residual)
 
 
 def _is_symmetric_text(t: str) -> bool:

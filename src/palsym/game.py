@@ -234,10 +234,10 @@ def engine_move(
 
     ``exact`` follows a principal line of the minimax solver.  ``heuristic``
     plays the mirror rule for the maximizer (position 1 when the opponent
-    has not moved yet) and, for the minimizer, greedily picks the move whose
-    successor resolves fastest, scoring successors exactly when they fit the
-    solver guard and by their sd value otherwise.  Ties go to the leftmost
-    position.
+    has not moved yet) and, for the minimizer, picks the move whose
+    successor resolves fastest: the exact best move when successors fit the
+    solver guard, else the move whose successor has the least sd.  Ties go
+    to the leftmost position.
     """
     if state.is_terminal():
         raise TerminalStateError(f"word {state.word} is already symmetric")
@@ -255,17 +255,11 @@ def engine_move(
             return 1
         return mirror_move(state.word, last_deleted)
 
-    solver = GameSolver()
-    best_pos, best_score = 1, None
-    for pos in range(1, len(state.word) + 1):
-        successor = state.word.delete(pos)
-        if len(successor) <= GAME_MAX_LENGTH:
-            score = solver.value(successor, Player.MAXIMIZER)
-        else:
-            score = sd(successor).value
-        if best_score is None or score < best_score:
-            best_pos, best_score = pos, score
-    return best_pos
+    n = len(state.word)
+    if n <= GAME_MAX_LENGTH + 1:
+        return GameSolver().best_move(state)
+    moves = _run_children(state.word.bits, n)
+    return min(moves, key=lambda move: sd(Word(n - 1, move[1])).value)[0]
 
 
 @dataclass(frozen=True, slots=True)

@@ -14,6 +14,7 @@ count.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import time
@@ -100,8 +101,11 @@ class SearchConfig:
             raise ValueError("worker_count must be >= 1")
         if self.extremal_limit < 0:
             raise ValueError("extremal_limit must be >= 0")
-        if self.progress_interval is not None and self.progress_interval < 0:
-            raise ValueError("progress_interval must be >= 0")
+        interval = self.progress_interval
+        if interval is not None and not 0 <= interval < math.inf:
+            raise ValueError(
+                f"progress_interval must be finite and >= 0, got {interval}"
+            )
 
 
 @dataclass(frozen=True)
@@ -160,9 +164,10 @@ def sd_max(
         if config.worker_count == 1 or total <= _TASK:
             results = map(task, starts)
         else:
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=config.worker_count)
-            )
+            # fork starts every worker at the first submit, so ask for no
+            # more than there are tasks
+            workers = min(config.worker_count, len(starts))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             results = pool.map(task, starts)
         for task_best, hits, count in results:
             scanned += count

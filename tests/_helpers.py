@@ -3,7 +3,10 @@
 The brute-force helpers work on plain text so they stay independent of the
 package's bit-packed representation and interval tables.
 ``table_lengths`` reads the interval tables, which are the reference for
-the bit-parallel kernel behind ``sd`` and ``sd_batch``.
+the bit-parallel kernel behind ``sd`` and ``sd_batch``, and
+``reference_witness`` is the witness backtrack that ``sd_witness``
+replaced: it picks its target from both table corners and keeps an end
+pair only when the table says it adds 2.
 ``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
 it tries every position and memoizes on ``(Word, Player)``, with no
 symmetry reduction and no cutoffs.
@@ -11,8 +14,8 @@ symmetry reduction and no cutoffs.
 
 import itertools
 
-from palsym import GameOutcome, Player, Word
-from palsym.deletions import _tables
+from palsym import GameOutcome, Player, SymmetryClass, Word
+from palsym.deletions import _table
 
 SWAP = str.maketrans("ab", "ba")
 
@@ -53,8 +56,37 @@ def table_lengths(s: str) -> tuple[int, int]:
     """(lps, las) of ``s`` from the interval tables."""
     if not s:
         return 0, 0
-    pal, anti = _tables(s)
-    return pal[0][-1], anti[0][-1]
+    return _table(s, True)[0][-1], _table(s, False)[0][-1]
+
+
+def reference_witness(s: str) -> tuple[tuple[int, ...], SymmetryClass, str]:
+    """(deleted 1-based positions, target, residual text) of a minimal
+    deletion set, by the rule ``sd_witness`` must reproduce."""
+    n = len(s)
+    lps, las = table_lengths(s)
+    want_pal = lps >= las
+    table = _table(s, want_pal)
+    kept = []
+    i, j = 0, n - 1
+    while i <= j:
+        if i == j:
+            if want_pal:
+                kept.append(i)
+            break
+        pair_ok = (s[i] == s[j]) if want_pal else (s[i] != s[j])
+        inner = table[i + 1][j - 1] if i + 1 <= j - 1 else 0
+        if pair_ok and table[i][j] == inner + 2:
+            kept += (i, j)
+            i += 1
+            j -= 1
+        elif table[i][j] == table[i][j - 1]:
+            j -= 1
+        else:
+            i += 1
+    kept.sort()
+    deleted = tuple(p + 1 for p in range(n) if p not in kept)
+    target = SymmetryClass.PALINDROME if want_pal else SymmetryClass.ANTIPALINDROME
+    return deleted, target, "".join(s[p] for p in kept)
 
 
 class ReferenceGameSolver:

@@ -152,10 +152,11 @@ def test_verify_jobs_zero_exits_2(capsys):
     assert "--jobs" in err
 
 
-def test_table_negative_progress_exits_2(capsys):
+@pytest.mark.parametrize("interval", ["-1", "nan", "inf"])
+def test_table_negative_progress_exits_2(capsys, interval):
     code, out, err = run_cli(
         capsys, "table", "--from", "6", "--to", "6", "--jobs", "1",
-        "--progress", "-1",
+        "--progress", interval,
     )
     assert code == 2
     assert out == ""

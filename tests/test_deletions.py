@@ -15,7 +15,13 @@ from palsym import (
     sd_witness,
 )
 
-from _helpers import brute_las, brute_lps, is_symmetric_text, table_lengths
+from _helpers import (
+    brute_las,
+    brute_lps,
+    is_symmetric_text,
+    reference_witness,
+    table_lengths,
+)
 
 word_texts = st.text(alphabet="ab", max_size=12)
 
@@ -120,6 +126,30 @@ def test_witness_valid_exhaustive():
 @settings(max_examples=60)
 def test_witness_valid_longer_words(text):
     _check_witness(parse_word(text))
+
+
+def _check_witness_rule(text):
+    witness = sd_witness(parse_word(text))
+    got = (witness.deleted_positions, witness.target, str(witness.residual))
+    assert got == reference_witness(text)
+
+
+def test_witness_matches_reference_exhaustive():
+    """Target choice and tie-breaks equal the two-table backtrack
+    (all words <= 14)."""
+    for n in range(15):
+        for w in all_words(n):
+            _check_witness_rule(str(w))
+
+
+@given(
+    st.integers(15, MAX_LENGTH).flatmap(
+        lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_witness_matches_reference_sampled(text):
+    _check_witness_rule(text)
 
 
 def test_brute_force_guard():

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from _helpers import ReferenceGameSolver
 from palsym import (
+    GAME_MAX_LENGTH,
     GameSolver,
     GameState,
     LengthBudgetExceeded,
@@ -219,6 +220,50 @@ def test_engine_move_heuristic_minimizer_resolves_fast():
     state = GameState(parse_word("aab"), Player.MINIMIZER)
     pos = engine_move(state, "heuristic")
     assert game_value(state.word.delete(pos)).value == 0
+
+
+def _per_position_minimizer_move(word, solver):
+    """The heuristic minimizer's move by the loop that ``engine_move``
+    replaced: every position, successors scored exactly within the solver
+    guard and by sd beyond it, the leftmost least score wins.  Values are
+    exact, so one ``solver`` may serve many words."""
+    best_pos, best_score = 1, None
+    for pos in range(1, len(word) + 1):
+        successor = word.delete(pos)
+        if len(successor) <= GAME_MAX_LENGTH:
+            score = solver.value(successor, Player.MAXIMIZER)
+        else:
+            score = sd(successor).value
+        if best_score is None or score < best_score:
+            best_pos, best_score = pos, score
+    return best_pos
+
+
+def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
+    """Every minimizer state of at most 12 letters."""
+    solver = GameSolver()
+    for n in range(13):
+        for word in all_words(n):
+            if word.is_symmetric():
+                continue
+            state = GameState(word, Player.MINIMIZER)
+            assert engine_move(state, "heuristic") == (
+                _per_position_minimizer_move(word, solver)
+            )
+
+
+@given(st.integers(22, 40).flatmap(
+    lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+))
+@settings(max_examples=60, deadline=None)
+def test_engine_move_heuristic_minimizer_matches_loop_long(text):
+    """Beyond the solver guard the move is the least-sd run start."""
+    word = parse_word(text)
+    if word.is_symmetric():
+        return
+    state = GameState(word, Player.MINIMIZER)
+    expected = _per_position_minimizer_move(word, GameSolver())
+    assert engine_move(state, "heuristic") == expected
 
 
 def test_engine_move_rejects_unknown_mode():

@@ -22,6 +22,7 @@ from palsym import (
     sd_batch,
     sd_max,
 )
+from palsym import search
 
 from _helpers import table_lengths
 
@@ -128,6 +129,23 @@ def test_worker_determinism():
     assert len({w.bits >> 14 for w in rows[0].extremal}) > 1
     assert rows[1] == rows[0]
     assert rows[2] == rows[0]
+
+
+def test_pool_sized_by_task_count(monkeypatch):
+    """n = 16 scans two tasks, so eight requested workers start a pool of
+    two; the row is the one-worker row."""
+    asked = []
+
+    class RecordingPool(search.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            # never start more than two processes, whatever is asked for
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    row = sd_max(16, SearchConfig(worker_count=8))
+    assert asked == [2]
+    assert row == sd_max(16, ONE)
 
 
 def _plain_scan(n, limit):
