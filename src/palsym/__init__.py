@@ -47,7 +47,6 @@ from .game import (
     Player,
     engine_move,
     game_value,
-    legal_moves,
     max_game_value,
     mirror_move,
     opening_word,
@@ -118,7 +117,6 @@ __all__ = [
     "game_value",
     "known_values",
     "las_length",
-    "legal_moves",
     "lower_bound",
     "lps_length",
     "max_game_value",

@@ -371,11 +371,13 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- game
 
 
-def _print_game_stats(solver: game.GameSolver, start: float) -> None:
+def _print_game_stats(
+    solver: game.GameSolver, start: float, extra: str = ""
+) -> None:
     print(
         f"stats: elapsed={time.perf_counter() - start:.3f}s "
         f"states={solver.states} memo_hits={solver.memo_hits} "
-        f"cutoffs={solver.cutoffs}",
+        f"cutoffs={solver.cutoffs}{extra}",
         file=sys.stderr,
     )
 
@@ -411,7 +413,11 @@ def _cmd_game_best(args) -> int:
     else:
         print(f"n={args.n} value={value} word={word}")
     if args.stats:
-        _print_game_stats(solver, start)
+        levels = game.table_levels(args.n)
+        words_tabulated = sum(1 << m for m in levels)
+        _print_game_stats(
+            solver, start, f" levels={len(levels)} table_words={words_tabulated}"
+        )
     return 0
 
 
@@ -447,6 +453,7 @@ def _cmd_game_play(args) -> int:
         return 2
     human_is_minimizer = args.side == "second"
     mover = game.Player.MINIMIZER
+    solver = game.GameSolver()
     moves: list[int] = []
     last_letter: str | None = None
     initial = word
@@ -463,7 +470,7 @@ def _cmd_game_play(args) -> int:
             actor = "you"
         else:
             pos = game.engine_move(
-                game.GameState(word, mover), args.engine, last_letter
+                game.GameState(word, mover), args.engine, last_letter, solver
             )
             actor = "engine"
         letter = word.letter_at(pos)
@@ -488,6 +495,10 @@ def _cmd_game_play(args) -> int:
 # ---------------------------------------------------------------- parser
 
 _STATS_HELP = "print elapsed time, states, memo hits and cutoffs to stderr"
+_BEST_STATS_HELP = (
+    "print elapsed time, the cross-check solve's states, memo hits and "
+    "cutoffs, and the table levels and words to stderr"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g_best.add_argument("n", type=int)
     g_best.add_argument("--format", choices=("text", "json"), default="text")
-    g_best.add_argument("--stats", action="store_true", help=_STATS_HELP)
+    g_best.add_argument("--stats", action="store_true", help=_BEST_STATS_HELP)
     g_best.set_defaults(func=_cmd_game_best)
 
     g_play = game_sub.add_parser("play", help="interactive game against the engine")

@@ -21,6 +21,18 @@ the minimizer moves first.
 
 ``best_move`` returns the lowest optimal position: the first letter of the
 leftmost run whose child keeps the value.
+
+``max_game_value`` scans every starting word by retrograde analysis, the
+method of endgame tablebases (Stroehlein 1970; Thompson 1986): one int8
+value table per word length m = 3..n over all 2^m packed words, filled
+bottom-up with whole-array numpy operations.  An entry is 0 for a
+symmetric word, else 1 plus the min (minimizer) or max (maximizer) over
+the m single-letter deletions of the length m - 1 table.  Deleting bit k
+maps the words viewed as a ``(2^(m-1-k), 2, 2^k)`` array onto the shorter
+table viewed as ``(2^(m-1-k), 1, 2^k)``, so each deletion is one
+broadcast, with no index arrays.  The minimizer moves at length m exactly
+when n - m is even.  Words of length <= 2 are all symmetric, so those
+tables are all zero.
 """
 
 from __future__ import annotations
@@ -28,14 +40,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded, TerminalStateError
+from .search import _reverse_words
 from .words import Word, _reverse_bits, complement_letter, parse_word
 
 # All subsequences of the start word are potential states.
 GAME_MAX_LENGTH = 20
-# Full scan over starting words shares one memo table.
-SCAN_MAX_LENGTH = 16
+# Full scan over starting words: its value tables take 2^(n+1) bytes in
+# all, 8 MB at n = 22.
+SCAN_MAX_LENGTH = 22
 
 
 class Player(Enum):
@@ -67,13 +83,6 @@ class GameOutcome:
 
     value: int
     principal_line: tuple[int, ...]
-
-
-def legal_moves(state: GameState) -> list[int]:
-    """Every deletable position, 1-based."""
-    if state.is_terminal():
-        raise TerminalStateError(f"word {state.word} is already symmetric")
-    return list(range(1, len(state.word) + 1))
 
 
 def _run_children(bits: int, n: int):
@@ -167,13 +176,48 @@ def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:
     return solver.outcome(word)
 
 
+def table_levels(n: int) -> range:
+    """Word lengths whose value table ``max_game_value(n)`` builds."""
+    return range(3, n + 1)
+
+
+def _symmetric_words(m: int) -> np.ndarray:
+    """Packed palindromes and antipalindromes of length m >= 1, built from
+    their left halves (an antipalindrome has even length)."""
+    h = m // 2
+    halves = np.arange(1 << h, dtype=np.int64)
+    mirror = _reverse_words(halves, h)
+    high = halves << (m - h)
+    middles = (0, 1 << h) if m % 2 else (0,)
+    found = [high | middle | mirror for middle in middles]
+    if m % 2 == 0:
+        found.append(high | (mirror ^ ((1 << h) - 1)))
+    return np.concatenate(found)
+
+
+def _value_tables(n: int) -> list[np.ndarray]:
+    """Game values of every packed word of each length m = 0..n, with the
+    minimizer to move at length n: ``tables[m][bits]`` is an int8 value."""
+    tables = [np.zeros(1 << m, dtype=np.int8) for m in range(min(n, 2) + 1)]
+    for m in table_levels(n):
+        shorter = tables[-1]
+        pick = np.minimum if (n - m) % 2 == 0 else np.maximum
+        table = np.repeat(shorter, 2)  # delete the last letter
+        for k in range(1, m):
+            view = table.reshape(-1, 2, 1 << k)
+            pick(view, shorter.reshape(-1, 1, 1 << k), out=view)
+        table += 1
+        table[_symmetric_words(m)] = 0
+        tables.append(table)
+    return tables
+
+
 def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]:
     """Best achievable game value over all starting words of length n.
 
-    Returns the value and the lexicographically least word attaining it.
-    The value is constant on reversal/complement orbits, and that least
-    word is the least member of its orbit, so only orbit minima are
-    solved, in ascending order; they all start with a.
+    Returns the value and the lexicographically least word attaining it,
+    read from the top value table, and confirms that value with ``solver``
+    on the word found.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -181,17 +225,16 @@ def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]
         raise LengthBudgetExceeded(
             f"full scan supports at most {SCAN_MAX_LENGTH} letters, got {n}"
         )
+    top = _value_tables(n)[n]
+    bits = int(np.argmax(top))
+    word = Word(n, bits)
     solver = solver if solver is not None else GameSolver()
-    mask = (1 << n) - 1
-    best_value, best_bits = -1, 0
-    for bits in range(1 << (n - 1)):
-        rev = _reverse_bits(bits, n)
-        if bits > rev or bits > rev ^ mask:
-            continue
-        value = solver.value(Word(n, bits))
-        if value > best_value:
-            best_value, best_bits = value, bits
-    return best_value, Word(n, best_bits)
+    value = solver.value(word)
+    if value != top[bits]:
+        raise AssertionError(
+            f"value table gives {top[bits]} for {word}, the solver {value}"
+        )
+    return value, word
 
 
 def opening_word(n: int) -> Word:
@@ -229,6 +272,7 @@ def engine_move(
     state: GameState,
     mode: str = "exact",
     last_deleted: str | None = None,
+    solver: GameSolver | None = None,
 ) -> int:
     """Choose a move for ``state.mover``.
 
@@ -237,16 +281,18 @@ def engine_move(
     has not moved yet) and, for the minimizer, picks the move whose
     successor resolves fastest: the exact best move when successors fit the
     solver guard, else the move whose successor has the least sd.  Ties go
-    to the leftmost position.
+    to the leftmost position.  Values are exact, so one ``solver`` may serve
+    every move of a game.
     """
     if state.is_terminal():
         raise TerminalStateError(f"word {state.word} is already symmetric")
+    solver = solver if solver is not None else GameSolver()
     if mode == "exact":
         if len(state.word) > GAME_MAX_LENGTH:
             raise LengthBudgetExceeded(
                 f"exact engine supports at most {GAME_MAX_LENGTH} letters"
             )
-        return GameSolver().best_move(state)
+        return solver.best_move(state)
     if mode != "heuristic":
         raise ValueError(f"unknown engine mode {mode!r}")
 
@@ -257,7 +303,7 @@ def engine_move(
 
     n = len(state.word)
     if n <= GAME_MAX_LENGTH + 1:
-        return GameSolver().best_move(state)
+        return solver.best_move(state)
     moves = _run_children(state.word.bits, n)
     return min(moves, key=lambda move: sd(Word(n - 1, move[1])).value)[0]
 

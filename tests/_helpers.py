@@ -9,13 +9,15 @@ replaced: it picks its target from both table corners and keeps an end
 pair only when the table says it adds 2.
 ``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
 it tries every position and memoizes on ``(Word, Player)``, with no
-symmetry reduction and no cutoffs.
+symmetry reduction and no cutoffs.  ``orbit_max_game_value`` is the scan
+that the retrograde value tables of ``max_game_value`` replaced.
 """
 
 import itertools
 
-from palsym import GameOutcome, Player, SymmetryClass, Word
+from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word
 from palsym.deletions import _table
+from palsym.words import _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
 
@@ -138,3 +140,18 @@ class ReferenceGameSolver:
             if value > best_value:
                 best_value, best_word = value, word
         return best_value, best_word
+
+
+def orbit_max_game_value(n: int, solver: GameSolver) -> tuple[int, Word]:
+    """Best game value at length n and the least word attaining it, by
+    solving every orbit minimum (they all start with a) in ascending order."""
+    mask = (1 << n) - 1
+    best_value, best_bits = -1, 0
+    for bits in range(1 << (n - 1)):
+        rev = _reverse_bits(bits, n)
+        if bits > rev or bits > rev ^ mask:
+            continue
+        value = solver.value(Word(n, bits))
+        if value > best_value:
+            best_value, best_bits = value, bits
+    return best_value, Word(n, best_bits)

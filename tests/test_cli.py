@@ -275,7 +275,7 @@ def test_verify_guard_exit_2(capsys):
         ("peeling", 0, 2, 16),
         ("peeling", 1, 2, 16),
         ("invariance", 0, 1, 14),
-        ("game", 0, 1, 16),
+        ("game", 0, 1, 22),
     ],
 )
 def test_verify_max_n_below_suite_minimum_exits_2(
@@ -314,8 +314,19 @@ def test_game_best(capsys):
 
 
 def test_game_best_guard(capsys):
-    code, _, err = run_cli(capsys, "game", "best", "17")
+    code, _, err = run_cli(capsys, "game", "best", "23")
     assert code == 2
+    assert "at most 22 letters" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "game", "--max-n", "23")
+    assert code == 2
+    assert out == ""
+    assert err == "--max-n 23 outside 1..22 for suite game\n"
+
+
+def test_game_best_above_old_guard(capsys):
+    code, out, _ = run_cli(capsys, "game", "best", "17", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"n": 17, "value": 13, "word": "aaaaaaaaaabbbbbbb"}
 
 
 @pytest.mark.parametrize(
@@ -335,6 +346,9 @@ def test_game_stats_leave_stdout_unchanged(capsys, argv):
     assert err.startswith("stats: elapsed=")
     for field in ("states=", "memo_hits=", "cutoffs="):
         assert field in err
+    if argv[1] == "best":
+        # lengths 3..9 are tabulated: 2^3 + ... + 2^9 words
+        assert " levels=7 table_words=1016\n" in err
     assert len(err.splitlines()) == 1
 
 

@@ -1,8 +1,11 @@
+import functools
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import ReferenceGameSolver
+from _helpers import ReferenceGameSolver, orbit_max_game_value
 from palsym import (
     GAME_MAX_LENGTH,
     GameSolver,
@@ -13,7 +16,6 @@ from palsym import (
     all_words,
     engine_move,
     game_value,
-    legal_moves,
     max_game_value,
     mirror_move,
     opening_word,
@@ -22,6 +24,7 @@ from palsym import (
     sd,
     transcript,
 )
+from palsym.game import _value_tables
 from palsym.words import Word
 
 
@@ -29,19 +32,6 @@ from palsym.words import Word
 def reference():
     """One reference memo shared by the equivalence tests."""
     return ReferenceGameSolver()
-
-
-def test_legal_moves():
-    state = GameState(parse_word("aab"), Player.MINIMIZER)
-    assert legal_moves(state) == [1, 2, 3]
-    assert legal_moves(GameState(parse_word("aaba"), Player.MAXIMIZER)) == [
-        1,
-        2,
-        3,
-        4,
-    ]
-    with pytest.raises(TerminalStateError):
-        legal_moves(GameState(parse_word("ab"), Player.MINIMIZER))
 
 
 def test_game_value_examples():
@@ -117,7 +107,7 @@ def test_max_game_value_small():
 
 def test_max_game_value_guard():
     with pytest.raises(LengthBudgetExceeded):
-        max_game_value(17)
+        max_game_value(23)
     with pytest.raises(ValueError):
         max_game_value(0)
 
@@ -155,6 +145,49 @@ def test_outcome_matches_reference_sampled(word):
 def test_max_game_value_matches_reference(reference):
     for n in range(1, 13):
         assert max_game_value(n) == reference.max_game_value(n), n
+
+
+@pytest.mark.parametrize("n", [13, 14])
+def test_value_tables_match_solver_exhaustive(n):
+    """Every entry of every level: the mover at length m is the maximizer
+    exactly when n - m is odd, so n = 13 and 14 cover both movers at every
+    length up to 13."""
+    solver = GameSolver()
+    tables = _value_tables(n)
+    assert len(tables) == n + 1
+    for m, table in enumerate(tables):
+        assert table.dtype == np.int8 and table.shape == (1 << m,)
+        maximizer = (n - m) % 2 == 1
+        expected = [solver._solve(bits, m, maximizer) for bits in range(1 << m)]
+        assert table.tolist() == expected, m
+
+
+def test_max_game_value_matches_orbit_scan():
+    solver = GameSolver()
+    for n in range(1, 15):
+        assert max_game_value(n) == orbit_max_game_value(n, solver), n
+
+
+@functools.cache
+def _top_table(n):
+    return _value_tables(n)[n]
+
+
+@given(st.integers(15, 18).flatmap(
+    lambda n: st.builds(Word, st.just(n), st.integers(0, (1 << n) - 1))
+))
+@settings(max_examples=40, deadline=None)
+def test_top_table_matches_solver_sampled(word):
+    assert _top_table(len(word))[word.bits] == GameSolver().value(word)
+
+
+def test_max_game_value_cross_checks_with_solver(monkeypatch):
+    """A table that disagrees with the exact solver is an error."""
+    monkeypatch.setattr(
+        "palsym.game._value_tables", lambda n: [np.ones(1 << n, np.int8)] * (n + 1)
+    )
+    with pytest.raises(AssertionError):
+        max_game_value(6)
 
 
 def test_solver_stats_count_work():
@@ -207,6 +240,21 @@ def test_engine_move_exact_is_optimal():
             pos = engine_move(state, "exact")
             value = solver.value(word, mover)
             assert solver.value(word.delete(pos), mover.other) == value - 1
+
+
+@pytest.mark.parametrize("mode", ["exact", "heuristic"])
+def test_engine_move_shared_solver_plays_same_game(mode):
+    """One solver across a whole game gives the moves of fresh solvers."""
+    shared = GameSolver()
+    for text in ("aabbbbaaabbabbab", "abaabbbababbab", "aabab"):
+        word, mover, last = parse_word(text), Player.MINIMIZER, None
+        while not word.is_symmetric():
+            state = GameState(word, mover)
+            pos = engine_move(state, mode, last, shared)
+            assert pos == engine_move(state, mode, last)
+            last = word.letter_at(pos)
+            word, mover = word.delete(pos), mover.other
+    assert shared.states > 0
 
 
 def test_engine_move_heuristic_mirror():
