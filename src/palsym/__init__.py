@@ -10,13 +10,10 @@ to a symmetric word.
 """
 
 from .bounds import (
-    BoundsRow,
     ConstructionParams,
     FamilyCheck,
     VALID_PAIRS,
-    bounds_row,
     build_word,
-    decompose,
     family_bound,
     lower_bound,
     upper_bound,
@@ -79,7 +76,6 @@ from .words import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsRow",
     "ConstructionParams",
     "DeletionWitness",
     "FamilyCheck",
@@ -105,13 +101,11 @@ __all__ = [
     "VALID_PAIRS",
     "Word",
     "all_words",
-    "bounds_row",
     "brute_force_sd",
     "build_word",
     "compare_with_known",
     "complement_letter",
     "compute_table",
-    "decompose",
     "engine_move",
     "family_bound",
     "game_value",

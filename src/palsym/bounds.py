@@ -87,32 +87,6 @@ def upper_bound(n: int) -> int:
     return n // 2
 
 
-def decompose(n: int) -> tuple[int, int]:
-    """Write n >= 3 as 7t + 3 + k with 0 <= k <= 6."""
-    if n < 3:
-        raise ValueError(f"decomposition defined for n >= 3, got {n}")
-    t = (n - 3) // 7
-    return t, n - 3 - 7 * t
-
-
-@dataclass(frozen=True, slots=True)
-class BoundsRow:
-    """Bounds at one length, with the 7t+3+k split when it exists."""
-
-    n: int
-    lower: int
-    upper: int
-    t: int | None
-    k: int | None
-
-
-def bounds_row(n: int) -> BoundsRow:
-    if n < 2:
-        raise ValueError(f"bounds defined for n >= 2, got {n}")
-    t, k = decompose(n) if n >= 3 else (None, None)
-    return BoundsRow(n, lower_bound(n), upper_bound(n), t, k)
-
-
 @dataclass(frozen=True, slots=True)
 class FamilyCheck:
     """One family word checked against its closed-form distance."""

@@ -371,13 +371,10 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- game
 
 
-def _print_game_stats(
-    solver: game.GameSolver, start: float, extra: str = ""
-) -> None:
+def _print_game_stats(solver: game.GameSolver, start: float) -> None:
     print(
         f"stats: elapsed={time.perf_counter() - start:.3f}s "
-        f"states={solver.states} memo_hits={solver.memo_hits} "
-        f"cutoffs={solver.cutoffs}{extra}",
+        f"levels={solver.levels} table_words={solver.table_words}",
         file=sys.stderr,
     )
 
@@ -413,11 +410,7 @@ def _cmd_game_best(args) -> int:
     else:
         print(f"n={args.n} value={value} word={word}")
     if args.stats:
-        levels = game.table_levels(args.n)
-        words_tabulated = sum(1 << m for m in levels)
-        _print_game_stats(
-            solver, start, f" levels={len(levels)} table_words={words_tabulated}"
-        )
+        _print_game_stats(solver, start)
     return 0
 
 
@@ -494,11 +487,7 @@ def _cmd_game_play(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-_STATS_HELP = "print elapsed time, states, memo hits and cutoffs to stderr"
-_BEST_STATS_HELP = (
-    "print elapsed time, the cross-check solve's states, memo hits and "
-    "cutoffs, and the table levels and words to stderr"
-)
+_STATS_HELP = "print elapsed time, value tables built and their words to stderr"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -578,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g_best.add_argument("n", type=int)
     g_best.add_argument("--format", choices=("text", "json"), default="text")
-    g_best.add_argument("--stats", action="store_true", help=_BEST_STATS_HELP)
+    g_best.add_argument("--stats", action="store_true", help=_STATS_HELP)
     g_best.set_defaults(func=_cmd_game_best)
 
     g_play = game_sub.add_parser("play", help="interactive game against the engine")

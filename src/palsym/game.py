@@ -6,33 +6,23 @@ number of moves made.  The player who owns the starting word wants a long
 game (the maximizer), the opponent wants a short one (the minimizer), and
 the minimizer moves first.
 
-``GameSolver`` computes exact minimax values over packed
-``(bits, n, maximizer)`` states, using three facts:
-
-* deleting any letter of a run gives the same word, so a state has one
-  child per run (the run's first letter);
-* the value is invariant under reversal and complement, so the memo is
-  keyed by the orbit minimum of ``bits`` with ``n`` and the mover bit;
-* every finished game leaves a symmetric subsequence, so the value is at
-  least ``sd(w)``, and every word of length <= 2 is symmetric, so it is at
-  most ``n - 2``.  The minimizer stops at a child worth ``sd(w) - 1`` and
-  the maximizer at one worth ``n - 3`` (an alpha-beta-style cutoff, Knuth &
-  Moore 1975); both bounds are attained, so every memo entry is exact.
+``GameSolver`` computes exact minimax values by retrograde analysis, the
+method of endgame tablebases (Stroehlein 1970; Thompson 1986): one int8
+value table per word length m and mover over all 2^m packed words, each
+built on first use from the table of length m - 1 with the other mover,
+with whole-array numpy operations.  An entry is 0 for a symmetric word,
+else 1 plus the min (minimizer) or max (maximizer) over the m
+single-letter deletions of the shorter table.  Deleting bit k maps the
+words viewed as a ``(2^(m-1-k), 2, 2^k)`` array onto the shorter table
+viewed as ``(2^(m-1-k), 1, 2^k)``, so each deletion is one broadcast, with
+no index arrays.  Words of length <= 2 are all symmetric, so those tables
+are all zero.  Solving an n-letter word builds the n - 2 tables of one
+chain, 2^(n+1) bytes in all.
 
 ``best_move`` returns the lowest optimal position: the first letter of the
-leftmost run whose child keeps the value.
-
-``max_game_value`` scans every starting word by retrograde analysis, the
-method of endgame tablebases (Stroehlein 1970; Thompson 1986): one int8
-value table per word length m = 3..n over all 2^m packed words, filled
-bottom-up with whole-array numpy operations.  An entry is 0 for a
-symmetric word, else 1 plus the min (minimizer) or max (maximizer) over
-the m single-letter deletions of the length m - 1 table.  Deleting bit k
-maps the words viewed as a ``(2^(m-1-k), 2, 2^k)`` array onto the shorter
-table viewed as ``(2^(m-1-k), 1, 2^k)``, so each deletion is one
-broadcast, with no index arrays.  The minimizer moves at length m exactly
-when n - m is even.  Words of length <= 2 are all symmetric, so those
-tables are all zero.
+leftmost run whose child keeps the value (deleting any letter of a run
+gives the same word).  ``max_game_value`` takes the least word with the
+largest entry of the top table.
 """
 
 from __future__ import annotations
@@ -42,15 +32,16 @@ from enum import Enum
 
 import numpy as np
 
-from .deletions import _mirror_lcs, sd
+from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
 from .search import _reverse_words
-from .words import Word, _reverse_bits, complement_letter, parse_word
+from .words import Word, complement_letter, parse_word
 
-# All subsequences of the start word are potential states.
+# Exact solve and play: the value tables of one word take 2^(n+1) bytes
+# in all, 2 MB at n = 20.
 GAME_MAX_LENGTH = 20
-# Full scan over starting words: its value tables take 2^(n+1) bytes in
-# all, 8 MB at n = 22.
+# Full scan over starting words and the longest table built: 8 MB of
+# tables at n = 22.
 SCAN_MAX_LENGTH = 22
 
 
@@ -96,51 +87,51 @@ def _run_children(bits: int, n: int):
 
 
 class GameSolver:
-    """Memoized minimax solver; one instance may serve many words.
+    """Exact minimax values read from value tables; one instance may serve
+    many words and builds each table at most once.
 
-    ``states`` (memo entries: distinct non-symmetric orbit states solved),
-    ``memo_hits`` and ``cutoffs`` (states whose search stopped at a child
-    that reached the bound) count the work done so far.
+    ``levels`` (tables built) and ``table_words`` (their entries) count the
+    work done so far.
     """
 
     def __init__(self) -> None:
-        self._memo: dict[int, int] = {}
-        self.memo_hits = 0
-        self.cutoffs = 0
+        self._tables: dict[tuple[int, bool], np.ndarray] = {}
 
     @property
-    def states(self) -> int:
-        return len(self._memo)
+    def levels(self) -> int:
+        return len(self._tables)
+
+    @property
+    def table_words(self) -> int:
+        return sum(table.size for table in self._tables.values())
+
+    def _table(self, m: int, maximizer: bool) -> np.ndarray:
+        """Game values of every packed word of length m, with the maximizer
+        to move when ``maximizer``: ``table[bits]`` is an int8 value."""
+        if m <= 2:
+            return np.zeros(1 << m, dtype=np.int8)
+        table = self._tables.get((m, maximizer))
+        if table is not None:
+            return table
+        if m > SCAN_MAX_LENGTH:
+            raise LengthBudgetExceeded(
+                f"game tables support at most {SCAN_MAX_LENGTH} letters, got {m}"
+            )
+        shorter = self._table(m - 1, not maximizer)
+        pick = np.maximum if maximizer else np.minimum
+        table = np.repeat(shorter, 2)  # delete the last letter
+        for k in range(1, m):
+            view = table.reshape(-1, 2, 1 << k)
+            pick(view, shorter.reshape(-1, 1, 1 << k), out=view)
+        table += 1
+        table[_symmetric_words(m)] = 0
+        table.flags.writeable = False  # shared by every later read
+        self._tables[(m, maximizer)] = table
+        return table
 
     def value(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
         """Moves remaining under optimal play from this state."""
-        return self._solve(word.bits, word.length, mover is Player.MAXIMIZER)
-
-    def _solve(self, bits: int, n: int, maximizer: bool) -> int:
-        mask = (1 << n) - 1
-        rev = _reverse_bits(bits, n)
-        if bits == rev or bits == rev ^ mask:
-            return 0
-        orbit_min = min(bits, rev, bits ^ mask, rev ^ mask)
-        key = (orbit_min << 7 | n << 1) | maximizer
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.memo_hits += 1
-            return cached
-        if maximizer:
-            best, stop = -1, n - 3
-        else:
-            vp, va = _mirror_lcs(bits, n)
-            best, stop = n, min(vp.bit_count(), va.bit_count()) - 1
-        for _, child in _run_children(bits, n):
-            v = self._solve(child, n - 1, not maximizer)
-            if v > best if maximizer else v < best:
-                best = v
-                if best == stop:
-                    self.cutoffs += 1
-                    break
-        self._memo[key] = best + 1
-        return best + 1
+        return int(self._table(word.length, mover is Player.MAXIMIZER)[word.bits])
 
     def best_move(self, state: GameState) -> int:
         """Lowest position whose successor preserves the minimax value."""
@@ -148,11 +139,12 @@ class GameSolver:
             raise TerminalStateError(f"word {state.word} is already symmetric")
         word = state.word
         target = self.value(word, state.mover) - 1
-        child_maximizer = state.mover is Player.MINIMIZER
-        for pos, child in _run_children(word.bits, word.length):
-            if self._solve(child, word.length - 1, child_maximizer) == target:
-                return pos
-        raise AssertionError("some move must attain the minimax value")
+        children = self._table(word.length - 1, state.mover is Player.MINIMIZER)
+        return next(
+            pos
+            for pos, child in _run_children(word.bits, word.length)
+            if children[child] == target
+        )
 
     def outcome(self, word: Word, mover: Player = Player.MINIMIZER) -> GameOutcome:
         total = self.value(word, mover)
@@ -176,11 +168,6 @@ def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:
     return solver.outcome(word)
 
 
-def table_levels(n: int) -> range:
-    """Word lengths whose value table ``max_game_value(n)`` builds."""
-    return range(3, n + 1)
-
-
 def _symmetric_words(m: int) -> np.ndarray:
     """Packed palindromes and antipalindromes of length m >= 1, built from
     their left halves (an antipalindrome has even length)."""
@@ -195,29 +182,11 @@ def _symmetric_words(m: int) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _value_tables(n: int) -> list[np.ndarray]:
-    """Game values of every packed word of each length m = 0..n, with the
-    minimizer to move at length n: ``tables[m][bits]`` is an int8 value."""
-    tables = [np.zeros(1 << m, dtype=np.int8) for m in range(min(n, 2) + 1)]
-    for m in table_levels(n):
-        shorter = tables[-1]
-        pick = np.minimum if (n - m) % 2 == 0 else np.maximum
-        table = np.repeat(shorter, 2)  # delete the last letter
-        for k in range(1, m):
-            view = table.reshape(-1, 2, 1 << k)
-            pick(view, shorter.reshape(-1, 1, 1 << k), out=view)
-        table += 1
-        table[_symmetric_words(m)] = 0
-        tables.append(table)
-    return tables
-
-
 def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]:
     """Best achievable game value over all starting words of length n.
 
     Returns the value and the lexicographically least word attaining it,
-    read from the top value table, and confirms that value with ``solver``
-    on the word found.
+    read from the top value table of ``solver``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -225,16 +194,9 @@ def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]
         raise LengthBudgetExceeded(
             f"full scan supports at most {SCAN_MAX_LENGTH} letters, got {n}"
         )
-    top = _value_tables(n)[n]
-    bits = int(np.argmax(top))
-    word = Word(n, bits)
     solver = solver if solver is not None else GameSolver()
-    value = solver.value(word)
-    if value != top[bits]:
-        raise AssertionError(
-            f"value table gives {top[bits]} for {word}, the solver {value}"
-        )
-    return value, word
+    word = Word(n, int(np.argmax(solver._table(n, False))))
+    return solver.value(word), word
 
 
 def opening_word(n: int) -> Word:

@@ -9,14 +9,17 @@ replaced: it picks its target from both table corners and keeps an end
 pair only when the table says it adds 2.
 ``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
 it tries every position and memoizes on ``(Word, Player)``, with no
-symmetry reduction and no cutoffs.  ``orbit_max_game_value`` is the scan
-that the retrograde value tables of ``max_game_value`` replaced.
+symmetry reduction and no cutoffs.  ``DfsGameSolver`` is the packed
+depth-first search that the value tables of ``GameSolver`` replaced, and
+``orbit_max_game_value`` is the scan over it that ``max_game_value``
+replaced.
 """
 
 import itertools
 
-from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word
-from palsym.deletions import _table
+from palsym import GameOutcome, Player, SymmetryClass, Word
+from palsym.deletions import _mirror_lcs, _table
+from palsym.game import _run_children
 from palsym.words import _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
@@ -142,7 +145,53 @@ class ReferenceGameSolver:
         return best_value, best_word
 
 
-def orbit_max_game_value(n: int, solver: GameSolver) -> tuple[int, Word]:
+class DfsGameSolver:
+    """Minimax over packed ``(bits, n, maximizer)`` states, using three facts:
+
+    * deleting any letter of a run gives the same word, so a state has one
+      child per run;
+    * the value is invariant under reversal and complement, so the memo is
+      keyed by the orbit minimum of ``bits`` with ``n`` and the mover bit;
+    * every finished game leaves a symmetric subsequence, so the value is at
+      least ``sd(w)``, and every word of length <= 2 is symmetric, so it is
+      at most ``n - 2``.  The minimizer stops at a child worth ``sd(w) - 1``
+      and the maximizer at one worth ``n - 3`` (an alpha-beta-style cutoff,
+      Knuth & Moore 1975); both bounds are attained, so every memo entry is
+      exact.
+    """
+
+    def __init__(self) -> None:
+        self._memo: dict[int, int] = {}
+
+    def value(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
+        return self._solve(word.bits, word.length, mover is Player.MAXIMIZER)
+
+    def _solve(self, bits: int, n: int, maximizer: bool) -> int:
+        mask = (1 << n) - 1
+        rev = _reverse_bits(bits, n)
+        if bits == rev or bits == rev ^ mask:
+            return 0
+        orbit_min = min(bits, rev, bits ^ mask, rev ^ mask)
+        key = (orbit_min << 7 | n << 1) | maximizer
+        cached = self._memo.get(key)
+        if cached is not None:
+            return cached
+        if maximizer:
+            best, stop = -1, n - 3
+        else:
+            vp, va = _mirror_lcs(bits, n)
+            best, stop = n, min(vp.bit_count(), va.bit_count()) - 1
+        for _, child in _run_children(bits, n):
+            v = self._solve(child, n - 1, not maximizer)
+            if v > best if maximizer else v < best:
+                best = v
+                if best == stop:
+                    break
+        self._memo[key] = best + 1
+        return best + 1
+
+
+def orbit_max_game_value(n: int, solver: DfsGameSolver) -> tuple[int, Word]:
     """Best game value at length n and the least word attaining it, by
     solving every orbit minimum (they all start with a) in ascending order."""
     mask = (1 << n) - 1

@@ -4,9 +4,7 @@ from palsym import (
     ConstructionParams,
     InvalidPairError,
     VALID_PAIRS,
-    bounds_row,
     build_word,
-    decompose,
     family_bound,
     lower_bound,
     sd,
@@ -76,19 +74,8 @@ def test_bound_consistency():
 def test_decomposition_identity():
     """lower_bound(7t + 3 + k) == 3t + 1 + k // 3 for n in 3..100."""
     for n in range(3, 101):
-        t, k = decompose(n)
-        assert n == 7 * t + 3 + k
-        assert 0 <= k <= 6
+        t, k = divmod(n - 3, 7)
         assert lower_bound(n) == 3 * t + 1 + k // 3
-
-
-def test_bounds_row():
-    row = bounds_row(10)
-    assert (row.lower, row.upper, row.t, row.k) == (4, 5, 1, 0)
-    row2 = bounds_row(2)
-    assert (row2.lower, row2.upper, row2.t, row2.k) == (0, 1, None, None)
-    with pytest.raises(ValueError):
-        bounds_row(1)
 
 
 def test_verify_family_equality_small():

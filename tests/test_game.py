@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import ReferenceGameSolver, orbit_max_game_value
+from _helpers import DfsGameSolver, ReferenceGameSolver, orbit_max_game_value
 from palsym import (
     GAME_MAX_LENGTH,
     GameSolver,
@@ -24,7 +24,6 @@ from palsym import (
     sd,
     transcript,
 )
-from palsym.game import _value_tables
 from palsym.words import Word
 
 
@@ -112,6 +111,15 @@ def test_max_game_value_guard():
         max_game_value(0)
 
 
+def test_solver_table_guard():
+    """No table is built beyond the scan guard, so no input asks for 2^23
+    entries or more."""
+    word = parse_word("a" * 22 + "b")
+    assert not word.is_symmetric()
+    with pytest.raises(LengthBudgetExceeded):
+        GameSolver().value(word)
+
+
 def test_values_match_reference_exhaustive(reference):
     """Both movers, every word of length <= 12."""
     solver = GameSolver()
@@ -149,28 +157,30 @@ def test_max_game_value_matches_reference(reference):
 
 @pytest.mark.parametrize("n", [13, 14])
 def test_value_tables_match_solver_exhaustive(n):
-    """Every entry of every level: the mover at length m is the maximizer
-    exactly when n - m is odd, so n = 13 and 14 cover both movers at every
-    length up to 13."""
+    """Every entry of every table on the chain below length n with the
+    minimizer to move: the mover at length m is the maximizer exactly when
+    n - m is odd, so n = 13 and 14 cover both movers at every length up to
+    13."""
     solver = GameSolver()
-    tables = _value_tables(n)
-    assert len(tables) == n + 1
-    for m, table in enumerate(tables):
-        assert table.dtype == np.int8 and table.shape == (1 << m,)
+    dfs = DfsGameSolver()
+    for m in range(n + 1):
         maximizer = (n - m) % 2 == 1
-        expected = [solver._solve(bits, m, maximizer) for bits in range(1 << m)]
+        table = solver._table(m, maximizer)
+        assert table.dtype == np.int8 and table.shape == (1 << m,)
+        expected = [dfs._solve(bits, m, maximizer) for bits in range(1 << m)]
         assert table.tolist() == expected, m
+    assert solver.levels == max(0, n - 2)
 
 
 def test_max_game_value_matches_orbit_scan():
-    solver = GameSolver()
+    dfs = DfsGameSolver()
     for n in range(1, 15):
-        assert max_game_value(n) == orbit_max_game_value(n, solver), n
+        assert max_game_value(n) == orbit_max_game_value(n, dfs), n
 
 
 @functools.cache
 def _top_table(n):
-    return _value_tables(n)[n]
+    return GameSolver()._table(n, False)
 
 
 @given(st.integers(15, 18).flatmap(
@@ -178,22 +188,7 @@ def _top_table(n):
 ))
 @settings(max_examples=40, deadline=None)
 def test_top_table_matches_solver_sampled(word):
-    assert _top_table(len(word))[word.bits] == GameSolver().value(word)
-
-
-def test_max_game_value_cross_checks_with_solver(monkeypatch):
-    """A table that disagrees with the exact solver is an error."""
-    monkeypatch.setattr(
-        "palsym.game._value_tables", lambda n: [np.ones(1 << n, np.int8)] * (n + 1)
-    )
-    with pytest.raises(AssertionError):
-        max_game_value(6)
-
-
-def test_solver_stats_count_work():
-    solver = GameSolver()
-    max_game_value(10, solver)
-    assert solver.states > 0 and solver.memo_hits > 0 and solver.cutoffs > 0
+    assert _top_table(len(word))[word.bits] == DfsGameSolver().value(word)
 
 
 def test_max_game_value_is_maximum():
@@ -254,7 +249,17 @@ def test_engine_move_shared_solver_plays_same_game(mode):
             assert pos == engine_move(state, mode, last)
             last = word.letter_at(pos)
             word, mover = word.delete(pos), mover.other
-    assert shared.states > 0
+    # The solve of an 18-letter word builds one chain of tables, lengths
+    # 3..18, which the moves of its subsequences then read.
+    solver = GameSolver()
+    word = parse_word("abaabbbababbabaabb")
+    solver.outcome(word)
+    assert solver.levels == 16
+    built = solver.table_words
+    solver.value(word.delete(1), Player.MAXIMIZER)
+    solver.best_move(GameState(word.delete(1).delete(5), Player.MINIMIZER))
+    engine_move(GameState(word.delete(3), Player.MAXIMIZER), mode, "a", solver)
+    assert (solver.levels, solver.table_words) == (16, built)
 
 
 def test_engine_move_heuristic_mirror():
