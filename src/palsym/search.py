@@ -90,7 +90,13 @@ def _scan_task(
 
 @dataclass
 class SearchConfig:
-    """Knobs for the exhaustive scan; results never depend on them."""
+    """Knobs for the exhaustive scan.
+
+    A row's maximum and ``words_scanned`` are the same for any setting.
+    ``extremal_limit`` caps how many extremal words the row keeps (the
+    least ones, in ascending order); for a given limit they are the same
+    for any worker count or progress interval.
+    """
 
     worker_count: int = field(default_factory=lambda: os.cpu_count() or 1)
     extremal_limit: int = 8
@@ -204,7 +210,6 @@ def compute_table(
     n_min: int,
     n_max: int,
     config: SearchConfig | None = None,
-    prune: bool = True,
 ) -> list[SdTableRow]:
     """Rows of the exact maximum-sd table for n_min..n_max inclusive."""
     if n_min < 1 or n_min > n_max:
@@ -213,7 +218,7 @@ def compute_table(
         raise LengthBudgetExceeded(
             f"n = {n_max} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
-    return [sd_max(n, config, prune) for n in range(n_min, n_max + 1)]
+    return [sd_max(n, config) for n in range(n_min, n_max + 1)]
 
 
 # Independently recomputed reference values for n <= 20; the scan must

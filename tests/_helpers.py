@@ -7,6 +7,8 @@ the bit-parallel kernel behind ``sd`` and ``sd_batch``, and
 ``reference_witness`` is the witness backtrack that ``sd_witness``
 replaced: it picks its target from both table corners and keeps an end
 pair only when the table says it adds 2.
+``deletion_set_sd`` is the oracle that the subsequence walk of
+``brute_force_sd`` replaced: it tries every deletion set by increasing size.
 ``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
 it tries every position and memoizes on ``(Word, Player)``, with no
 symmetry reduction and no cutoffs.  ``DfsGameSolver`` is the packed
@@ -50,6 +52,22 @@ def brute_lps(s: str) -> int:
 def brute_las(s: str) -> int:
     """Longest antipalindromic subsequence by full subset scan."""
     return max(len(t) for t in subsequences(s) if is_anti(t))
+
+
+def deletion_set_sd(s: str) -> int:
+    """Fewest deletions leaving a symmetric text, over all C(n, k) deletion
+    sets for k = 0, 1, ..."""
+    n = len(s)
+    for k in range(n + 1):
+        for dropped in itertools.combinations(range(n), k):
+            parts, prev = [], 0
+            for p in dropped:
+                parts.append(s[prev:p])
+                prev = p + 1
+            parts.append(s[prev:])
+            if is_symmetric_text("".join(parts)):
+                return k
+    raise AssertionError("unreachable: the empty text is symmetric")
 
 
 def all_texts(n: int):

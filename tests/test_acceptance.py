@@ -117,7 +117,7 @@ def test_criterion_4_oracle_equivalence(capsys):
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         print(
-            f"ACCEPTANCE 4 PASS: DP equals the deletion-set oracle for all "
+            f"ACCEPTANCE 4 PASS: DP equals the brute-force oracle for all "
             f"32766 words up to length 14 and 200 samples per length 15..20 "
             f"({elapsed:.1f}s)"
         )

@@ -18,6 +18,7 @@ from palsym import (
 from _helpers import (
     brute_las,
     brute_lps,
+    deletion_set_sd,
     is_symmetric_text,
     reference_witness,
     table_lengths,
@@ -159,8 +160,26 @@ def test_brute_force_guard():
     assert brute_force_sd(parse_word("abba")) == 0
 
 
+def test_oracle_matches_deletion_sets_exhaustive():
+    """The subsequence walk equals the deletion-set enumeration it
+    replaced (all words <= 12)."""
+    for n in range(13):
+        for w in all_words(n):
+            assert brute_force_sd(w) == deletion_set_sd(str(w))
+
+
+@given(
+    st.integers(13, 20).flatmap(
+        lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=40, deadline=None)
+def test_oracle_matches_deletion_sets_sampled(text):
+    assert brute_force_sd(parse_word(text)) == deletion_set_sd(text)
+
+
 def test_oracle_equivalence_exhaustive_small():
-    """DP equals the deletion-set oracle (all words <= 10; the acceptance
+    """DP equals the brute-force oracle (all words <= 10; the acceptance
     suite extends this to 14)."""
     for n in range(11):
         for w in all_words(n):

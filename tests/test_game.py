@@ -293,14 +293,15 @@ def _per_position_minimizer_move(word, solver):
 
 
 def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
-    """Every minimizer state of at most 12 letters."""
-    solver = GameSolver()
+    """Every minimizer state of at most 12 letters.  Values are exact, so
+    one solver serves every engine move, and the loop has its own."""
+    engine, solver = GameSolver(), GameSolver()
     for n in range(13):
         for word in all_words(n):
             if word.is_symmetric():
                 continue
             state = GameState(word, Player.MINIMIZER)
-            assert engine_move(state, "heuristic") == (
+            assert engine_move(state, "heuristic", solver=engine) == (
                 _per_position_minimizer_move(word, solver)
             )
 

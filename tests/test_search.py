@@ -15,6 +15,7 @@ from palsym import (
     compare_with_known,
     compute_table,
     known_values,
+    lower_bound,
     parse_word,
     row_to_csv,
     row_to_json,
@@ -106,6 +107,24 @@ def test_row_invariants():
             assert len(w) == row.n
             assert w.is_canonical()
             assert sd(w).value == row.sd
+
+
+def _orbit_count(n):
+    """Reversal/complement orbits of length-n words, by Burnside's lemma:
+    the identity fixes 2^n words, reversal 2^ceil(n/2), complement none and
+    reversal-complement 2^(n/2) at even n."""
+    fixed = (1 << n) + (1 << (n + 1) // 2) + (1 << n // 2 if n % 2 == 0 else 0)
+    return fixed // 4
+
+
+def test_rows_above_acceptance_range():
+    """Rows 23 and 24 meet the lower bound, and each scans one canonical
+    word per orbit."""
+    rows = compute_table(23, 24, SearchConfig(worker_count=2))
+    assert [row.sd for row in rows] == [9, 10]
+    assert [row.sd for row in rows] == [lower_bound(23), lower_bound(24)]
+    assert [row.words_scanned for row in rows] == [2_098_176, 4_196_352]
+    assert [_orbit_count(23), _orbit_count(24)] == [2_098_176, 4_196_352]
 
 
 def test_pruned_equals_unpruned():
