@@ -98,12 +98,9 @@ class FamilyCheck:
     ok: bool
 
 
-def verify_family(n_max: int, check_equality: bool = True) -> list[FamilyCheck]:
-    """Recompute sd for every family word with parameter n in 0..n_max.
-
-    With ``check_equality`` each word must hit its bound exactly; otherwise
-    meeting or exceeding the bound passes.
-    """
+def verify_family(n_max: int) -> list[FamilyCheck]:
+    """Recompute sd for every family word with parameter n in 0..n_max; a
+    check passes when the word hits its bound exactly."""
     checks = []
     for n in range(n_max + 1):
         for alpha, beta in VALID_PAIRS:
@@ -111,6 +108,6 @@ def verify_family(n_max: int, check_equality: bool = True) -> list[FamilyCheck]:
             word = build_word(params)
             bound = family_bound(params)
             computed = sd(word).value
-            ok = computed == bound if check_equality else computed >= bound
+            ok = computed == bound
             checks.append(FamilyCheck(params, word, bound, computed, ok))
     return checks

@@ -30,7 +30,12 @@ _ORACLE_SEED = 20240
 _EXHAUSTIVE_ORACLE_MAX = 14
 
 
-def _default_jobs() -> int:
+def _jobs(requested: int | None) -> int:
+    """Worker count from ``--jobs``, else from ``PALSYM_JOBS`` or the CPUs."""
+    if requested is not None:
+        if requested < 1:
+            raise ValueError(f"--jobs must be a positive integer, got {requested}")
+        return requested
     env = os.environ.get("PALSYM_JOBS")
     if not env:
         return os.cpu_count() or 1
@@ -41,19 +46,6 @@ def _default_jobs() -> int:
     if jobs < 1:
         raise ValueError(f"PALSYM_JOBS must be a positive integer, got {env!r}")
     return jobs
-
-
-def _jobs(requested: int | None) -> int:
-    """Worker count from ``--jobs``, else from ``PALSYM_JOBS`` or the CPUs."""
-    if requested is None:
-        return _default_jobs()
-    if requested < 1:
-        raise ValueError(f"--jobs must be a positive integer, got {requested}")
-    return requested
-
-
-def _parse(text: str, allow_digits: bool) -> words.Word:
-    return words.parse_word(text, allow_digits=allow_digits)
 
 
 # ---------------------------------------------------------------- sd
@@ -103,7 +95,8 @@ def _cmd_sd(args) -> int:
         print("no words given; pass words or use --stdin", file=sys.stderr)
         return 2
     for text in texts:
-        report = _sd_report(_parse(text, args.digits), args.witness)
+        word = words.parse_word(text, allow_digits=args.digits)
+        report = _sd_report(word, args.witness)
         if args.format == "json":
             print(json.dumps(report))
         else:
@@ -182,7 +175,7 @@ Check = tuple[str, bool, str]
 
 def _suite_lemma4(max_n: int, jobs: int) -> list[Check]:
     checks = []
-    for c in bounds_mod.verify_family(max_n, check_equality=True):
+    for c in bounds_mod.verify_family(max_n):
         p = c.params
         checks.append(
             (
@@ -380,7 +373,7 @@ def _print_game_stats(solver: game.GameSolver, start: float) -> None:
 
 
 def _cmd_game_solve(args) -> int:
-    word = _parse(args.word, args.digits)
+    word = words.parse_word(args.word, allow_digits=args.digits)
     start = time.perf_counter()
     solver = game.GameSolver()
     outcome = game.game_value(word, solver)
@@ -436,7 +429,7 @@ def _read_position(word: words.Word) -> int | None:
 
 
 def _cmd_game_play(args) -> int:
-    word = _parse(args.word, args.digits)
+    word = words.parse_word(args.word, allow_digits=args.digits)
     if args.engine == "exact" and len(word) > game.GAME_MAX_LENGTH:
         print(
             f"exact engine supports words up to {game.GAME_MAX_LENGTH} "

@@ -34,8 +34,7 @@ import numpy as np
 
 from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
-from .search import _reverse_words
-from .words import Word, complement_letter, parse_word
+from .words import Word, _reverse_bits, complement_letter, parse_word
 
 # Exact solve and play: the value tables of one word take 2^(n+1) bytes
 # in all, 2 MB at n = 20.
@@ -173,7 +172,7 @@ def _symmetric_words(m: int) -> np.ndarray:
     their left halves (an antipalindrome has even length)."""
     h = m // 2
     halves = np.arange(1 << h, dtype=np.int64)
-    mirror = _reverse_words(halves, h)
+    mirror = _reverse_bits(halves, h)
     high = halves << (m - h)
     middles = (0, 1 << h) if m % 2 else (0,)
     found = [high | middle | mirror for middle in middles]

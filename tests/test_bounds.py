@@ -79,17 +79,10 @@ def test_decomposition_identity():
 
 
 def test_verify_family_equality_small():
-    checks = verify_family(1, check_equality=True)
+    checks = verify_family(1)
     assert len(checks) == 14
     assert all(c.ok for c in checks)
     assert all(c.computed == c.bound for c in checks)
-
-
-def test_verify_family_inequality_at_zero():
-    checks = verify_family(0, check_equality=False)
-    assert len(checks) == 7
-    assert all(c.ok for c in checks)
-    assert all(c.computed >= c.bound for c in checks)
 
 
 def test_family_word_recomputed_distance():

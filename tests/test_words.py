@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from palsym import (
     complement_letter,
     parse_word,
 )
+from palsym.words import _is_canonical, _reverse_bits
 
 word_texts = st.text(alphabet="ab", max_size=14)
 
@@ -142,6 +144,33 @@ def test_canonical_constant_and_idempotent_exhaustive():
 def test_canonical_is_orbit_minimum(text):
     w = parse_word(text)
     assert w.canonical().bits == min(v.bits for v in w.orbit())
+
+
+def _check_packed_transforms(n, ws):
+    """_reverse_bits and _is_canonical on the words ws of length n, each as
+    an int and all as one int64 array, against text reversal and the orbit
+    minimum."""
+    rev = [parse_word(str(w)[::-1]).bits for w in ws]
+    canon = [w.canonical() == w for w in ws]
+    arr = np.array([w.bits for w in ws], dtype=np.int64)
+    assert [_reverse_bits(w.bits, n) for w in ws] == rev
+    assert _reverse_bits(arr, n).tolist() == rev
+    assert [_is_canonical(w.bits, n) for w in ws] == canon
+    assert _is_canonical(arr, n).tolist() == canon
+
+
+def test_packed_transforms_exhaustive():
+    """Every packed word of 0..14 letters."""
+    for n in range(15):
+        _check_packed_transforms(n, list(all_words(n)))
+
+
+@given(st.integers(15, 63), st.data())
+def test_packed_transforms_sampled(n, data):
+    """Samples at 15..63 letters; above 32 letters the swaps can set the
+    sign bit of an int64 array word."""
+    bits = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1))
+    _check_packed_transforms(n, [Word(n, b) for b in bits])
 
 
 def test_delete_positions():
