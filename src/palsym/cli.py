@@ -52,7 +52,8 @@ def _jobs(requested: int | None) -> int:
 
 
 def _sd_report(word: words.Word, with_witness: bool) -> dict:
-    result = deletions.sd(word)
+    witness = deletions.sd_witness(word) if with_witness else None
+    result = witness.result if witness else deletions.sd(word)
     report = {
         "word": str(word),
         "length": len(word),
@@ -61,8 +62,7 @@ def _sd_report(word: words.Word, with_witness: bool) -> dict:
         "las": result.las,
         "sd": result.value,
     }
-    if with_witness:
-        witness = deletions.sd_witness(word)
+    if witness:
         report["witness"] = {
             "deleted_positions": list(witness.deleted_positions),
             "target": witness.target.value,
@@ -114,6 +114,15 @@ def _cmd_table(args) -> int:
         progress_interval=args.progress,
     )
     rows = search.compute_table(args.from_n, args.to_n, config)
+    if args.stats:
+        for row in rows:
+            print(
+                f"stats: n={row.n} elapsed={row.elapsed_s:.3f}s "
+                f"words={row.words_scanned} "
+                f"words_per_s={row.words_scanned / row.elapsed_s:.0f} "
+                f"tasks={row.tasks}",
+                file=sys.stderr,
+            )
     if args.format == "csv":
         print(search.CSV_HEADER)
         for row in rows:
@@ -527,6 +536,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--extremal-limit", type=int, default=8)
     p_table.add_argument(
         "--progress", type=float, default=None, help="progress period in seconds"
+    )
+    p_table.add_argument(
+        "--stats",
+        action="store_true",
+        help="print each row's elapsed time, canonical words, words/s and "
+        "scan tasks to stderr",
     )
     p_table.set_defaults(func=_cmd_table)
 

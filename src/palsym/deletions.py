@@ -56,12 +56,14 @@ class DeletionWitness:
     """A concrete minimal deletion set and what it leaves behind.
 
     ``deleted_positions`` are strictly increasing 1-based indices into the
-    original word; ``target`` is PALINDROME or ANTIPALINDROME.
+    original word; ``target`` is PALINDROME or ANTIPALINDROME; ``result``
+    is the word's ``sd`` result, from which the target was chosen.
     """
 
     deleted_positions: tuple[int, ...]
     target: SymmetryClass
     residual: Word
+    result: SdResult
 
 
 def _table(s: str, pal: bool) -> list[list[int]]:
@@ -137,14 +139,14 @@ def sd(w: Word) -> SdResult:
 def sd_witness(w: Word) -> DeletionWitness:
     """A minimal deletion set, deterministic under fixed tie-breaks.
 
-    The witness targets a palindrome when the kernel gives lps >= las, else
+    The witness targets a palindrome when ``sd`` gives lps >= las, else
     an antipalindrome, and backtracks through the table of that target
     only.  A pairing end pair is always kept (it is always optimal); when
     one end must go, the right end is dropped if that keeps the value.
     """
     n = len(w)
-    vp, va = _mirror_lcs(w.bits, n)
-    want_pal = vp.bit_count() <= va.bit_count()
+    result = sd(w)
+    want_pal = result.lps >= result.las
     s = str(w)
     t = _table(s, want_pal)
 
@@ -166,9 +168,8 @@ def sd_witness(w: Word) -> DeletionWitness:
     kept_set = set(kept)
     deleted = tuple(p + 1 for p in range(n) if p not in kept_set)
     residual = parse_word("".join(s[p] for p in kept))
-    if want_pal:
-        return DeletionWitness(deleted, SymmetryClass.PALINDROME, residual)
-    return DeletionWitness(deleted, SymmetryClass.ANTIPALINDROME, residual)
+    pal, anti = SymmetryClass.PALINDROME, SymmetryClass.ANTIPALINDROME
+    return DeletionWitness(deleted, pal if want_pal else anti, residual, result)
 
 
 def _is_symmetric_text(t: str) -> bool:

@@ -6,8 +6,12 @@ A canonical word never starts with b (its complement would be smaller), so
 only the a-half [0, 2^(n-1)) of the packed words is scanned.  That range is
 cut into fixed-size tasks; each task filters its block to canonical words
 with ``words._is_canonical`` and evaluates them in one numpy batch with the
-bit-parallel LCS kernel of ``deletions``.  The parent consumes task results
-in task order, merging them and printing progress, so the outcome is
+bit-parallel LCS kernel of ``deletions``.  With more than one worker the
+tasks go to a process pool in chunks of several tasks, a quarter of the
+row's tasks per worker at most, to spread each dispatch's inter-process
+cost over several tasks.  ``compute_table`` opens one pool for the whole
+table and lends it to every row.  The parent consumes task results one per
+task, in task order, merging them and printing progress, so the outcome is
 identical for any worker count.
 """
 
@@ -18,8 +22,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from concurrent.futures import Executor, ProcessPoolExecutor
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
@@ -101,6 +105,9 @@ class SdTableRow:
     upper: int
     extremal: tuple[Word, ...]
     words_scanned: int
+    # How the scan ran, not what it found: rows compare equal without them.
+    tasks: int = field(default=0, compare=False)
+    elapsed_s: float = field(default=0.0, compare=False)
 
 
 class TableMismatch(NamedTuple):
@@ -109,10 +116,28 @@ class TableMismatch(NamedTuple):
     expected: int
 
 
+def _task_starts(n: int, prune: bool = True) -> range:
+    """First packed word of each scan task of row n, in ascending order."""
+    total = 1 << (n - 1) if prune else 1 << n
+    return range(0, total, min(total, _TASK))
+
+
+def _open_pool(config: SearchConfig, tasks: int):
+    """A process pool for ``tasks`` scan tasks, or a null context when the
+    scan runs in this process (one worker or one task)."""
+    if config.worker_count == 1 or tasks == 1:
+        return nullcontext()
+    # fork starts every worker at the first submit, so ask for no more than
+    # there are tasks
+    return ProcessPoolExecutor(max_workers=min(config.worker_count, tasks))
+
+
 def sd_max(
     n: int,
     config: SearchConfig | None = None,
     prune: bool = True,
+    *,
+    pool: Executor | None = None,
 ) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
@@ -123,9 +148,12 @@ def sd_max(
 
     The scan runs as tasks of ``_TASK`` words in ascending order, in this
     process when one worker is asked for or one task covers the range, else
-    on a process pool.  Results are merged in task order, so the row,
-    including the extremal words and their order, is the same for any
-    worker count; ``config.progress_interval`` prints scan totals to stderr.
+    on ``pool``: the one ``compute_table`` opened for its table, or, when
+    none is given, a pool of its own for this row.  Tasks go to the pool in
+    chunks of ``tasks // (4 * workers)`` (at least one), and results come
+    back one per task in task order, so the row, including the extremal
+    words and their order, is the same for any worker count;
+    ``config.progress_interval`` prints scan totals to stderr.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -135,23 +163,22 @@ def sd_max(
         )
     config = config if config is not None else SearchConfig()
     limit = config.extremal_limit
+    began = time.perf_counter()
 
-    total = 1 << (n - 1) if prune else 1 << n
-    size = min(total, _TASK)
-    task = partial(_scan_task, n, size, limit, prune)
-    starts = range(0, total, size)
+    starts = _task_starts(n, prune)
+    task = partial(_scan_task, n, starts.step, limit, prune)
 
     best, merged, scanned = -1, [], 0
     last_report = time.monotonic()
     with ExitStack() as stack:
-        if config.worker_count == 1 or total <= _TASK:
+        if pool is None:
+            pool = stack.enter_context(_open_pool(config, len(starts)))
+        if pool is None or len(starts) == 1:
             results = map(task, starts)
         else:
-            # fork starts every worker at the first submit, so ask for no
-            # more than there are tasks
             workers = min(config.worker_count, len(starts))
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            results = pool.map(task, starts)
+            chunk = max(1, len(starts) // (4 * workers))
+            results = pool.map(task, starts, chunksize=chunk)
         for task_best, hits, count in results:
             scanned += count
             if task_best > best:
@@ -180,6 +207,8 @@ def sd_max(
         upper=upper_bound(n),
         extremal=extremal,
         words_scanned=scanned,
+        tasks=len(starts),
+        elapsed_s=time.perf_counter() - began,
     )
 
 
@@ -188,14 +217,20 @@ def compute_table(
     n_max: int,
     config: SearchConfig | None = None,
 ) -> list[SdTableRow]:
-    """Rows of the exact maximum-sd table for n_min..n_max inclusive."""
+    """Rows of the exact maximum-sd table for n_min..n_max inclusive.
+
+    One process pool, sized by the task count of row ``n_max``, serves
+    every row, so the table pays one pool start-up rather than one per row.
+    """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}..{n_max}")
     if n_max > MAX_SEARCH_LENGTH:
         raise LengthBudgetExceeded(
             f"n = {n_max} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
-    return [sd_max(n, config) for n in range(n_min, n_max + 1)]
+    config = config if config is not None else SearchConfig()
+    with _open_pool(config, len(_task_starts(n_max))) as pool:
+        return [sd_max(n, config, pool=pool) for n in range(n_min, n_max + 1)]
 
 
 # Independently recomputed reference values for n <= 20; the scan must

@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from palsym.cli import main
+from palsym import deletions, parse_word
+from palsym.cli import _sd_report, main
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +193,46 @@ def test_table_progress_gives_scan_totals(capfd):
     assert counts == sorted(counts)
     assert maxima == sorted(maxima)
     assert lines[-1] == "n=17: scanned 32896 words, current max 7"
+
+
+def test_table_stats_leave_stdout_unchanged(capsys):
+    argv = ("table", "--from", "14", "--to", "17", "--jobs", "2")
+    code, plain, plain_err = run_cli(capsys, *argv)
+    assert code == 0
+    code, out, err = run_cli(capsys, *argv, "--stats")
+    assert code == 0
+    assert out == plain
+    assert plain_err == ""
+    lines = err.splitlines()
+    assert len(lines) == 4
+    for n, line, words, tasks in zip(
+        range(14, 18), lines, (4_160, 8_256, 16_512, 32_896), (1, 1, 2, 4)
+    ):
+        match = re.fullmatch(
+            rf"stats: n={n} elapsed=\d+\.\d{{3}}s words={words} "
+            rf"words_per_s=\d+ tasks={tasks}",
+            line,
+        )
+        assert match, line
+
+
+@pytest.mark.parametrize("text", ["", "a", "ab", "aab", "abbabaabbbaabab" * 4])
+@pytest.mark.parametrize("with_witness", [False, True])
+def test_sd_report_runs_kernel_once(monkeypatch, text, with_witness):
+    """A report, with or without its witness, runs the sd kernel once."""
+    calls = []
+    kernel = deletions._mirror_lcs
+
+    def counting(bits, n):
+        calls.append(n)
+        return kernel(bits, n)
+
+    monkeypatch.setattr(deletions, "_mirror_lcs", counting)
+    word = parse_word(text)
+    report = _sd_report(word, with_witness)
+    assert calls == [len(word)]
+    assert report["sd"] == deletions.sd(word).value
+    assert ("witness" in report) == with_witness
 
 
 def test_construct(capsys):

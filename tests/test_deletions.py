@@ -105,6 +105,7 @@ def test_witness_examples():
 
 def _check_witness(word):
     witness = sd_witness(word)
+    assert witness.result == sd(word)
     assert len(witness.deleted_positions) == sd(word).value
     assert list(witness.deleted_positions) == sorted(set(witness.deleted_positions))
     text = str(word)

@@ -167,6 +167,50 @@ def test_pool_sized_by_task_count(monkeypatch):
     assert row == sd_max(16, ONE)
 
 
+def test_compute_table_starts_one_pool(monkeypatch):
+    """Rows 16..19 share one pool sized by row 19's 16 tasks; a table whose
+    rows are all one task starts none.  The rows are the one-worker rows."""
+    asked, mapped = [], []
+
+    class RecordingPool(search.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            # never start more than two processes, whatever is asked for
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            mapped.append(fn.args[0])
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    rows = compute_table(1, 19, SearchConfig(worker_count=8))
+    assert asked == [8]
+    assert mapped == [16, 17, 18, 19]
+    assert rows == compute_table(1, 19, ONE)
+    assert compute_table(1, 15, SearchConfig(worker_count=8)) == compute_table(
+        1, 15, ONE
+    )
+    assert asked == [8]
+
+
+def test_table_determinism_across_chunks():
+    """At two workers row 19 goes out in chunks of two tasks, and its first
+    90 extremal words end inside the second task of the first chunk; row 21
+    merges the hits of several tasks of one chunk.  Every worker count
+    gives the same rows."""
+    tables = [
+        compute_table(19, 21, SearchConfig(worker_count=jobs, extremal_limit=90))
+        for jobs in (1, 2, 3)
+    ]
+    row19, _, row21 = tables[0]
+    assert len(row19.extremal) == 90
+    assert {w.bits >> 14 for w in row19.extremal} == {0, 1}
+    assert len({w.bits >> 14 for w in row21.extremal}) > 1
+    assert [row.tasks for row in tables[0]] == [16, 32, 64]
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
+
+
 def _plain_scan(n, limit):
     """Maximum sd over every word of length n by a walk over all 2^n words,
     its first ``limit`` canonical and plain achievers in ascending order,
