@@ -120,7 +120,8 @@ def _cmd_table(args) -> int:
                 f"stats: n={row.n} elapsed={row.elapsed_s:.3f}s "
                 f"words={row.words_scanned} "
                 f"words_per_s={row.words_scanned / row.elapsed_s:.0f} "
-                f"tasks={row.tasks}",
+                f"tasks={row.tasks} evaluated={row.words_evaluated} "
+                f"blocks_pruned={row.blocks_pruned}",
                 file=sys.stderr,
             )
     if args.format == "csv":
@@ -540,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--stats",
         action="store_true",
-        help="print each row's elapsed time, canonical words, words/s and "
-        "scan tasks to stderr",
+        help="print each row's elapsed time, canonical words, words/s, scan "
+        "tasks, words evaluated and blocks pruned to stderr",
     )
     p_table.set_defaults(func=_cmd_table)
 

@@ -3,16 +3,43 @@
 ``sd_max(n)`` keeps one word per reversal/complement orbit, the canonical
 (smallest) one; sd is constant on orbits, so the maximum is unaffected.
 A canonical word never starts with b (its complement would be smaller), so
-only the a-half [0, 2^(n-1)) of the packed words is scanned.  That range is
-cut into fixed-size tasks; each task filters its block to canonical words
-with ``words._is_canonical`` and evaluates them in one numpy batch with the
-bit-parallel LCS kernel of ``deletions``.  With more than one worker the
-tasks go to a process pool in chunks of several tasks, a quarter of the
-row's tasks per worker at most, to spread each dispatch's inter-process
-cost over several tasks.  ``compute_table`` opens one pool for the whole
-table and lends it to every row.  The parent consumes task results one per
-task, in task order, merging them and printing progress, so the outcome is
-identical for any worker count.
+only the a-half [0, 2^(n-1)) of the packed words is scanned.
+
+The scan is a branch and bound (Land & Doig 1960).  Row n is cut into
+blocks that fix the first k and the last k letters (u, v) and let the
+middle of r = n - 2k letters vary.  ``_block_bounds`` bounds sd over a
+block from above by
+
+    n - max(max over i, j of 2 LCS(u[:i], rev(v)[:j]) + ceil((n - i - j) / 2),
+            2 LCS(u, comp rev v)),
+
+the paired ends of a palindrome around the majority letter of the rest, or
+the paired ends of an antipalindrome.  The threshold T is the exact sd of
+the family word of length n (``bounds.build_word``), so the row's maximum
+is at least T and T needs no lemma.  Only blocks whose bound reaches T are
+evaluated; every word of sd >= T is among them, so the maximum, its
+achievers and their order are those of the full scan.
+
+Each block also has a class, from comparing u with rev v and comp rev v:
+none of its words is canonical (u above either), all are (u below both),
+or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Only the
+words of tie blocks go through ``words._is_canonical``, and
+``words_scanned`` counts the canonical words of every block, evaluated or
+not, so it is the number of orbits.  k depends on n alone
+(``_block_letters``): 0 on the rows of one task (n <= 15), where one block
+holds the a-half and every word takes the canonical test, else
+min(n // 2 - 2, 11).
+
+The a-half is cut into tasks of ``_TASK`` words.  With more than one worker
+they go to a process pool in chunks, a quarter of the row's tasks per
+worker and at most ``_CHUNK`` tasks, to spread each dispatch's
+inter-process cost over several tasks; ``compute_table`` opens one pool for
+the whole table and lends it to every row.  The block tables are built
+once per row in the parent, and each chunk is sent the rows of its
+prefixes.  A chunk builds the words of its kept blocks and runs the
+bit-parallel LCS kernel of ``deletions`` on them in batches of ``_TASK``
+words.  The parent merges chunk results in chunk order and prints progress
+after each, so the outcome is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -30,17 +57,31 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import lower_bound, upper_bound
-from .deletions import _mirror_lcs
+from .bounds import (
+    VALID_PAIRS,
+    ConstructionParams,
+    build_word,
+    lower_bound,
+    upper_bound,
+)
+from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
-from .words import Word, _is_canonical
+from .words import Word, _is_canonical, _reverse_bits
 
-# 2^28 words is the practical desk-scale edge.
-MAX_SEARCH_LENGTH = 28
+# Row 32 takes about 15 s on two cores; each row below it takes less.
+MAX_SEARCH_LENGTH = 32
 
 # Words per scan task.  A row whose scan fits in one task runs in-process,
 # so this also caps the arrays the parent allocates.
 _TASK = 1 << 14
+
+# Most tasks in one chunk: a chunk's results arrive together, and its
+# words are held together.
+_CHUNK = 64
+
+# Block classes: whether no word, every word or only some words of a block
+# are canonical.
+_NONE, _ALL, _TIE = 0, 1, 2
 
 
 def sd_batch(words, n: int) -> np.ndarray:
@@ -54,19 +95,156 @@ def sd_batch(words, n: int) -> np.ndarray:
     return np.minimum(np.bitwise_count(vp), np.bitwise_count(va)).astype(np.int64)
 
 
-def _scan_task(
-    n: int, size: int, limit: int, prune: bool, lo: int
-) -> tuple[int, list[int], int]:
-    """Best sd over the packed words in [lo, lo + size) (-1 if none is
-    evaluated), up to ``limit`` of its achievers in ascending order, and
-    the number of words evaluated."""
-    arr = np.arange(lo, lo + size, dtype=np.int64)
-    if prune:
-        arr = arr[_is_canonical(arr, n)]
-    values = sd_batch(arr, n)
+def _block_letters(n: int) -> int:
+    """Letters k fixed at each end of a block of row n.
+
+    0 on the rows of one task (n <= 15).  Otherwise min(n // 2 - 2, 11),
+    the fastest of the sizes measured on rows 16..28: it leaves a middle
+    of at least 4 letters and caps the bound table at 2^21 blocks (about
+    50 ms and 30 MB to build).  As k < 14, a task holds whole suffixes.
+    """
+    if n <= _TASK.bit_length():
+        return 0
+    return min(n // 2 - 2, 11)
+
+
+def _threshold(n: int) -> int:
+    """sd of the family word of length n (n >= 3), a value the row reaches."""
+    p, s = divmod(n - 3, 7)
+    alpha, beta = next(pair for pair in VALID_PAIRS if sum(pair) == s)
+    return sd(build_word(ConstructionParams(p, alpha, beta))).value
+
+
+def _block_bounds(n: int, k: int) -> np.ndarray:
+    """Upper bound on sd over each block of row n: an int8 array indexed by
+    the packed prefix u (a-prefixed) and the packed suffix v.
+
+    Any middle m gives u m v a palindromic subsequence of
+    2 LCS(u[:i], x[:j]) + ceil((n - i - j) / 2) letters for every i, j,
+    with x = rev v: the matched ends around the majority letter of the
+    rest.  It also has an antipalindromic one of 2 LCS(u, comp x) letters.
+    The LCS rows come from the bit-parallel update of ``_mirror_lcs``
+    against every x at once (bit j of x is bit j of v), one letter of u
+    per level of a prefix tree, so each prefix is updated once.  A row's
+    best j depends only on its LCS vector and the parity of n - i, and is
+    read from the table ``best_j`` over the 2^k vectors.
+    """
+    mask = (1 << k) - 1
+    v = np.arange(1 << k, dtype=np.int16)
+    # best_j[e][V]: max over j of 2 LCS(., x[:j]) + (e + 1 - j) // 2 for
+    # the LCS vector V; with e = (n - i) % 2, adding (n - i) // 2 gives
+    # the term of row i.
+    lcs = np.zeros(1 << k, np.int8)
+    best_j = [np.full(1 << k, (e + 1) // 2, np.int8) for e in (0, 1)]
+    for j in range(1, k + 1):
+        lcs += 1 - ((v >> (j - 1)) & 1).astype(np.int8)
+        for e in (0, 1):
+            np.maximum(best_j[e], 2 * lcs + (e + 1 - j) // 2, out=best_j[e])
+    # match[c]: the positions of x holding letter c
+    match = np.stack([~v & mask, v])[None]
+    vp = va = np.full((1, 1, v.size), mask, np.int16)
+    best = np.full((1, 1, v.size), n // 2 + best_j[n % 2][mask], np.int8)
+    for i in range(1, k + 1):
+        # prefixes of i letters, each its parent's row and a last letter;
+        # every prefix starts with a
+        letter = match[:, :1] if i == 1 else match
+        t = vp & letter
+        vp = ((vp + t) | (vp - t)) & mask
+        t = va & (letter ^ mask)
+        va = ((va + t) | (va - t)) & mask
+        row = best_j[(n - i) % 2][vp]
+        row += (n - i) // 2
+        best = np.maximum(best, row, out=row)
+        vp, va, best = (a.reshape(-1, 1, v.size) for a in (vp, va, best))
+    las = 2 * (k - np.bitwise_count(va[:, 0]).astype(np.int8))
+    return n - np.maximum(best[:, 0], las)
+
+
+class _Blocks(NamedTuple):
+    """Row n cut into blocks: the first and last k letters fixed.
+
+    ``classes[u - first, v]`` says whether none, all or some of the words
+    u m v are canonical, and ``kept[u - first, v]`` whether the block is
+    evaluated.
+    """
+
+    k: int
+    classes: np.ndarray
+    kept: np.ndarray
+    first: int = 0
+
+    def rows(self, n: int, starts: range) -> _Blocks:
+        """The rows that the tasks at ``starts`` read, a chunk's share; a
+        task's words run from its start to the next one's."""
+        shift = n - self.k
+        lo, hi = starts[0] >> shift, ((starts[-1] + starts.step - 1) >> shift) + 1
+        return self._replace(
+            classes=self.classes[lo:hi], kept=self.kept[lo:hi], first=lo
+        )
+
+
+def _blocks(n: int, prune: bool) -> _Blocks:
+    """The blocks of row n.  Without ``prune`` one block holds every word
+    and counts them all; with k = 0 one block holds the a-half and every
+    word needs the canonical test."""
+    k = _block_letters(n) if prune else 0
+    if k == 0:
+        one = np.full((1, 1), _TIE if prune else _ALL, np.int8)
+        return _Blocks(0, one, np.ones((1, 1), bool))
+    mask = (1 << k) - 1
+    u = np.arange(1 << (k - 1), dtype=np.int64)[:, None]
+    rev = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
+    # w = u m v starts with u, rev w with rev v and comp rev w with
+    # rev v ^ mask: u below both makes every word of the block canonical,
+    # u above either none, and a tie leaves it to the middle.
+    some = (u <= rev) & (u <= rev ^ mask)
+    tie = (u == rev) | (u == rev ^ mask)
+    classes = some.astype(np.int8) + (some & tie)  # _NONE, _ALL or _TIE
+    return _Blocks(k, classes, _block_bounds(n, k) >= _threshold(n))
+
+
+def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``head | v`` for each head and each suffix v that ``mask`` marks in
+    the head's row, in ascending order."""
+    per_row = np.count_nonzero(mask, axis=1)
+    counts = per_row[rows]
+    _, cols = np.nonzero(mask)  # row by row, each row ascending
+    # a word's v sits at its row's first v in cols plus its place in the row
+    first = np.repeat((np.cumsum(per_row) - per_row)[rows], counts)
+    place = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(heads, counts) | cols[first + place]
+
+
+def _scan_chunk(
+    n: int, limit: int, starts: range, blocks: _Blocks
+) -> tuple[int, list[int], int, int]:
+    """Scan the tasks at ``starts``, each of ``starts.step`` words: the best sd
+    evaluated (-1 if none), up to ``limit`` of its achievers in ascending
+    order, the number of canonical words and the number evaluated.
+
+    The words are the heads (the fixed bits and the middle, v = 0) joined
+    to each suffix v.  Only the words of kept blocks with canonical words
+    go to the kernel, and only the words of tie blocks go through
+    ``_is_canonical``.  The kernel runs in batches of ``_TASK`` words, the
+    size it runs fastest at, however few words each task keeps.
+    """
+    k, classes, kept, first = blocks
+    heads = np.arange(starts[0], starts[-1] + starts.step, 1 << k, dtype=np.int64)
+    rows = (heads >> (n - k)) - first
+    ties = _spread(heads, rows, classes == _TIE)
+    canonical = np.count_nonzero(classes == _ALL, axis=1)[rows].sum()
+    canonical += np.count_nonzero(_is_canonical(ties, n))
+    words = _spread(heads, rows, kept & (classes != _NONE))
+    tie = classes[(words >> (n - k)) - first, words & ((1 << k) - 1)] == _TIE
+    ok = ~tie
+    ok[tie] = _is_canonical(words[tie], n)
+    words = words[ok]
+    values = np.empty(words.size, np.int64)
+    for i in range(0, words.size, _TASK):
+        values[i : i + _TASK] = sd_batch(words[i : i + _TASK], n)
     best = int(values.max(initial=-1))
-    hits = arr[np.flatnonzero(values == best)[:limit]]
-    return best, hits.tolist(), int(arr.size)
+    hits = words[np.flatnonzero(values == best)[:limit]]
+    return best, hits.tolist(), int(canonical), words.size
 
 
 @dataclass
@@ -108,6 +286,8 @@ class SdTableRow:
     # How the scan ran, not what it found: rows compare equal without them.
     tasks: int = field(default=0, compare=False)
     elapsed_s: float = field(default=0.0, compare=False)
+    words_evaluated: int = field(default=0, compare=False)
+    blocks_pruned: int = field(default=0, compare=False)
 
 
 class TableMismatch(NamedTuple):
@@ -141,19 +321,23 @@ def sd_max(
 ) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
-    With ``prune`` (the default) only canonical orbit representatives are
-    evaluated, and only the a-half [0, 2^(n-1)) is scanned, since every
-    canonical word starts with a; ``prune=False`` scans every word and
-    exists to demonstrate that the pruned maximum is the true one.
+    With ``prune`` (the default) only canonical orbit representatives in
+    blocks whose bound reaches the threshold are evaluated, and only the
+    a-half [0, 2^(n-1)) is scanned, since every canonical word starts with
+    a; ``prune=False`` evaluates every word and exists to demonstrate that
+    the pruned maximum is the true one.
 
     The scan runs as tasks of ``_TASK`` words in ascending order, in this
     process when one worker is asked for or one task covers the range, else
     on ``pool``: the one ``compute_table`` opened for its table, or, when
-    none is given, a pool of its own for this row.  Tasks go to the pool in
-    chunks of ``tasks // (4 * workers)`` (at least one), and results come
-    back one per task in task order, so the row, including the extremal
-    words and their order, is the same for any worker count;
-    ``config.progress_interval`` prints scan totals to stderr.
+    none is given, a pool of its own for this row.  Tasks go out in chunks
+    of ``tasks // (4 * workers)`` (at least one, at most ``_CHUNK``), and
+    results come back one per chunk in chunk order, so the row, including
+    the extremal words and their order, is the same for any worker count;
+    ``config.progress_interval`` prints scan totals to stderr, checked
+    after each chunk.  ``words_evaluated`` counts the words sent to the
+    kernel and ``blocks_pruned`` the blocks with canonical words that the
+    bound skipped.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -166,24 +350,27 @@ def sd_max(
     began = time.perf_counter()
 
     starts = _task_starts(n, prune)
-    task = partial(_scan_task, n, starts.step, limit, prune)
+    blocks = _blocks(n, prune)
+    task = partial(_scan_chunk, n, limit)
 
-    best, merged, scanned = -1, [], 0
+    best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
     with ExitStack() as stack:
         if pool is None:
             pool = stack.enter_context(_open_pool(config, len(starts)))
         if pool is None or len(starts) == 1:
-            results = map(task, starts)
+            workers, run = 1, map
         else:
-            workers = min(config.worker_count, len(starts))
-            chunk = max(1, len(starts) // (4 * workers))
-            results = pool.map(task, starts, chunksize=chunk)
-        for task_best, hits, count in results:
-            scanned += count
-            if task_best > best:
-                best, merged = task_best, []
-            if task_best == best:
+            workers, run = min(config.worker_count, len(starts)), pool.map
+        chunk = max(1, min(len(starts) // (4 * workers), _CHUNK))
+        chunks = [starts[i : i + chunk] for i in range(0, len(starts), chunk)]
+        tables = [blocks.rows(n, c) for c in chunks]
+        for chunk_best, hits, canonical, count in run(task, chunks, tables):
+            scanned += canonical
+            evaluated += count
+            if chunk_best > best:
+                best, merged = chunk_best, []
+            if chunk_best == best:
                 merged.extend(hits[: limit - len(merged)])
             if config.progress_interval is not None:
                 now = time.monotonic()
@@ -209,6 +396,8 @@ def sd_max(
         words_scanned=scanned,
         tasks=len(starts),
         elapsed_s=time.perf_counter() - began,
+        words_evaluated=evaluated,
+        blocks_pruned=int(np.count_nonzero(~blocks.kept & (blocks.classes != _NONE))),
     )
 
 

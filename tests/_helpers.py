@@ -14,15 +14,19 @@ it tries every position and memoizes on ``(Word, Player)``, with no
 symmetry reduction and no cutoffs.  ``DfsGameSolver`` is the packed
 depth-first search that the value tables of ``GameSolver`` replaced, and
 ``orbit_max_game_value`` is the scan over it that ``max_game_value``
-replaced.
+replaced.  ``plain_canonical_scan`` is the scan that the branch and bound
+of ``search.sd_max`` replaced: every canonical word of the a-half goes to
+the kernel, with no bound.
 """
 
 import itertools
 
-from palsym import GameOutcome, Player, SymmetryClass, Word
+import numpy as np
+
+from palsym import GameOutcome, Player, SymmetryClass, Word, sd_batch
 from palsym.deletions import _mirror_lcs, _table
 from palsym.game import _run_children
-from palsym.words import _reverse_bits
+from palsym.words import _is_canonical, _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
 
@@ -222,3 +226,22 @@ def orbit_max_game_value(n: int, solver: DfsGameSolver) -> tuple[int, Word]:
         if value > best_value:
             best_value, best_bits = value, bits
     return best_value, Word(n, best_bits)
+
+
+def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:
+    """Maximum sd at length n, its first ``limit`` canonical achievers in
+    ascending order and the number of canonical words, by evaluating every
+    canonical word of the a-half [0, 2^(n-1)) in blocks of 2^14 words."""
+    best, hits, count = -1, [], 0
+    half = 1 << (n - 1)
+    for lo in range(0, half, 1 << 14):
+        arr = np.arange(lo, min(lo + (1 << 14), half), dtype=np.int64)
+        arr = arr[_is_canonical(arr, n)]
+        values = sd_batch(arr, n)
+        count += arr.size
+        top = int(values.max(initial=-1))
+        if top > best:
+            best, hits = top, []
+        if top == best:
+            hits.extend(arr[values == best][: limit - len(hits)].tolist())
+    return best, hits, count

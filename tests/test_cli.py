@@ -105,6 +105,10 @@ def test_table_guard_exit_2(capsys):
     code, _, err = run_cli(capsys, "table", "--from", "1", "--to", "64")
     assert code == 2
     assert "error" in err
+    code, out, err = run_cli(capsys, "table", "--from", "33", "--to", "33")
+    assert code == 2
+    assert out == ""
+    assert "beyond the search guard 32" in err
 
 
 def test_table_csv(capsys):
@@ -196,7 +200,9 @@ def test_table_progress_gives_scan_totals(capfd):
 
 
 def test_table_stats_leave_stdout_unchanged(capsys):
-    argv = ("table", "--from", "14", "--to", "17", "--jobs", "2")
+    """The stats lines leave stdout alone; one-task rows evaluate every
+    canonical word, and the bound prunes blocks of the larger rows."""
+    argv = ("table", "--from", "14", "--to", "22", "--jobs", "2")
     code, plain, plain_err = run_cli(capsys, *argv)
     assert code == 0
     code, out, err = run_cli(capsys, *argv, "--stats")
@@ -204,16 +210,25 @@ def test_table_stats_leave_stdout_unchanged(capsys):
     assert out == plain
     assert plain_err == ""
     lines = err.splitlines()
-    assert len(lines) == 4
-    for n, line, words, tasks in zip(
-        range(14, 18), lines, (4_160, 8_256, 16_512, 32_896), (1, 1, 2, 4)
+    assert len(lines) == 9
+    words = (4_160, 8_256, 16_512, 32_896, 65_792, 131_328, 262_656, 524_800)
+    tasks = (1, 1, 2, 4, 8, 16, 32, 64, 128)
+    for n, line, scanned, task_count in zip(
+        range(14, 23), lines, words + (1_049_600,), tasks
     ):
         match = re.fullmatch(
-            rf"stats: n={n} elapsed=\d+\.\d{{3}}s words={words} "
-            rf"words_per_s=\d+ tasks={tasks}",
+            rf"stats: n={n} elapsed=\d+\.\d{{3}}s words={scanned} "
+            rf"words_per_s=\d+ tasks={task_count} evaluated=(\d+) "
+            rf"blocks_pruned=(\d+)",
             line,
         )
         assert match, line
+        evaluated, pruned = int(match[1]), int(match[2])
+        if n <= 15:
+            assert (evaluated, pruned) == (scanned, 0)
+        if n == 22:
+            assert evaluated < scanned
+            assert pruned > 0
 
 
 @pytest.mark.parametrize("text", ["", "a", "ab", "aab", "abbabaabbbaabab" * 4])
@@ -310,8 +325,8 @@ def test_verify_guard_exit_2(capsys):
     "suite, max_n, lowest, guard",
     [
         ("lemma4", -1, 0, 7),
-        ("bounds", 0, 2, 28),
-        ("bounds", 1, 2, 28),
+        ("bounds", 0, 2, 32),
+        ("bounds", 1, 2, 32),
         ("oracle", 0, 1, 22),
         ("peeling", 0, 2, 16),
         ("peeling", 1, 2, 16),

@@ -24,8 +24,9 @@ from palsym import (
     sd_max,
 )
 from palsym import search
+from palsym.words import _is_canonical
 
-from _helpers import table_lengths
+from _helpers import plain_canonical_scan, table_lengths
 
 ONE = SearchConfig(worker_count=1)
 
@@ -118,13 +119,17 @@ def _orbit_count(n):
 
 
 def test_rows_above_acceptance_range():
-    """Rows 23 and 24 meet the lower bound, and each scans one canonical
-    word per orbit."""
-    rows = compute_table(23, 24, SearchConfig(worker_count=2))
-    assert [row.sd for row in rows] == [9, 10]
-    assert [row.sd for row in rows] == [lower_bound(23), lower_bound(24)]
-    assert [row.words_scanned for row in rows] == [2_098_176, 4_196_352]
+    """Rows 23 and 24 meet the lower bound, and every row up to 24 counts
+    one canonical word per orbit, pruned blocks included."""
+    rows = compute_table(1, 24, SearchConfig(worker_count=2))
+    assert [row.sd for row in rows[22:]] == [9, 10]
+    assert [row.sd for row in rows[22:]] == [lower_bound(23), lower_bound(24)]
+    assert [row.words_scanned for row in rows[22:]] == [2_098_176, 4_196_352]
     assert [_orbit_count(23), _orbit_count(24)] == [2_098_176, 4_196_352]
+    assert [row.words_scanned for row in rows] == [
+        _orbit_count(n) for n in range(1, 25)
+    ]
+    assert all(row.words_evaluated < row.words_scanned for row in rows[15:])
 
 
 def test_pruned_equals_unpruned():
@@ -242,6 +247,89 @@ def test_sd_max_matches_plain_scan():
             assert full.words_scanned == 1 << n
 
 
+def _block_maxima(n, k):
+    """Exact maximum sd over the middles of each a-prefixed block (u, v),
+    indexed like ``search._block_bounds``."""
+    values = sd_batch(np.arange(1 << (n - 1), dtype=np.int64), n)
+    return values.reshape(1 << (k - 1), 1 << (n - 2 * k), 1 << k).max(axis=1)
+
+
+def test_block_bound_is_sound_exhaustive():
+    """At the checked sizes and at every size the k rule picks up to n = 20,
+    no block holds a word above its bound.  The bound is exact on 47, 159
+    and 708 of the a-prefixed blocks at (14, 4), (16, 5) and (17, 6)."""
+    picked = {(n, search._block_letters(n)) for n in range(1, 21)}
+    sizes = {(14, 4), (16, 5), (17, 6)} | {(n, k) for n, k in picked if k}
+    assert {n for n, _ in sizes} >= {16, 17, 18, 19, 20}
+    tight = {}
+    for n, k in sorted(sizes):
+        bound, exact = search._block_bounds(n, k), _block_maxima(n, k)
+        assert bound.shape == exact.shape
+        assert (bound >= exact).all(), (n, k)
+        tight[n, k] = int(np.count_nonzero(bound == exact))
+    assert [tight[14, 4], tight[16, 5], tight[17, 6]] == [47, 159, 708]
+
+
+def test_block_classes_exhaustive():
+    """A none block holds no canonical word and an all block only canonical
+    words; each prefix u has two tie blocks, v = rev u and v = comp rev u."""
+    for n in range(16, 21):
+        k = search._block_letters(n)
+        classes = search._blocks(n, True).classes
+        canon = _is_canonical(np.arange(1 << (n - 1), dtype=np.int64), n)
+        share = canon.reshape(1 << (k - 1), 1 << (n - 2 * k), 1 << k).mean(axis=1)
+        assert (share[classes == search._NONE] == 0).all()
+        assert (share[classes == search._ALL] == 1).all()
+        assert np.count_nonzero(classes == search._TIE) == 2 * (1 << (k - 1))
+
+
+def test_threshold_is_the_lower_bound():
+    """The family word of each length reaches the paper's lower bound."""
+    for n in range(3, MAX_SEARCH_LENGTH + 1):
+        assert search._threshold(n) == lower_bound(n)
+
+
+def test_block_letters_fit_a_task():
+    """k is 0 on one-task rows; otherwise a block has a middle and a task
+    holds whole suffixes."""
+    for n in range(1, MAX_SEARCH_LENGTH + 1):
+        k = search._block_letters(n)
+        assert (k == 0) == (len(search._task_starts(n)) == 1)
+        assert 2 * k < n
+        assert 1 << k <= search._TASK
+
+
+@pytest.mark.parametrize("limit", [0, 1, 8, 100])
+def test_branch_and_bound_matches_plain_canonical_scan(limit):
+    """Every row up to 22, on one and two workers, has the maximum, the
+    extremal words and the canonical count of the scan with no bound."""
+    plain = [plain_canonical_scan(n, limit) for n in range(1, 23)]
+    for jobs in (1, 2):
+        rows = compute_table(
+            1, 22, SearchConfig(worker_count=jobs, extremal_limit=limit)
+        )
+        for row, (best, hits, count) in zip(rows, plain):
+            assert row.sd == best
+            assert [w.bits for w in row.extremal] == hits
+            assert row.words_scanned == count
+
+
+def test_progress_reports_at_chunk_boundaries(capsys):
+    """At two workers row 19 goes out in 8 chunks of 2 tasks; with a zero
+    interval each chunk reports once, with the exact canonical total of
+    the tasks before its end."""
+    row = sd_max(19, SearchConfig(worker_count=2, progress_interval=0))
+    lines = capsys.readouterr().err.splitlines()
+    task = 1 << 14
+    per_task = [
+        int(np.count_nonzero(_is_canonical(np.arange(lo, lo + task), 19)))
+        for lo in range(0, 1 << 18, task)
+    ]
+    totals = np.cumsum(per_task)[1::2].tolist()
+    assert [int(line.split()[2]) for line in lines] == totals
+    assert lines[-1] == f"n=19: scanned {row.words_scanned} words, current max 7"
+
+
 def test_extremal_limit_respected():
     row = sd_max(8, SearchConfig(worker_count=1, extremal_limit=2))
     assert len(row.extremal) == 2
@@ -250,14 +338,15 @@ def test_extremal_limit_respected():
 
 
 def test_guards():
+    assert MAX_SEARCH_LENGTH == 32
     with pytest.raises(LengthBudgetExceeded):
-        sd_max(29, ONE)
+        sd_max(33, ONE)
     with pytest.raises(ValueError):
         sd_max(0, ONE)
     with pytest.raises(ValueError):
         compute_table(5, 4, ONE)
     with pytest.raises(LengthBudgetExceeded):
-        compute_table(1, 29, ONE)
+        compute_table(1, 33, ONE)
     with pytest.raises(ValueError):
         SearchConfig(worker_count=0)
 
