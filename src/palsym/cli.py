@@ -121,7 +121,8 @@ def _cmd_table(args) -> int:
                 f"words={row.words_scanned} "
                 f"words_per_s={row.words_scanned / row.elapsed_s:.0f} "
                 f"tasks={row.tasks} evaluated={row.words_evaluated} "
-                f"blocks_pruned={row.blocks_pruned}",
+                f"blocks_pruned={row.blocks_pruned} chunks={row.chunks} "
+                f"pool={int(row.pooled)}",
                 file=sys.stderr,
             )
     if args.format == "csv":

@@ -7,7 +7,8 @@ LAS(w) = LCS(w, comp rev w).  ``_mirror_lcs`` computes both with the
 bit-parallel LCS update of Allison & Dix (IPL 1986) and Hyyrö (2004): n
 steps of a few word operations each.  It is written with integer operators
 only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
-``las_length``) and on an ``int64`` numpy array (``search.sd_batch``).
+``las_length``) and on a numpy array of packed words (``search.sd_batch``:
+``uint32`` lanes up to 32 letters, ``int64`` lanes above).
 
 The classic interval recurrence for the longest palindromic (P) or
 antipalindromic (A) subsequence of w_i..w_j is
@@ -97,7 +98,11 @@ def _mirror_lcs(bits, n: int):
     """LCS state vectors of w against rev w and against comp rev w.
 
     ``bits`` is a packed word of length ``n`` (a Python ``int``) or an
-    ``int64`` array of them.  Bit i of each vector stands for the letter i
+    integer array of them whose lanes hold n bits: ``uint32`` for n <= 32,
+    ``int64`` for n <= 63.  A sum ``vp + u`` may carry out of bit n - 1: off
+    the top of a ``uint32`` lane at n = 32, where it is lost, or into the
+    sign bit of an ``int64`` lane at n = 63, which the mask clears; bits
+    0..n-1 are exact either way.  Bit i of each vector stands for the letter i
     places from the right end of w.  The number of clear bits is the LCS
     length, so LPS = n - popcount(vp) and LAS = n - popcount(va).
     """

@@ -30,16 +30,20 @@ not, so it is the number of orbits.  k depends on n alone
 holds the a-half and every word takes the canonical test, else
 min(n // 2 - 2, 11).
 
-The a-half is cut into tasks of ``_TASK`` words.  With more than one worker
-they go to a process pool in chunks, a quarter of the row's tasks per
-worker and at most ``_CHUNK`` tasks, to spread each dispatch's
-inter-process cost over several tasks; ``compute_table`` opens one pool for
-the whole table and lends it to every row.  The block tables are built
-once per row in the parent, and each chunk is sent the rows of its
-prefixes.  A chunk builds the words of its kept blocks and runs the
-bit-parallel LCS kernel of ``deletions`` on them in batches of ``_TASK``
-words.  The parent merges chunk results in chunk order and prints progress
-after each, so the outcome is identical for any worker count.
+The a-half is cut into tasks of ``_TASK`` words.  The block tables give,
+before anything runs, the words each task will send to the kernel at most
+(``_task_words``: the words of its kept blocks that hold canonical words),
+and ``_chunk_plan`` cuts a row's tasks into chunks by that count: a chunk
+closes once its words reach ``_BUDGET`` or it holds ``_CHUNK`` tasks, so the
+kernel runs in full batches.  The same plan serves every worker count.  A
+row whose counted words are below ``_POOL_WORDS`` runs in this process; a
+larger one, with more than one worker, goes to a process pool, which
+``compute_table`` opens at the first such row and lends to every row after
+it.  A chunk is sent the block table rows of its prefixes, builds the words
+of its kept blocks and runs the bit-parallel LCS kernel of ``deletions`` on
+them in batches of ``_TASK`` words.  The parent merges chunk results in
+chunk order and prints progress after each, so the outcome is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -49,10 +53,11 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from concurrent.futures import Executor, ProcessPoolExecutor
-from contextlib import ExitStack, nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -66,18 +71,33 @@ from .bounds import (
 )
 from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
-from .words import Word, _is_canonical, _reverse_bits
+from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
 
 # Row 32 takes about 15 s on two cores; each row below it takes less.
 MAX_SEARCH_LENGTH = 32
 
-# Words per scan task.  A row whose scan fits in one task runs in-process,
-# so this also caps the arrays the parent allocates.
+# Words per scan task, and per kernel call.  A row whose scan fits in one
+# task runs in this process at any worker count.
 _TASK = 1 << 14
 
 # Most tasks in one chunk: a chunk's results arrive together, and its
 # words are held together.
 _CHUNK = 64
+
+# Counted kernel words that close a chunk, four kernel batches, so the
+# kernel runs mostly on full batches.  compute_table(1, 22) in process at a
+# budget of 2^14, 2^15, 2^16 and 2^17 words: 56, 47, 43 and 41 kernel
+# calls, 0.098, 0.094, 0.089 and 0.087 s, peak RSS 33.4, 33.4, 34.8 and
+# 37.1 MB (2-vCPU Xeon VM, medians of 7 fresh processes).
+_BUDGET = 1 << 16
+
+# Counted kernel words from which a row goes to a process pool, with more
+# than one worker.  sd_max on one worker against its own 2-worker pool
+# (2-vCPU Xeon VM, medians of 7 to 11 fresh processes): row 22 (186 k
+# words) 0.040 against 0.069 s, row 23 (210 k) 0.042 against 0.058 s,
+# row 25 (316 k) 0.084 against 0.080 s and row 26 (779 k) 0.24 against
+# 0.19 s; starting and stopping the pool takes about 12 ms of that.
+_POOL_WORDS = 1 << 18
 
 # Block classes: whether no word, every word or only some words of a block
 # are canonical.
@@ -88,10 +108,21 @@ def sd_batch(words, n: int) -> np.ndarray:
     """Vectorized sd over same-length words given as packed integers.
 
     Runs the bit-parallel kernel of ``deletions.sd`` across the whole batch
-    at once, one ``int64`` lane per word.
+    at once, one lane per word: ``uint32`` lanes for n <= 32, which run
+    about twice as fast, and ``int64`` lanes up to 63 letters.  Raises
+    ``ValueError`` for n outside 0..63 or a word outside [0, 2^n).
     """
-    arr = np.ascontiguousarray(words, dtype=np.int64)
-    vp, va = _mirror_lcs(arr, n)
+    if not 0 <= n <= MAX_LENGTH:
+        raise ValueError(f"n must be in 0..{MAX_LENGTH}, got {n}")
+    out_of_range = f"every word of length {n} must be in [0, 2^{n})"
+    try:
+        arr = np.ascontiguousarray(words, dtype=np.int64)
+    except OverflowError:  # a Python int of 64 bits or more
+        raise ValueError(out_of_range) from None
+    # checked before the narrowing cast, which would wrap a word silently
+    if arr.size and (arr.min() < 0 or arr.max() >> n):
+        raise ValueError(out_of_range)
+    vp, va = _mirror_lcs(arr.astype(np.uint32) if n <= 32 else arr, n)
     return np.minimum(np.bitwise_count(vp), np.bitwise_count(va)).astype(np.int64)
 
 
@@ -215,6 +246,35 @@ def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray
     return np.repeat(heads, counts) | cols[first + place]
 
 
+def _task_words(n: int, blocks: _Blocks, starts: range) -> np.ndarray:
+    """The words each task at ``starts`` sends to the kernel at most: every
+    word of its kept blocks that hold canonical words, the non-canonical
+    words of tie blocks included."""
+    k, shift = blocks.k, n - blocks.k
+    per_row = np.count_nonzero(blocks.kept & (blocks.classes != _NONE), axis=1)
+    # before(x): the counted words below packed word x, a task boundary;
+    # a head (v = 0) of row r brings per_row[r] words
+    below = np.concatenate(([0], np.cumsum(per_row))) << (shift - k)
+    per_row = np.append(per_row, 0)
+    ends = np.arange(len(starts) + 1, dtype=np.int64) * starts.step
+    rows = ends >> shift
+    before = below[rows] + per_row[rows] * ((ends & ((1 << shift) - 1)) >> k)
+    return np.diff(before)
+
+
+def _chunk_plan(words: np.ndarray) -> list[int]:
+    """Cut points of a row's tasks, 0 first and the task count last, given
+    each task's counted words: a chunk closes once its words reach
+    ``_BUDGET`` or it holds ``_CHUNK`` tasks."""
+    total = np.concatenate(([0], np.cumsum(words)))
+    cuts = [0]
+    while cuts[-1] < len(words):
+        i = cuts[-1]
+        full = int(np.searchsorted(total, total[i] + _BUDGET))
+        cuts.append(min(full, i + _CHUNK, len(words)))
+    return cuts
+
+
 def _scan_chunk(
     n: int, limit: int, starts: range, blocks: _Blocks
 ) -> tuple[int, list[int], int, int]:
@@ -288,6 +348,8 @@ class SdTableRow:
     elapsed_s: float = field(default=0.0, compare=False)
     words_evaluated: int = field(default=0, compare=False)
     blocks_pruned: int = field(default=0, compare=False)
+    chunks: int = field(default=0, compare=False)
+    pooled: bool = field(default=False, compare=False)
 
 
 class TableMismatch(NamedTuple):
@@ -302,14 +364,14 @@ def _task_starts(n: int, prune: bool = True) -> range:
     return range(0, total, min(total, _TASK))
 
 
-def _open_pool(config: SearchConfig, tasks: int):
-    """A process pool for ``tasks`` scan tasks, or a null context when the
-    scan runs in this process (one worker or one task)."""
-    if config.worker_count == 1 or tasks == 1:
-        return nullcontext()
-    # fork starts every worker at the first submit, so ask for no more than
-    # there are tasks
-    return ProcessPoolExecutor(max_workers=min(config.worker_count, tasks))
+def _lazy_pool(stack: ExitStack, workers: int) -> Callable[[], Executor]:
+    """A function that opens a process pool of ``workers`` on its first
+    call, closed with ``stack``, and returns that pool on every call."""
+    # fork starts every worker at the first submit, so callers ask for no
+    # more workers than the largest row has tasks
+    return cache(
+        lambda: stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+    )
 
 
 def sd_max(
@@ -317,7 +379,7 @@ def sd_max(
     config: SearchConfig | None = None,
     prune: bool = True,
     *,
-    pool: Executor | None = None,
+    pool: Callable[[], Executor] | None = None,
 ) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
@@ -327,17 +389,19 @@ def sd_max(
     a; ``prune=False`` evaluates every word and exists to demonstrate that
     the pruned maximum is the true one.
 
-    The scan runs as tasks of ``_TASK`` words in ascending order, in this
-    process when one worker is asked for or one task covers the range, else
-    on ``pool``: the one ``compute_table`` opened for its table, or, when
-    none is given, a pool of its own for this row.  Tasks go out in chunks
-    of ``tasks // (4 * workers)`` (at least one, at most ``_CHUNK``), and
-    results come back one per chunk in chunk order, so the row, including
-    the extremal words and their order, is the same for any worker count;
+    The scan runs as tasks of ``_TASK`` words in ascending order, cut into
+    chunks by the words each task sends to the kernel (``_chunk_plan``).
+    The row runs in this process when one worker is asked for, one task
+    covers the range or its counted words are below ``_POOL_WORDS``; else
+    on the pool that ``pool()`` returns (``compute_table`` passes the one
+    of its table), or on a pool of its own when none is given.  Results
+    come back one per chunk in chunk order, so the row, including the
+    extremal words and their order, is the same for any worker count;
     ``config.progress_interval`` prints scan totals to stderr, checked
     after each chunk.  ``words_evaluated`` counts the words sent to the
-    kernel and ``blocks_pruned`` the blocks with canonical words that the
-    bound skipped.
+    kernel, ``blocks_pruned`` the blocks with canonical words that the
+    bound skipped, and ``chunks`` and ``pooled`` how the row was
+    dispatched.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -352,19 +416,22 @@ def sd_max(
     starts = _task_starts(n, prune)
     blocks = _blocks(n, prune)
     task = partial(_scan_chunk, n, limit)
+    words = _task_words(n, blocks, starts)
+    cuts = _chunk_plan(words)
+    chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
+    tables = [blocks.rows(n, c) for c in chunks]
+    pooled = (
+        config.worker_count > 1
+        and len(starts) > 1
+        and int(words.sum()) >= _POOL_WORDS
+    )
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
     with ExitStack() as stack:
-        if pool is None:
-            pool = stack.enter_context(_open_pool(config, len(starts)))
-        if pool is None or len(starts) == 1:
-            workers, run = 1, map
-        else:
-            workers, run = min(config.worker_count, len(starts)), pool.map
-        chunk = max(1, min(len(starts) // (4 * workers), _CHUNK))
-        chunks = [starts[i : i + chunk] for i in range(0, len(starts), chunk)]
-        tables = [blocks.rows(n, c) for c in chunks]
+        if pooled and pool is None:
+            pool = _lazy_pool(stack, min(config.worker_count, len(starts)))
+        run = pool().map if pooled else map
         for chunk_best, hits, canonical, count in run(task, chunks, tables):
             scanned += canonical
             evaluated += count
@@ -398,6 +465,8 @@ def sd_max(
         elapsed_s=time.perf_counter() - began,
         words_evaluated=evaluated,
         blocks_pruned=int(np.count_nonzero(~blocks.kept & (blocks.classes != _NONE))),
+        chunks=len(chunks),
+        pooled=pooled,
     )
 
 
@@ -408,8 +477,10 @@ def compute_table(
 ) -> list[SdTableRow]:
     """Rows of the exact maximum-sd table for n_min..n_max inclusive.
 
-    One process pool, sized by the task count of row ``n_max``, serves
-    every row, so the table pays one pool start-up rather than one per row.
+    Rows below ``_POOL_WORDS`` counted words run in this process.  The
+    first row over it opens one process pool, sized by the task count of
+    row ``n_max``, and every later row that needs a pool uses the same one,
+    so the table pays at most one pool start-up.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}..{n_max}")
@@ -418,7 +489,9 @@ def compute_table(
             f"n = {n_max} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
     config = config if config is not None else SearchConfig()
-    with _open_pool(config, len(_task_starts(n_max))) as pool:
+    workers = min(config.worker_count, len(_task_starts(n_max)))
+    with ExitStack() as stack:
+        pool = _lazy_pool(stack, workers)
         return [sd_max(n, config, pool=pool) for n in range(n_min, n_max + 1)]
 
 

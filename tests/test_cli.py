@@ -201,7 +201,8 @@ def test_table_progress_gives_scan_totals(capfd):
 
 def test_table_stats_leave_stdout_unchanged(capsys):
     """The stats lines leave stdout alone; one-task rows evaluate every
-    canonical word, and the bound prunes blocks of the larger rows."""
+    canonical word, the bound prunes blocks of the larger rows, and no row
+    counts enough kernel words to go to a pool."""
     argv = ("table", "--from", "14", "--to", "22", "--jobs", "2")
     code, plain, plain_err = run_cli(capsys, *argv)
     assert code == 0
@@ -219,11 +220,12 @@ def test_table_stats_leave_stdout_unchanged(capsys):
         match = re.fullmatch(
             rf"stats: n={n} elapsed=\d+\.\d{{3}}s words={scanned} "
             rf"words_per_s=\d+ tasks={task_count} evaluated=(\d+) "
-            rf"blocks_pruned=(\d+)",
+            rf"blocks_pruned=(\d+) chunks=(\d+) pool=0",
             line,
         )
         assert match, line
-        evaluated, pruned = int(match[1]), int(match[2])
+        evaluated, pruned, chunks = int(match[1]), int(match[2]), int(match[3])
+        assert 1 <= chunks <= task_count
         if n <= 15:
             assert (evaluated, pruned) == (scanned, 0)
         if n == 22:

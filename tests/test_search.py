@@ -24,7 +24,7 @@ from palsym import (
     sd_max,
 )
 from palsym import search
-from palsym.words import _is_canonical
+from palsym.words import MAX_LENGTH, _is_canonical
 
 from _helpers import plain_canonical_scan, table_lengths
 
@@ -61,6 +61,52 @@ def test_batch_empty():
     values = sd_batch(np.array([], dtype=np.int64), 12)
     assert values.shape == (0,)
     assert values.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [st.sampled_from((31, 32, 33)), st.integers(15, MAX_LENGTH)],
+    ids=["lane-switch", "15-63"],
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batch_matches_scalar_sd_sampled(lengths, data):
+    """Both lane widths agree with scalar sd: uint32 lanes up to 32 letters,
+    int64 above.  The all-b word makes the first kernel step carry out of
+    the top letter, past bit 31 at n = 32."""
+    n = data.draw(lengths)
+    top = (1 << n) - 1
+    picks = data.draw(st.lists(st.integers(0, top), min_size=1, max_size=20))
+    picks += [0, top, 1 << (n - 1)]
+    values = sd_batch(np.array(picks, dtype=np.int64), n)
+    assert values.tolist() == [sd(Word(n, bits)).value for bits in picks]
+
+
+@pytest.mark.parametrize(
+    "words, n",
+    [
+        ([0b111], 2),
+        ([-1], 3),
+        ([5], 0),
+        ([1], 64),
+        ([1], -1),
+        ([1 << 32], 32),
+        ([1 << 63], 63),
+        (np.array([1 << 63], dtype=np.uint64), 63),
+    ],
+)
+def test_batch_rejects_what_it_cannot_compute(words, n):
+    """A length outside 0..63 or a word outside [0, 2^n) raises; 2^32 at
+    n = 32 would wrap to 0 on a uint32 lane."""
+    with pytest.raises(ValueError, match=r"must be in"):
+        sd_batch(words, n)
+
+
+def test_batch_edges_of_the_guard():
+    assert sd_batch([0], 0).tolist() == [0]
+    top = [(1 << 32) - 1, (1 << 63) - 1]
+    assert sd_batch(top[:1], 32).tolist() == [0]
+    assert sd_batch(top[1:], 63).tolist() == [0]
 
 
 def test_sd_max_small_values():
@@ -142,76 +188,183 @@ def test_unpruned_scans_everything():
     assert sd_max(8, ONE).words_scanned < 256
 
 
-def test_worker_determinism():
+def _counted_words(n):
+    """The counted kernel words of each task of row n."""
+    return search._task_words(n, search._blocks(n, True), search._task_starts(n))
+
+
+@pytest.fixture
+def pool_every_row(monkeypatch):
+    """Send every row of more than one task to a pool, however little
+    kernel work it counts."""
+    monkeypatch.setattr(search, "_POOL_WORDS", 0)
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """The events of every pool the test opens: ("open", workers asked
+    for) and ("map", row n)."""
+    events = []
+
+    class RecordingPool(search.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            events.append(("open", max_workers))
+            # never start more than two processes, whatever is asked for
+            super().__init__(max_workers=min(max_workers, 2), **kwargs)
+
+        def map(self, fn, *iterables, **kwargs):
+            events.append(("map", fn.args[0]))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
+    return events
+
+
+def test_worker_determinism(pool_every_row):
     """n = 19 scans 16 tasks on a pool; its first 90 extremal words come
     from two of them, and the limit cuts the second task's list."""
     rows = [
         sd_max(19, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
     ]
+    assert [row.pooled for row in rows] == [False, True, True]
     assert len(rows[0].extremal) == 90
     assert len({w.bits >> 14 for w in rows[0].extremal}) > 1
     assert rows[1] == rows[0]
     assert rows[2] == rows[0]
 
 
-def test_pool_sized_by_task_count(monkeypatch):
+def test_pool_sized_by_task_count(pool_every_row, recorded):
     """n = 16 scans two tasks, so eight requested workers start a pool of
     two; the row is the one-worker row."""
-    asked = []
-
-    class RecordingPool(search.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            asked.append(max_workers)
-            # never start more than two processes, whatever is asked for
-            super().__init__(max_workers=min(max_workers, 2), **kwargs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     row = sd_max(16, SearchConfig(worker_count=8))
-    assert asked == [2]
+    assert [e for e in recorded if e[0] == "open"] == [("open", 2)]
     assert row == sd_max(16, ONE)
 
 
-def test_compute_table_starts_one_pool(monkeypatch):
+def test_compute_table_starts_one_pool(pool_every_row, recorded):
     """Rows 16..19 share one pool sized by row 19's 16 tasks; a table whose
     rows are all one task starts none.  The rows are the one-worker rows."""
-    asked, mapped = [], []
-
-    class RecordingPool(search.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            asked.append(max_workers)
-            # never start more than two processes, whatever is asked for
-            super().__init__(max_workers=min(max_workers, 2), **kwargs)
-
-        def map(self, fn, *iterables, **kwargs):
-            mapped.append(fn.args[0])
-            return super().map(fn, *iterables, **kwargs)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    assert asked == [8]
-    assert mapped == [16, 17, 18, 19]
+    assert recorded == [("open", 8)] + [("map", n) for n in (16, 17, 18, 19)]
     assert rows == compute_table(1, 19, ONE)
     assert compute_table(1, 15, SearchConfig(worker_count=8)) == compute_table(
         1, 15, ONE
     )
-    assert asked == [8]
+    assert len(recorded) == 5
 
 
-def test_table_determinism_across_chunks():
-    """At two workers row 19 goes out in chunks of two tasks, and its first
-    90 extremal words end inside the second task of the first chunk; row 21
-    merges the hits of several tasks of one chunk.  Every worker count
+def test_small_rows_open_no_pool(recorded):
+    """No row up to 22 counts enough kernel words to pay for a pool, so
+    eight workers run the whole table in this process."""
+    rows = compute_table(1, 22, SearchConfig(worker_count=8))
+    assert recorded == []
+    assert not any(row.pooled for row in rows)
+    assert max(_counted_words(n).sum() for n in range(1, 23)) < search._POOL_WORDS
+
+
+def test_pool_opens_at_the_first_row_over_the_threshold(monkeypatch, recorded):
+    """With the threshold at row 19's counted words, rows 16..18 and 20
+    run in this process and rows 19 and 21 on one pool, opened while row 19
+    runs; the decision is per row, not per range."""
+    counted = {n: _counted_words(n).sum() for n in range(16, 22)}
+    monkeypatch.setattr(search, "_POOL_WORDS", counted[19])
+    assert [n for n in counted if counted[n] >= counted[19]] == [19, 21]
+    scan = search.sd_max
+
+    def sd_max_recorded(n, *args, **kwargs):
+        recorded.append(("row", n))
+        return scan(n, *args, **kwargs)
+
+    monkeypatch.setattr(search, "sd_max", sd_max_recorded)
+    config = SearchConfig(worker_count=2)
+    rows = compute_table(16, 21, config)
+    assert recorded == [
+        ("row", 16),
+        ("row", 17),
+        ("row", 18),
+        ("row", 19),
+        ("open", 2),
+        ("map", 19),
+        ("row", 20),
+        ("row", 21),
+        ("map", 21),
+    ]
+    assert [row.pooled for row in rows] == [0, 0, 0, 1, 0, 1]
+    assert rows == compute_table(16, 21, ONE)
+    del recorded[:]
+    compute_table(16, 18, config)
+    assert [e for e in recorded if e[0] != "row"] == []
+
+
+def _task_words_by_spread(n, blocks, starts):
+    """The words ``_scan_chunk`` builds for each task before the canonical
+    test of tie blocks."""
+    k, classes, kept, _ = blocks
+    out = []
+    for lo in starts:
+        heads = np.arange(lo, lo + starts.step, 1 << k, dtype=np.int64)
+        rows = heads >> (n - k)
+        kept_words = search._spread(heads, rows, kept & (classes != search._NONE))
+        out.append(kept_words.size)
+    return out
+
+
+def test_chunk_plan_covers_every_task_once():
+    """Per-task counts equal the words the scan builds, and the plan cuts
+    the tasks in order into chunks of at most ``_CHUNK`` tasks, each closed
+    at the first task that brings its words to ``_BUDGET``."""
+    rows = [(n, True) for n in range(1, 27)] + [(8, False), (16, False)]
+    for n, prune in rows:
+        starts, blocks = search._task_starts(n, prune), search._blocks(n, prune)
+        words = search._task_words(n, blocks, starts)
+        if n <= 22:
+            assert words.tolist() == _task_words_by_spread(n, blocks, starts)
+        cuts = search._chunk_plan(words)
+        assert cuts[0] == 0 and cuts[-1] == len(starts)
+        for i, j in zip(cuts, cuts[1:]):
+            assert 0 < j - i <= search._CHUNK
+            assert words[i : j - 1].sum() < search._BUDGET
+            if j < len(starts):
+                assert j - i == search._CHUNK or words[i:j].sum() >= search._BUDGET
+
+
+def test_chunk_counts_bound_the_words_evaluated():
+    """Each chunk's counted words are at least the words it sends to the
+    kernel, and the chunks together evaluate the row's words."""
+    for n in range(14, 24):
+        starts, blocks = search._task_starts(n), search._blocks(n, True)
+        words = search._task_words(n, blocks, starts)
+        cuts = search._chunk_plan(words)
+        evaluated = 0
+        for i, j in zip(cuts, cuts[1:]):
+            chunk = starts[i:j]
+            count = search._scan_chunk(n, 0, chunk, blocks.rows(n, chunk))[3]
+            assert count <= words[i:j].sum()
+            evaluated += count
+        row = sd_max(n, ONE)
+        assert evaluated == row.words_evaluated
+        assert row.chunks == len(cuts) - 1
+
+
+def test_table_determinism_across_chunks(pool_every_row):
+    """Row 19's first 90 extremal words end inside the second task of its
+    one chunk; row 21 merges the hits of several tasks of one chunk and
+    row 23 the hits of two chunks.  Every worker count, on a pool or not,
     gives the same rows."""
     tables = [
-        compute_table(19, 21, SearchConfig(worker_count=jobs, extremal_limit=90))
+        compute_table(19, 23, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
     ]
-    row19, _, row21 = tables[0]
+    row19, _, row21, _, row23 = tables[0]
     assert len(row19.extremal) == 90
     assert {w.bits >> 14 for w in row19.extremal} == {0, 1}
     assert len({w.bits >> 14 for w in row21.extremal}) > 1
-    assert [row.tasks for row in tables[0]] == [16, 32, 64]
+    cuts = search._chunk_plan(_counted_words(23))
+    first_chunk_end = cuts[1] << 14
+    assert {w.bits < first_chunk_end for w in row23.extremal} == {True, False}
+    assert [row.tasks for row in tables[0]] == [16, 32, 64, 128, 256]
+    assert all(row.pooled for row in tables[1])
     assert tables[1] == tables[0]
     assert tables[2] == tables[0]
 
@@ -300,9 +453,10 @@ def test_block_letters_fit_a_task():
 
 
 @pytest.mark.parametrize("limit", [0, 1, 8, 100])
-def test_branch_and_bound_matches_plain_canonical_scan(limit):
-    """Every row up to 22, on one and two workers, has the maximum, the
-    extremal words and the canonical count of the scan with no bound."""
+def test_branch_and_bound_matches_plain_canonical_scan(pool_every_row, limit):
+    """Every row up to 22, in this process and on a pool of two workers,
+    has the maximum, the extremal words and the canonical count of the
+    scan with no bound."""
     plain = [plain_canonical_scan(n, limit) for n in range(1, 23)]
     for jobs in (1, 2):
         rows = compute_table(
@@ -314,20 +468,22 @@ def test_branch_and_bound_matches_plain_canonical_scan(limit):
             assert row.words_scanned == count
 
 
-def test_progress_reports_at_chunk_boundaries(capsys):
-    """At two workers row 19 goes out in 8 chunks of 2 tasks; with a zero
-    interval each chunk reports once, with the exact canonical total of
-    the tasks before its end."""
-    row = sd_max(19, SearchConfig(worker_count=2, progress_interval=0))
+def test_progress_reports_at_chunk_boundaries(pool_every_row, capsys):
+    """At two workers row 22 goes out on a pool in the chunks of its plan;
+    with a zero interval each chunk reports once, with the exact canonical
+    total of the tasks before its end."""
+    n, task = 22, 1 << 14
+    row = sd_max(n, SearchConfig(worker_count=2, progress_interval=0))
     lines = capsys.readouterr().err.splitlines()
-    task = 1 << 14
+    cuts = search._chunk_plan(_counted_words(n))
     per_task = [
-        int(np.count_nonzero(_is_canonical(np.arange(lo, lo + task), 19)))
-        for lo in range(0, 1 << 18, task)
+        int(np.count_nonzero(_is_canonical(np.arange(lo, lo + task), n)))
+        for lo in search._task_starts(n)
     ]
-    totals = np.cumsum(per_task)[1::2].tolist()
+    totals = np.cumsum(per_task)[np.array(cuts[1:]) - 1].tolist()
+    assert row.pooled and row.chunks == len(cuts) - 1 > 2
     assert [int(line.split()[2]) for line in lines] == totals
-    assert lines[-1] == f"n=19: scanned {row.words_scanned} words, current max 7"
+    assert lines[-1] == f"n=22: scanned {row.words_scanned} words, current max 8"
 
 
 def test_extremal_limit_respected():
