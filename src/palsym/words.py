@@ -23,6 +23,12 @@ MAX_LENGTH = 63
 
 LETTERS = ("a", "b")
 _COMPLEMENT = {"a": "b", "b": "a"}
+_TO_LETTERS = str.maketrans("01", "ab")
+# Text to binary digits, without and with the digit aliases.  Without them
+# a literal 0 or 1 becomes "-", which ``parse_word`` rejects like any other
+# character outside the alphabet.
+_TO_BINARY = str.maketrans("ab01", "01--")
+_ALIASES_TO_BINARY = str.maketrans("ab", "01")
 
 
 def complement_letter(letter: str) -> str:
@@ -99,10 +105,9 @@ class Word:
         return self.length
 
     def __str__(self) -> str:
-        return "".join(
-            LETTERS[(self.bits >> (self.length - i)) & 1]
-            for i in range(1, self.length + 1)
-        )
+        # The sentinel bit above the word keeps its leading a's (and gives
+        # the empty word an empty string).
+        return format(self.bits | 1 << self.length, "b")[1:].translate(_TO_LETTERS)
 
     def __repr__(self) -> str:
         return f"Word({str(self)!r})"
@@ -164,16 +169,12 @@ def parse_word(text: str, allow_digits: bool = False) -> Word:
         raise LengthBudgetExceeded(
             f"word of length {len(text)} exceeds the {MAX_LENGTH}-letter limit"
         )
-    bits = 0
-    for position, char in enumerate(text, start=1):
-        if char == "a" or (allow_digits and char == "0"):
-            bit = 0
-        elif char == "b" or (allow_digits and char == "1"):
-            bit = 1
-        else:
-            raise InvalidLetterError(position, char)
-        bits = (bits << 1) | bit
-    return Word(len(text), bits)
+    digits = text.translate(_ALIASES_TO_BINARY if allow_digits else _TO_BINARY)
+    if digits.strip("01"):  # some character is neither 0 nor 1
+        valid = "ab01" if allow_digits else "ab"
+        position = next(p for p, c in enumerate(text, start=1) if c not in valid)
+        raise InvalidLetterError(position, text[position - 1])
+    return Word(len(text), int(digits, 2) if digits else 0)
 
 
 def all_words(n: int):

@@ -2,11 +2,14 @@
 
 The brute-force helpers work on plain text so they stay independent of the
 package's bit-packed representation and interval tables.
-``table_lengths`` reads the interval tables, which are the reference for
-the bit-parallel kernel behind ``sd`` and ``sd_batch``, and
-``reference_witness`` is the witness backtrack that ``sd_witness``
-replaced: it picks its target from both table corners and keeps an end
-pair only when the table says it adds 2.
+``scalar_table`` is the per-word interval recurrence that the batched
+``deletions._tables`` replaced, and the reference it is checked against
+cell by cell.  ``table_lengths`` reads its corners, and
+``batched_table_lengths`` reads the corners of one batched table for every
+word of a length; both are references for the bit-parallel kernel behind
+``sd`` and ``sd_batch``.  ``reference_witness`` is the witness backtrack
+that ``sd_witness`` replaced: it picks its target from both scalar table
+corners and keeps an end pair only when the table says it adds 2.
 ``deletion_set_sd`` is the oracle that the subsequence walk of
 ``brute_force_sd`` replaced: it tries every deletion set by increasing size.
 ``ReferenceGameSolver`` is the game solver that ``palsym.game`` replaced:
@@ -24,11 +27,38 @@ import itertools
 import numpy as np
 
 from palsym import GameOutcome, Player, SymmetryClass, Word, sd_batch
-from palsym.deletions import _mirror_lcs, _table
+from palsym.deletions import _mirror_lcs, _tables
 from palsym.game import _run_children
 from palsym.words import _is_canonical, _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
+
+
+def scalar_table(s: str, pal: bool) -> list[list[int]]:
+    """Interval table of palindromic (``pal``) or antipalindromic lengths.
+
+    ``t[i][j]`` is the longest such subsequence inside ``s[i..j]``.  Rows
+    fill from the right end, and an end pair counts when
+    ``mirror[j] == s[i]``.
+    """
+    n = len(s)
+    mirror = s if pal else s.translate(SWAP)
+    t = [[0] * n for _ in range(n)]
+    below_row: list[int] = []  # row i + 1; the last row reads none of it
+    for i in range(n - 1, -1, -1):
+        row, c = t[i], s[i]
+        prev = row[i] = 1 if pal else 0
+        diag = 0
+        for j in range(i + 1, n):
+            below = below_row[j]
+            if mirror[j] == c:
+                prev = diag + 2
+            elif below > prev:
+                prev = below
+            row[j] = prev
+            diag = below
+        below_row = row
+    return t
 
 
 def is_pal(t: str) -> bool:
@@ -80,10 +110,21 @@ def all_texts(n: int):
 
 
 def table_lengths(s: str) -> tuple[int, int]:
-    """(lps, las) of ``s`` from the interval tables."""
+    """(lps, las) of ``s`` from the scalar interval tables."""
     if not s:
         return 0, 0
-    return _table(s, True)[0][-1], _table(s, False)[0][-1]
+    return scalar_table(s, True)[0][-1], scalar_table(s, False)[0][-1]
+
+
+def batched_table_lengths(n: int) -> tuple[list[int], list[int]]:
+    """(lps, las) of every word of length n, indexed by its packed bits,
+    from one batched table that holds both targets of every word."""
+    if n == 0:
+        return [0], [0]
+    words = np.arange(1 << n, dtype=np.int64)
+    pal = np.repeat([True, False], 1 << n)
+    corners = _tables(np.concatenate([words, words]), n, pal)[:, 0, -1]
+    return corners[: 1 << n].tolist(), corners[1 << n :].tolist()
 
 
 def reference_witness(s: str) -> tuple[tuple[int, ...], SymmetryClass, str]:
@@ -92,7 +133,7 @@ def reference_witness(s: str) -> tuple[tuple[int, ...], SymmetryClass, str]:
     n = len(s)
     lps, las = table_lengths(s)
     want_pal = lps >= las
-    table = _table(s, want_pal)
+    table = scalar_table(s, want_pal)
     kept = []
     i, j = 0, n - 1
     while i <= j:

@@ -4,8 +4,8 @@ import re
 
 import pytest
 
-from palsym import deletions, parse_word
-from palsym.cli import _sd_report, main
+from palsym import cli, deletions, parse_word
+from palsym.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -235,21 +235,86 @@ def test_table_stats_leave_stdout_unchanged(capsys):
 
 @pytest.mark.parametrize("text", ["", "a", "ab", "aab", "abbabaabbbaabab" * 4])
 @pytest.mark.parametrize("with_witness", [False, True])
-def test_sd_report_runs_kernel_once(monkeypatch, text, with_witness):
-    """A report, with or without its witness, runs the sd kernel once."""
+def test_sd_report_runs_kernel_once(capsys, monkeypatch, text, with_witness):
+    """`sd --stdin` runs the sd kernel once per chunk of words, with or
+    without `--witness`: the witnesses add no second run."""
     calls = []
     kernel = deletions._mirror_lcs
 
-    def counting(bits, n):
+    def counting(bits, n, starts=None):
         calls.append(n)
-        return kernel(bits, n)
+        return kernel(bits, n, starts)
 
     monkeypatch.setattr(deletions, "_mirror_lcs", counting)
-    word = parse_word(text)
-    report = _sd_report(word, with_witness)
-    assert calls == [len(word)]
-    assert report["sd"] == deletions.sd(word).value
-    assert ("witness" in report) == with_witness
+    flags = ["--format", "json"] + (["--witness"] if with_witness else [])
+    for count in (1, 5, 64, 65, 200):
+        # `text` comes first, as an argument, since stdin skips blank lines
+        texts = [text] + [("ab", "aab", "bbabbbbaaa")[i % 3] for i in range(count - 1)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(texts[1:]) + "\n"))
+        calls.clear()
+        code, out, _ = run_cli(capsys, "sd", text, "--stdin", *flags)
+        assert code == 0
+        assert len(calls) == -(-count // cli._SD_CHUNK)
+        assert len(calls) == 1 or count > 64  # up to 64 words share one pass
+        assert calls[0] == max(map(len, texts[: cli._SD_CHUNK]))
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [r["word"] for r in reports] == texts
+        for word, report in zip(texts, reports):
+            assert report["sd"] == deletions.sd(parse_word(word)).value
+            assert ("witness" in report) == with_witness
+
+
+_STREAM_HEAD = "aab\nabba\n\nbbabbbbaaa\n"
+_STREAM_TEXT = (
+    "aab length=3 class=neither lps=2 las=2 sd=1\n"
+    "abba length=4 class=palindrome lps=4 las=2 sd=0\n"
+    "bbabbbbaaa length=10 class=neither lps=6 las=6 sd=4\n"
+)
+_STREAM_JSON = (
+    '{"word": "aab", "length": 3, "class": "neither", "lps": 2, "las": 2, '
+    '"sd": 1, "witness": {"deleted_positions": [3], "target": "palindrome", '
+    '"residual": "aa"}}\n'
+    '{"word": "abba", "length": 4, "class": "palindrome", "lps": 4, "las": 2, '
+    '"sd": 0, "witness": {"deleted_positions": [], "target": "palindrome", '
+    '"residual": "abba"}}\n'
+    '{"word": "bbabbbbaaa", "length": 10, "class": "neither", "lps": 6, '
+    '"las": 6, "sd": 4, "witness": {"deleted_positions": [3, 8, 9, 10], '
+    '"target": "palindrome", "residual": "bbbbbb"}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "bad, err",
+    [
+        ("axb", "error: invalid letter 'x' at position 2\n"),
+        ("b" * 64, "error: word of length 64 exceeds the 63-letter limit\n"),
+    ],
+    ids=["invalid-letter", "64-letters"],
+)
+@pytest.mark.parametrize(
+    "flags, out",
+    [([], _STREAM_TEXT), (["--witness", "--format", "json"], _STREAM_JSON)],
+    ids=["text", "json-witness"],
+)
+def test_sd_stdin_stops_at_a_bad_line(capsys, monkeypatch, bad, err, flags, out):
+    """A bad line in the middle of the input: the reports of the lines
+    before it, then the error, and exit 2."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(f"{_STREAM_HEAD}{bad}\nab\n"))
+    assert run_cli(capsys, "sd", "--stdin", *flags) == (2, out, err)
+
+
+def test_sd_stdin_bad_line_after_several_chunks(capsys, monkeypatch):
+    """Chunks before the bad line are answered in full, the rest of the
+    bad line's chunk up to it, and nothing after it."""
+    texts = ["ab" * (i % 31) + "b" * (1 + i % 3) for i in range(150)]
+    code, expected, _ = run_cli(capsys, "sd", *texts, "--witness")
+    assert code == 0
+    stream = "\n".join(texts[:130] + ["aa1"] + texts[130:]) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    code, out, err = run_cli(capsys, "sd", "--stdin", "--witness")
+    assert code == 2
+    assert out.splitlines() == expected.splitlines()[:130]
+    assert err == "error: invalid letter '1' at position 3\n"
 
 
 def test_construct(capsys):

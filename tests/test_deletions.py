@@ -1,5 +1,8 @@
+import random
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from palsym import (
@@ -14,13 +17,16 @@ from palsym import (
     sd,
     sd_witness,
 )
+from palsym.deletions import _tables, sd_witnesses, sd_words
 
 from _helpers import (
+    batched_table_lengths,
     brute_las,
     brute_lps,
     deletion_set_sd,
     is_symmetric_text,
     reference_witness,
+    scalar_table,
     table_lengths,
 )
 
@@ -62,8 +68,7 @@ def test_lps_las_against_subset_scan():
             assert las_length(w) == brute_las(s)
 
 
-def _check_against_tables(w):
-    lps, las = table_lengths(str(w))
+def _check_against_tables(w, lps, las):
     assert lps_length(w) == lps
     assert las_length(w) == las
     r = sd(w)
@@ -73,8 +78,9 @@ def _check_against_tables(w):
 def test_kernel_matches_tables_exhaustive():
     """The bit-parallel kernel equals the interval tables (all words <= 14)."""
     for n in range(15):
+        lps, las = batched_table_lengths(n)
         for w in all_words(n):
-            _check_against_tables(w)
+            _check_against_tables(w, lps[w.bits], las[w.bits])
 
 
 @given(
@@ -84,7 +90,7 @@ def test_kernel_matches_tables_exhaustive():
 )
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_tables_sampled(text):
-    _check_against_tables(parse_word(text))
+    _check_against_tables(parse_word(text), *table_lengths(text))
 
 
 def test_witness_examples():
@@ -152,6 +158,74 @@ def test_witness_matches_reference_exhaustive():
 @settings(max_examples=200, deadline=None)
 def test_witness_matches_reference_sampled(text):
     _check_witness_rule(text)
+
+
+def _check_batched_tables(texts, pal):
+    n = max(map(len, texts))
+    bits = np.array([parse_word(t).bits for t in texts], dtype=np.int64)
+    tables = _tables(bits, n, np.array(pal, dtype=bool))
+    assert tables.shape == (len(texts), n, n)
+    for table, text, want_pal in zip(tables, texts, pal):
+        corner = table[n - len(text) :, n - len(text) :]
+        assert corner.tolist() == scalar_table(text, want_pal)
+
+
+def test_batched_tables_match_scalar_exhaustive():
+    """Every cell of the batched table equals the scalar recurrence, for
+    both targets of every word of 0..12 letters."""
+    for n in range(13):
+        texts = [str(w) for w in all_words(n)]
+        _check_batched_tables(texts * 2, [True] * len(texts) + [False] * len(texts))
+
+
+mixed_batches = st.lists(
+    st.tuples(
+        st.integers(0, MAX_LENGTH).flatmap(
+            lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+        ),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(mixed_batches)
+@example(
+    [("b" * MAX_LENGTH, True), ("b" * MAX_LENGTH, False), ("", True), ("ab", False)]
+)
+@example([("", False)])
+@settings(max_examples=60, deadline=None)
+def test_batched_tables_match_scalar_mixed_lengths(batch):
+    """Words of different lengths share one right-aligned batched table."""
+    texts, pal = zip(*batch)
+    _check_batched_tables(texts, pal)
+
+
+def test_packed_lanes_match_scalar_exhaustive():
+    """One kernel pass over packed lanes of mixed lengths gives each word's
+    scalar ``sd`` (every word of 0..14 letters, shuffled into chunks of 64)."""
+    words = [w for n in range(15) for w in all_words(n)]
+    random.Random(14).shuffle(words)
+    for start in range(0, len(words), 64):
+        chunk = words[start : start + 64]
+        assert sd_words(chunk) == [sd(w) for w in chunk]
+
+
+@given(mixed_batches)
+@example(
+    [("b" * MAX_LENGTH, True), ("a" * MAX_LENGTH, True), ("", True), ("b", True)]
+)
+@settings(max_examples=80, deadline=None)
+def test_packed_chunks_match_scalar_sampled(batch):
+    """Packed lanes and batched witness tables of mixed lengths 0..63 give
+    each word's scalar ``sd`` and its reference witness."""
+    texts = [text for text, _ in batch]
+    words = [parse_word(text) for text in texts]
+    assert sd_words(words) == [sd(w) for w in words]
+    for text, witness in zip(texts, sd_witnesses(words)):
+        got = (witness.deleted_positions, witness.target, str(witness.residual))
+        assert got == reference_witness(text)
 
 
 def test_brute_force_guard():

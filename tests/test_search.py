@@ -26,7 +26,7 @@ from palsym import (
 from palsym import search
 from palsym.words import MAX_LENGTH, _is_canonical
 
-from _helpers import plain_canonical_scan, table_lengths
+from _helpers import batched_table_lengths, plain_canonical_scan, table_lengths
 
 ONE = SearchConfig(worker_count=1)
 
@@ -36,9 +36,9 @@ def test_batch_matches_tables_exhaustive():
     for n in range(17):
         values = sd_batch(np.arange(1 << n, dtype=np.int64), n)
         assert values.dtype == np.int64
+        lps, las = batched_table_lengths(n)
         for bits, value in enumerate(values):
-            text = str(Word(n, bits))
-            assert value == n - max(table_lengths(text))
+            assert value == n - max(lps[bits], las[bits])
 
 
 @st.composite

@@ -38,8 +38,46 @@ def test_parse_digit_aliases():
 
 def test_parse_length_guard():
     parse_word("a" * 63)
-    with pytest.raises(LengthBudgetExceeded):
-        parse_word("a" * 64)
+    for text in ("a" * 64, "b" * 64, "x" * 64, "ab" * 31 + "a1", "a" * 100):
+        for digits in (False, True):
+            with pytest.raises(LengthBudgetExceeded) as exc:
+                parse_word(text, allow_digits=digits)
+            assert str(exc.value) == (
+                f"word of length {len(text)} exceeds the 63-letter limit"
+            )
+
+
+def test_text_round_trip_exhaustive():
+    """Text form and parsing agree with the letter-by-letter rule on every
+    word of 0..14 letters, with letters and with digit aliases."""
+    for n in range(15):
+        for w in all_words(n):
+            text = "".join("ab"[(w.bits >> (n - i)) & 1] for i in range(1, n + 1))
+            assert str(w) == text
+            assert parse_word(text) == w
+            digits = text.translate(str.maketrans("ab", "01"))
+            assert parse_word(digits, allow_digits=True) == w
+
+
+@pytest.mark.parametrize(
+    "digits, bad",
+    [(False, c) for c in "xA2 _+é01"] + [(True, c) for c in "xA2 _+é"],
+)
+def test_invalid_letter_at_each_position(digits, bad):
+    """The first character outside the alphabet is named with its 1-based
+    position, wherever it sits and whatever follows it."""
+    for n in (1, 2, 9, 63):
+        base = "ab" * 31 + "b"
+        for position in range(1, n + 1):
+            text = base[: position - 1] + bad + base[position:n]
+            for tail in ("", "x"):
+                if len(text + tail) > 63:
+                    continue
+                with pytest.raises(InvalidLetterError) as exc:
+                    parse_word(text + tail, allow_digits=digits)
+                assert (exc.value.position, exc.value.char) == (position, bad)
+                message = f"invalid letter {bad!r} at position {position}"
+                assert str(exc.value) == message
 
 
 @given(word_texts)
