@@ -352,11 +352,9 @@ def _suite_game(max_n: int, jobs: int) -> list[Check]:
         )
     solver = game.GameSolver()
     for n in range(1, min(max_n, 10) + 1):
-        bad = None
-        for w in words.all_words(n):
-            if solver.value(w) > max(0, n - 2):
-                bad = w
-                break
+        # the first failing word in all_words order is the least one
+        over = (solver._table(n, False) > max(0, n - 2)).nonzero()[0]
+        bad = words.Word(n, int(over[0])) if over.size else None
         checks.append(
             (
                 f"game termination n={n}",
@@ -406,10 +404,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------- game
 
 
-def _print_game_stats(solver: game.GameSolver, start: float) -> None:
+def _print_game_stats(start: float, counts: str) -> None:
     print(
-        f"stats: elapsed={time.perf_counter() - start:.3f}s "
-        f"levels={solver.levels} table_words={solver.table_words}",
+        f"stats: elapsed={time.perf_counter() - start:.3f}s {counts}",
         file=sys.stderr,
     )
 
@@ -432,7 +429,9 @@ def _cmd_game_solve(args) -> int:
             f"final={final or '(empty)'} class={final.symmetry_class().value}"
         )
     if args.stats:
-        _print_game_stats(solver, start)
+        _print_game_stats(
+            start, f"levels={solver.lattice_levels} states={solver.states}"
+        )
     return 0
 
 
@@ -445,7 +444,9 @@ def _cmd_game_best(args) -> int:
     else:
         print(f"n={args.n} value={value} word={word}")
     if args.stats:
-        _print_game_stats(solver, start)
+        _print_game_stats(
+            start, f"levels={solver.levels} table_words={solver.table_words}"
+        )
     return 0
 
 
@@ -522,7 +523,10 @@ def _cmd_game_play(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-_STATS_HELP = "print elapsed time, value tables built and their words to stderr"
+_STATS_HELP = (
+    "print elapsed time and the solver's work to stderr: lattice levels and "
+    "states for solve, value tables and their words for best"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,22 +7,36 @@ game (the maximizer), the opponent wants a short one (the minimizer), and
 the minimizer moves first.
 
 ``GameSolver`` computes exact minimax values by retrograde analysis, the
-method of endgame tablebases (Stroehlein 1970; Thompson 1986): one int8
-value table per word length m and mover over all 2^m packed words, each
-built on first use from the table of length m - 1 with the other mover,
-with whole-array numpy operations.  An entry is 0 for a symmetric word,
-else 1 plus the min (minimizer) or max (maximizer) over the m
-single-letter deletions of the shorter table.  Deleting bit k maps the
-words viewed as a ``(2^(m-1-k), 2, 2^k)`` array onto the shorter table
-viewed as ``(2^(m-1-k), 1, 2^k)``, so each deletion is one broadcast, with
-no index arrays.  Words of length <= 2 are all symmetric, so those tables
-are all zero.  Solving an n-letter word builds the n - 2 tables of one
-chain, 2^(n+1) bytes in all.
+method of endgame tablebases (Stroehlein 1970; Thompson 1986), over one of
+two state sets.
 
-``best_move`` returns the lowest optimal position: the first letter of the
-leftmost run whose child keeps the value (deleting any letter of a run
-gives the same word).  ``max_game_value`` takes the least word with the
-largest entry of the top table.
+A single word is solved on its own subsequence lattice.  A game from an
+n-letter word reaches only the word's distinct subsequences, at most
+F(n + 3) - 1 of them for a binary word (Flaxman, Harrow & Sorkin 2004),
+where a table of every word of each length up to n has 2^(n+1) entries.
+The forward pass builds the lattice level by level: a level is the sorted
+int64 array of the distinct non-symmetric words of one length, its
+children are all m single-letter deletions as one ``(states, m)`` array in
+position order, and ``np.unique`` gives both the next level and each
+child's index.  A symmetric child ends the game, so the walk stops there.
+The backward pass fills each level's int8 values with 1 plus the min
+(minimizer) or max (maximizer) over its children, the mover alternating by
+level.  A solver keeps the last lattice it built, so the moves of one game
+or one principal line are all read from one lattice.
+
+``max_game_value`` asks about every word of one length, and there the
+lattice is the whole table: one int8 value table per word length m and
+mover over all 2^m packed words, each built on first use from the table of
+length m - 1 with the other mover, with whole-array numpy operations.
+Deleting bit k maps the words viewed as a ``(2^(m-1-k), 2, 2^k)`` array
+onto the shorter table viewed as ``(2^(m-1-k), 1, 2^k)``, so each deletion
+is one broadcast, with no index arrays.  Words of length <= 2 are all
+symmetric, so those tables are all zero.  ``max_game_value`` takes the
+least word with the largest entry of the top table.
+
+``best_move`` and principal lines take the lowest position whose child
+keeps the value; deleting any letter of a run gives the same word, so that
+is the first letter of the leftmost such run.
 """
 
 from __future__ import annotations
@@ -36,11 +50,13 @@ from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
 from .words import Word, _reverse_bits, complement_letter, parse_word
 
-# Exact solve and play: the value tables of one word take 2^(n+1) bytes
-# in all, 2 MB at n = 20.
+# Exact solve and play.  The heuristic minimizer scores its moves exactly
+# up to one letter more, so raising this guard would change its moves on
+# longer words, although a lattice of 26 letters takes about 0.6 s.
 GAME_MAX_LENGTH = 20
 # Full scan over starting words and the longest table built: 8 MB of
-# tables at n = 22.
+# tables at n = 22.  No lattice is built past it either: at most
+# F(25) - 1 = 75 024 states at n = 22.
 SCAN_MAX_LENGTH = 22
 
 
@@ -85,16 +101,108 @@ def _run_children(bits: int, n: int):
         yield n - low, ((bits >> (low + 1)) << low) | (bits & ((1 << low) - 1))
 
 
-class GameSolver:
-    """Exact minimax values read from value tables; one instance may serve
-    many words and builds each table at most once.
+def _check_scan_length(m: int) -> None:
+    if m > SCAN_MAX_LENGTH:
+        raise LengthBudgetExceeded(
+            f"game solver supports at most {SCAN_MAX_LENGTH} letters, got {m}"
+        )
 
-    ``levels`` (tables built) and ``table_words`` (their entries) count the
-    work done so far.
+
+class _Lattice:
+    """Game values over the distinct non-symmetric subsequences of a set of
+    root words of one length n, with ``maximizer`` to move at the roots.
+
+    Level k holds the sorted distinct non-symmetric words of length n - k
+    that the roots reach (``words[k]``, an int64 array), and its mover is
+    the root mover when k is even.  Row i of ``children[k]`` lists, in
+    position order, the index in ``values[k + 1]`` of the word left by
+    deleting each letter of ``words[k][i]``.  ``values[k]`` holds one int8
+    value per word of level k and then a 0 that stands for every symmetric
+    word, so a child that ends the game points one past the level's words.
+    """
+
+    __slots__ = ("length", "maximizer", "words", "children", "values")
+
+    def __init__(self, roots: np.ndarray, n: int, maximizer: bool) -> None:
+        self.length, self.maximizer = n, maximizer
+        self.words: list[np.ndarray] = []
+        self.children: list[np.ndarray] = []
+        low = np.arange(n - 1, -1, -1, dtype=np.int64)  # bit of position j + 1
+        high, below = low + 1, (1 << low) - 1  # length m reads the last m
+        level, m = roots, n
+        while level.size:
+            col = level[:, None]
+            kids = ((col >> high[n - m :]) << low[n - m :]) | (col & below[n - m :])
+            distinct, inverse = np.unique(kids, return_inverse=True)
+            rev = _reverse_bits(distinct, m - 1)
+            complement = (1 << (m - 1)) - 1
+            keep = (distinct != rev) & (distinct != rev ^ complement)
+            index = keep.cumsum(dtype=np.int32) - 1
+            nxt = distinct[keep]
+            index[~keep] = nxt.size
+            self.words.append(level)
+            self.children.append(index[inverse].reshape(kids.shape))
+            level, m = nxt, m - 1
+        # every word below the last level is symmetric
+        symmetric = values = np.zeros(1, dtype=np.int8)
+        self.values = [values]
+        for k in range(len(self.words) - 1, -1, -1):
+            pick = np.ndarray.max if maximizer != (k % 2 == 1) else np.ndarray.min
+            best = pick(values[self.children[k]], axis=1)
+            values = np.concatenate((best + 1, symmetric))
+            self.values.append(values)
+        self.values.reverse()
+
+    @property
+    def states(self) -> int:
+        return sum(level.size for level in self.words)
+
+    def find(self, bits: int, m: int, maximizer: bool) -> tuple[int, int] | None:
+        """(level, index) of a non-symmetric state, or None if not held."""
+        k = self.length - m
+        if 0 <= k < len(self.words) and (maximizer != self.maximizer) == (k % 2 == 1):
+            level = self.words[k]
+            i = int(level.searchsorted(bits))
+            if i < level.size and level[i] == bits:
+                return k, i
+        return None
+
+    def move(self, k: int, i: int) -> tuple[int, int]:
+        """Lowest 1-based position whose child keeps the value of state
+        (k, i), and that child's index in level k + 1."""
+        row = self.children[k][i]
+        j = int((self.values[k + 1][row] == self.values[k][i] - 1).argmax())
+        return j + 1, int(row[j])
+
+    def line(self, k: int, i: int) -> tuple[int, ...]:
+        """Principal line from state (k, i) to a symmetric word."""
+        positions = []
+        for level in range(k, k + int(self.values[k][i])):
+            pos, i = self.move(level, i)
+            positions.append(pos)
+        return tuple(positions)
+
+
+class GameSolver:
+    """Exact minimax values.  A single word is solved on its own
+    subsequence lattice; ``max_game_value`` reads the value tables of whole
+    lengths.
+
+    The solver keeps the lattice it built last and reads every state that
+    lattice holds from it, so the moves of one game or principal line
+    share one lattice; a state it does not hold gets a lattice of its own.
+    Tables are built at most once each, and ``value`` reads a word from the
+    table of its length and mover when the solver holds one.
+    ``lattice_levels`` and ``states`` count the lattice levels and states
+    built so far, ``levels`` and ``table_words`` the tables and their
+    entries.
     """
 
     def __init__(self) -> None:
         self._tables: dict[tuple[int, bool], np.ndarray] = {}
+        self._lattice: _Lattice | None = None
+        self.lattice_levels = 0
+        self.states = 0
 
     @property
     def levels(self) -> int:
@@ -112,10 +220,7 @@ class GameSolver:
         table = self._tables.get((m, maximizer))
         if table is not None:
             return table
-        if m > SCAN_MAX_LENGTH:
-            raise LengthBudgetExceeded(
-                f"game tables support at most {SCAN_MAX_LENGTH} letters, got {m}"
-            )
+        _check_scan_length(m)
         shorter = self._table(m - 1, not maximizer)
         pick = np.maximum if maximizer else np.minimum
         table = np.repeat(shorter, 2)  # delete the last letter
@@ -128,33 +233,45 @@ class GameSolver:
         self._tables[(m, maximizer)] = table
         return table
 
+    def _locate(self, word: Word, mover: Player) -> tuple[_Lattice, int, int]:
+        """The solver's lattice and a non-symmetric state's (level, index)
+        in it; the lattice is built rooted at the state when the last one
+        does not hold it."""
+        maximizer = mover is Player.MAXIMIZER
+        lattice = self._lattice
+        found = lattice and lattice.find(word.bits, word.length, maximizer)
+        if found:
+            return lattice, *found
+        _check_scan_length(word.length)
+        roots = np.array([word.bits], dtype=np.int64)
+        lattice = _Lattice(roots, word.length, maximizer)
+        self._lattice = lattice
+        self.lattice_levels += len(lattice.words)
+        self.states += lattice.states
+        return lattice, 0, 0
+
     def value(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
         """Moves remaining under optimal play from this state."""
-        return int(self._table(word.length, mover is Player.MAXIMIZER)[word.bits])
+        table = self._tables.get((word.length, mover is Player.MAXIMIZER))
+        if table is not None:
+            return int(table[word.bits])
+        if word.is_symmetric():
+            return 0
+        lattice, k, i = self._locate(word, mover)
+        return int(lattice.values[k][i])
 
     def best_move(self, state: GameState) -> int:
         """Lowest position whose successor preserves the minimax value."""
         if state.is_terminal():
             raise TerminalStateError(f"word {state.word} is already symmetric")
-        word = state.word
-        target = self.value(word, state.mover) - 1
-        children = self._table(word.length - 1, state.mover is Player.MINIMIZER)
-        return next(
-            pos
-            for pos, child in _run_children(word.bits, word.length)
-            if children[child] == target
-        )
+        lattice, k, i = self._locate(state.word, state.mover)
+        return lattice.move(k, i)[0]
 
     def outcome(self, word: Word, mover: Player = Player.MINIMIZER) -> GameOutcome:
-        total = self.value(word, mover)
-        line = []
-        current, to_move = word, mover
-        while not current.is_symmetric():
-            pos = self.best_move(GameState(current, to_move))
-            line.append(pos)
-            current = current.delete(pos)
-            to_move = to_move.other
-        return GameOutcome(total, tuple(line))
+        if word.is_symmetric():
+            return GameOutcome(0, ())
+        lattice, k, i = self._locate(word, mover)
+        return GameOutcome(int(lattice.values[k][i]), lattice.line(k, i))
 
 
 def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:

@@ -17,16 +17,18 @@ it tries every position and memoizes on ``(Word, Player)``, with no
 symmetry reduction and no cutoffs.  ``DfsGameSolver`` is the packed
 depth-first search that the value tables of ``GameSolver`` replaced, and
 ``orbit_max_game_value`` is the scan over it that ``max_game_value``
-replaced.  ``plain_canonical_scan`` is the scan that the branch and bound
-of ``search.sd_max`` replaced: every canonical word of the a-half goes to
-the kernel, with no bound.
+replaced.  ``table_outcome`` is the principal-line walk over value tables
+that the subsequence lattice of ``GameSolver.outcome`` replaced.
+``plain_canonical_scan`` is the scan that the branch and bound of
+``search.sd_max`` replaced: every canonical word of the a-half goes to the
+kernel, with no bound.
 """
 
 import itertools
 
 import numpy as np
 
-from palsym import GameOutcome, Player, SymmetryClass, Word, sd_batch
+from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word, sd_batch
 from palsym.deletions import _mirror_lcs, _tables
 from palsym.game import _run_children
 from palsym.words import _is_canonical, _reverse_bits
@@ -267,6 +269,29 @@ def orbit_max_game_value(n: int, solver: DfsGameSolver) -> tuple[int, Word]:
         if value > best_value:
             best_value, best_bits = value, bits
     return best_value, Word(n, best_bits)
+
+
+def table_outcome(tables: GameSolver, word: Word, mover: Player) -> GameOutcome:
+    """Value and principal line read from the value tables of ``tables``:
+    each move deletes the first letter of the leftmost run whose child in
+    the next table keeps the value."""
+    total = int(tables._table(word.length, mover is Player.MAXIMIZER)[word.bits])
+    line = []
+    current, to_move = word, mover
+    while not current.is_symmetric():
+        target = tables._table(current.length, to_move is Player.MAXIMIZER)[
+            current.bits
+        ] - 1
+        children = tables._table(current.length - 1, to_move is Player.MINIMIZER)
+        pos = next(
+            pos
+            for pos, child in _run_children(current.bits, current.length)
+            if children[child] == target
+        )
+        line.append(pos)
+        current = current.delete(pos)
+        to_move = to_move.other
+    return GameOutcome(total, tuple(line))
 
 
 def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from palsym import cli, deletions, parse_word
+from palsym import cli, deletions, game, parse_word
 from palsym.cli import main
 
 
@@ -471,8 +471,8 @@ def test_game_stats_leave_stdout_unchanged(capsys, argv):
         # lengths 3..9 are tabulated: 2^3 + ... + 2^9 words
         assert " levels=7 table_words=1016\n" in err
     else:
-        # one chain of lengths 3..18: 2^19 - 8 words
-        assert " levels=16 table_words=524280\n" in err
+        # one lattice: the word's non-symmetric subsequences of 3..18 letters
+        assert " levels=16 states=5071\n" in err
     assert len(err.splitlines()) == 1
 
 
@@ -525,6 +525,32 @@ def test_game_play_human_first_engine_opens(capsys, monkeypatch):
     )
     assert code == 0
     assert out.index("engine delete") < out.index("you delete")
+
+
+@pytest.mark.parametrize(
+    "engine, side",
+    [("exact", "first"), ("exact", "second"), ("heuristic", "first")],
+)
+def test_game_play_session_builds_one_lattice(capsys, monkeypatch, engine, side):
+    """Every solved engine move of a session is read from the lattice of
+    the engine's first state, whichever side the human plays (the
+    heuristic solves only the minimizer's moves)."""
+    built = []
+
+    class Counted(game._Lattice):
+        def __init__(self, roots, n, maximizer):
+            built.append((roots.tolist(), n, maximizer))
+            super().__init__(roots, n, maximizer)
+
+    monkeypatch.setattr(game, "_Lattice", Counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n" * 20))
+    code, out, _ = run_cli(
+        capsys, "game", "play", "aabbbbaaabbabbabbaba", "--side", side,
+        "--engine", engine,
+    )
+    assert code == 0
+    assert out.count("engine delete") >= 2
+    assert len(built) == 1
 
 
 def test_usage_error_exits_2():

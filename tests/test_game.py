@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _helpers import DfsGameSolver, ReferenceGameSolver, orbit_max_game_value
+from _helpers import (
+    DfsGameSolver,
+    ReferenceGameSolver,
+    orbit_max_game_value,
+    table_outcome,
+)
 from palsym import (
     GAME_MAX_LENGTH,
+    GameOutcome,
     GameSolver,
     GameState,
     LengthBudgetExceeded,
@@ -24,13 +30,39 @@ from palsym import (
     sd,
     transcript,
 )
-from palsym.words import Word
+from palsym.game import _Lattice
+from palsym.words import Word, _reverse_bits
 
 
 @pytest.fixture(scope="module")
 def reference():
     """One reference memo shared by the equivalence tests."""
     return ReferenceGameSolver()
+
+
+@pytest.fixture(scope="module")
+def tables():
+    """One solver whose value tables serve the table references."""
+    return GameSolver()
+
+
+@functools.cache
+def _full_lattice(n, maximizer):
+    """Every non-symmetric word of length n, ascending, and one lattice
+    rooted at all of them."""
+    words = np.arange(1 << n, dtype=np.int64)
+    rev = _reverse_bits(words, n)
+    roots = words[(words != rev) & (words != rev ^ ((1 << n) - 1))]
+    return roots, _Lattice(roots, n, maximizer)
+
+
+def _lattice_values(n, mover):
+    """Game values of all 2^n words: 0 for a symmetric word, else read
+    from one all-roots lattice."""
+    roots, lattice = _full_lattice(n, mover is Player.MAXIMIZER)
+    values = np.zeros(1 << n, dtype=np.int8)
+    values[roots] = lattice.values[0][:-1]
+    return values
 
 
 def test_game_value_examples():
@@ -112,37 +144,128 @@ def test_max_game_value_guard():
 
 
 def test_solver_table_guard():
-    """No table is built beyond the scan guard, so no input asks for 2^23
-    entries or more."""
+    """Neither a lattice nor a table is built beyond the scan guard, so no
+    input asks for 2^23 table entries or a lattice past 22 letters.  A
+    symmetric word of any length has already ended its game: value 0 and
+    an empty line, with nothing built."""
     word = parse_word("a" * 22 + "b")
     assert not word.is_symmetric()
+    solver = GameSolver()
     with pytest.raises(LengthBudgetExceeded):
-        GameSolver().value(word)
+        solver.value(word)
+    with pytest.raises(LengthBudgetExceeded):
+        solver.outcome(word, Player.MAXIMIZER)
+    with pytest.raises(LengthBudgetExceeded):
+        solver._table(23, False)
+    palindrome = parse_word("ab" * 7 + "aa" + "ba" * 7)
+    assert len(palindrome) == 30 and palindrome.is_symmetric()
+    for mover in Player:
+        assert solver.value(palindrome, mover) == 0
+        assert solver.outcome(palindrome, mover) == GameOutcome(0, ())
+    assert (solver.lattice_levels, solver.states, solver.levels) == (0, 0, 0)
 
 
 def test_values_match_reference_exhaustive(reference):
-    """Both movers, every word of length <= 12."""
-    solver = GameSolver()
+    """Both movers, every word of length <= 12, read from one all-roots
+    lattice per length and mover."""
     for n in range(13):
-        for w in all_words(n):
-            for mover in Player:
-                assert solver.value(w, mover) == reference.value(w, mover), (w, mover)
+        for mover in Player:
+            values = _lattice_values(n, mover)
+            for w in all_words(n):
+                assert values[w.bits] == reference.value(w, mover), (w, mover)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_lattice_values_match_tables_exhaustive(tables, n):
+    """Both movers, every word of length n: the roots of an all-roots
+    lattice, and every deeper level, hold the values of the tables."""
+    for mover in Player:
+        maximizer = mover is Player.MAXIMIZER
+        _, lattice = _full_lattice(n, maximizer)
+        assert (_lattice_values(n, mover) == tables._table(n, maximizer)).all()
+        assert len(lattice.words) == max(0, n - 2)
+        for k, level in enumerate(lattice.words):
+            table = tables._table(n - k, maximizer != (k % 2 == 1))
+            assert level.dtype == np.int64 and (np.diff(level) > 0).all()
+            assert (table[level] > 0).all()
+            assert (lattice.values[k][:-1] == table[level]).all(), k
+            assert lattice.values[k][-1] == 0
+
+
+def test_lattice_lines_match_table_walk_exhaustive(tables):
+    """Both movers, every word of length <= 12: the principal line from each
+    root of an all-roots lattice is the table walk's."""
+    for n in range(13):
+        for mover in Player:
+            roots, lattice = _full_lattice(n, mover is Player.MAXIMIZER)
+            for i, bits in enumerate(roots.tolist()):
+                outcome = GameOutcome(int(lattice.values[0][i]), lattice.line(0, i))
+                assert outcome == table_outcome(tables, Word(n, bits), mover), (
+                    bits,
+                    n,
+                    mover,
+                )
+
+
+@given(
+    st.integers(13, 20).flatmap(
+        lambda n: st.builds(Word, st.just(n), st.integers(0, (1 << n) - 1))
+    ),
+    st.sampled_from(Player),
+)
+@settings(max_examples=40, deadline=None)
+def test_lattice_outcome_matches_table_walk_sampled(tables, word, mover):
+    solver = GameSolver()
+    expected = table_outcome(tables, word, mover)
+    assert solver.outcome(word, mover) == expected
+    assert solver.value(word, mover) == expected.value
+    if expected.value:
+        state = GameState(word, mover)
+        assert solver.best_move(state) == expected.principal_line[0]
+
+
+def test_solve_builds_no_tables(monkeypatch):
+    """An 18-letter solve and the moves along it build no value table."""
+
+    def no_table(self, m, maximizer):
+        raise AssertionError(f"table ({m}, {maximizer}) built on the solve path")
+
+    monkeypatch.setattr(GameSolver, "_table", no_table)
+    word = parse_word("abaabbbababbabaabb")
+    solver = GameSolver()
+    outcome = game_value(word, solver)
+    assert outcome.value == 13
+    assert solver.outcome(word, Player.MAXIMIZER).value == solver.value(
+        word, Player.MAXIMIZER
+    )
+    assert engine_move(GameState(word, Player.MINIMIZER), "exact") == (
+        outcome.principal_line[0]
+    )
+    assert solver.table_words == 0
 
 
 def test_principal_lines_match_reference_exhaustive(reference):
-    """Lowest-position principal lines, every word of length <= 10."""
+    """Lowest-position principal lines, every word of length <= 10: through
+    ``game_value`` one word at a time, and walked on one all-roots lattice
+    per length."""
     solver = GameSolver()
     for n in range(11):
+        roots, lattice = _full_lattice(n, False)
+        walked = {
+            bits: GameOutcome(int(lattice.values[0][i]), lattice.line(0, i))
+            for i, bits in enumerate(roots.tolist())
+        }
         for w in all_words(n):
-            assert game_value(w, solver) == reference.outcome(w), w
+            expected = reference.outcome(w)
+            assert game_value(w, solver) == expected, w
+            assert walked.get(w.bits, GameOutcome(0, ())) == expected, w
 
 
 @given(st.integers(13, 18).flatmap(
     lambda n: st.builds(Word, st.just(n), st.integers(0, (1 << n) - 1))
 ))
 @settings(max_examples=25, deadline=None)
-def test_outcome_matches_reference_sampled(word):
-    reference = ReferenceGameSolver()
+def test_outcome_matches_reference_sampled(reference, word):
     solver = GameSolver()
     assert game_value(word, solver) == reference.outcome(word)
     assert solver.value(word, Player.MAXIMIZER) == reference.value(
@@ -197,6 +320,11 @@ def test_max_game_value_is_maximum():
         value, word = max_game_value(n)
         assert value == max(solver.value(w) for w in all_words(n))
         assert solver.value(word) == value
+    # A solver that holds the top table reads its values and builds no lattice.
+    held = GameSolver()
+    assert max_game_value(7, held)[0] == value
+    assert all(held.value(w) == solver.value(w) for w in all_words(7))
+    assert (held.lattice_levels, held.states, held.levels) == (0, 0, 5)
 
 
 def test_opening_word_examples():
@@ -249,17 +377,18 @@ def test_engine_move_shared_solver_plays_same_game(mode):
             assert pos == engine_move(state, mode, last)
             last = word.letter_at(pos)
             word, mover = word.delete(pos), mover.other
-    # The solve of an 18-letter word builds one chain of tables, lengths
-    # 3..18, which the moves of its subsequences then read.
+    # The solve of an 18-letter word builds one lattice, levels of lengths
+    # 18..3, which the moves of its subsequences then read.
     solver = GameSolver()
     word = parse_word("abaabbbababbabaabb")
     solver.outcome(word)
-    assert solver.levels == 16
-    built = solver.table_words
+    assert (solver.lattice_levels, solver.states, solver.levels) == (16, 5071, 0)
     solver.value(word.delete(1), Player.MAXIMIZER)
     solver.best_move(GameState(word.delete(1).delete(5), Player.MINIMIZER))
     engine_move(GameState(word.delete(3), Player.MAXIMIZER), mode, "a", solver)
-    assert (solver.levels, solver.table_words) == (16, built)
+    later = GameState(word.delete(3).delete(2), Player.MINIMIZER)
+    engine_move(later, mode, "b", solver)
+    assert (solver.lattice_levels, solver.states, solver.levels) == (16, 5071, 0)
 
 
 def test_engine_move_heuristic_mirror():
@@ -278,13 +407,14 @@ def test_engine_move_heuristic_minimizer_resolves_fast():
 def _per_position_minimizer_move(word, solver):
     """The heuristic minimizer's move by the loop that ``engine_move``
     replaced: every position, successors scored exactly within the solver
-    guard and by sd beyond it, the leftmost least score wins.  Values are
-    exact, so one ``solver`` may serve many words."""
+    guard and by sd beyond it, the leftmost least score wins.  Exact scores
+    are read from the value tables of ``solver``, so one may serve many
+    words."""
     best_pos, best_score = 1, None
     for pos in range(1, len(word) + 1):
         successor = word.delete(pos)
         if len(successor) <= GAME_MAX_LENGTH:
-            score = solver.value(successor, Player.MAXIMIZER)
+            score = solver._table(len(successor), True)[successor.bits]
         else:
             score = sd(successor).value
         if best_score is None or score < best_score:
@@ -294,9 +424,12 @@ def _per_position_minimizer_move(word, solver):
 
 def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
     """Every minimizer state of at most 12 letters.  Values are exact, so
-    one solver serves every engine move, and the loop has its own."""
-    engine, solver = GameSolver(), GameSolver()
+    the engine reads every state of one length from one lattice rooted at
+    all of them, and the loop reads the value tables of its own solver."""
+    solver = GameSolver()
     for n in range(13):
+        engine = GameSolver()
+        engine._lattice = _full_lattice(n, False)[1]
         for word in all_words(n):
             if word.is_symmetric():
                 continue
@@ -304,6 +437,7 @@ def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
             assert engine_move(state, "heuristic", solver=engine) == (
                 _per_position_minimizer_move(word, solver)
             )
+        assert engine.states == 0  # no lattice of its own was built
 
 
 @given(st.integers(22, 40).flatmap(
