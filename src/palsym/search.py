@@ -22,13 +22,14 @@ achievers and their order are those of the full scan.
 
 Each block also has a class, from comparing u with rev v and comp rev v:
 none of its words is canonical (u above either), all are (u below both),
-or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Only the
-words of tie blocks go through ``words._is_canonical``, and
-``words_scanned`` counts the canonical words of every block, evaluated or
-not, so it is the number of orbits.  k depends on n alone
-(``_block_letters``): 0 on the rows of one task (n <= 15), where one block
-holds the a-half and every word takes the canonical test, else
-min(n // 2 - 2, 11).
+or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Each
+word of a tie block takes ``words._is_canonical`` once, and beyond that
+only the achievers do, so the unpruned scan (one block of class _ALL)
+reports the least canonical achievers too.  ``words_scanned`` counts the
+canonical words of every block, evaluated or not: the number of orbits.
+k depends on n alone (``_block_letters``): 0 on the rows of one task
+(n <= 15), where one block holds the a-half and every word takes the
+canonical test, else min(n // 2 - 2, 11).
 
 The a-half is cut into tasks of ``_TASK`` words.  The block tables give,
 before anything runs, the words each task will send to the kernel at most
@@ -110,13 +111,19 @@ def sd_batch(words, n: int) -> np.ndarray:
     Runs the bit-parallel kernel of ``deletions.sd`` across the whole batch
     at once, one lane per word: ``uint32`` lanes for n <= 32, which run
     about twice as fast, and ``int64`` lanes up to 63 letters.  Raises
-    ``ValueError`` for n outside 0..63 or a word outside [0, 2^n).
+    ``ValueError`` for n outside 0..63, a word outside [0, 2^n) or a word
+    that is not an integer, which a cast would truncate or parse.
     """
     if not 0 <= n <= MAX_LENGTH:
         raise ValueError(f"n must be in 0..{MAX_LENGTH}, got {n}")
     out_of_range = f"every word of length {n} must be in [0, 2^{n})"
+    arr = np.asarray(words)
+    # an empty list comes as float64, a Python int of 64 bits or more as object
+    integral = (int, np.integer)
+    if not (arr.dtype.kind in "iu" or all(isinstance(x, integral) for x in arr.flat)):
+        raise ValueError(f"{out_of_range} as an integer, not {arr.dtype}")
     try:
-        arr = np.ascontiguousarray(words, dtype=np.int64)
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
     except OverflowError:  # a Python int of 64 bits or more
         raise ValueError(out_of_range) from None
     # checked before the narrowing cast, which would wrap a word silently
@@ -246,20 +253,17 @@ def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray
     return np.repeat(heads, counts) | cols[first + place]
 
 
-def _task_words(n: int, blocks: _Blocks, starts: range) -> np.ndarray:
+def _task_words(blocks: _Blocks, starts: range) -> np.ndarray:
     """The words each task at ``starts`` sends to the kernel at most: every
     word of its kept blocks that hold canonical words, the non-canonical
-    words of tie blocks included."""
-    k, shift = blocks.k, n - blocks.k
+    words of tie blocks included.  A head of row r brings per_row[r] words;
+    the counts are summed per task over units of a task or a row of heads,
+    whichever is smaller, never over 2^n single heads of an unpruned row."""
     per_row = np.count_nonzero(blocks.kept & (blocks.classes != _NONE), axis=1)
-    # before(x): the counted words below packed word x, a task boundary;
-    # a head (v = 0) of row r brings per_row[r] words
-    below = np.concatenate(([0], np.cumsum(per_row))) << (shift - k)
-    per_row = np.append(per_row, 0)
-    ends = np.arange(len(starts) + 1, dtype=np.int64) * starts.step
-    rows = ends >> shift
-    before = below[rows] + per_row[rows] * ((ends & ((1 << shift) - 1)) >> k)
-    return np.diff(before)
+    heads = (len(starts) * starts.step >> blocks.k) // per_row.size  # per row
+    unit = min(starts.step >> blocks.k, heads)
+    per_unit = np.repeat(per_row * unit, heads // unit)
+    return per_unit.reshape(len(starts), -1).sum(axis=1)
 
 
 def _chunk_plan(words: np.ndarray) -> list[int]:
@@ -279,31 +283,30 @@ def _scan_chunk(
     n: int, limit: int, starts: range, blocks: _Blocks
 ) -> tuple[int, list[int], int, int]:
     """Scan the tasks at ``starts``, each of ``starts.step`` words: the best sd
-    evaluated (-1 if none), up to ``limit`` of its achievers in ascending
-    order, the number of canonical words and the number evaluated.
+    evaluated (-1 if none), up to ``limit`` of its canonical achievers in
+    ascending order, the number of canonical words and the number evaluated.
 
     The words are the heads (the fixed bits and the middle, v = 0) joined
-    to each suffix v.  Only the words of kept blocks with canonical words
-    go to the kernel, and only the words of tie blocks go through
-    ``_is_canonical``.  The kernel runs in batches of ``_TASK`` words, the
-    size it runs fastest at, however few words each task keeps.
+    to each suffix v.  Each tie word takes ``_is_canonical`` once; the
+    canonical ones are counted and, in kept blocks, join the words of kept
+    _ALL blocks in the kernel.  Beyond that only the achievers take it.
+    The kernel runs in batches of ``_TASK`` words, however few words each
+    task keeps.
     """
     k, classes, kept, first = blocks
     heads = np.arange(starts[0], starts[-1] + starts.step, 1 << k, dtype=np.int64)
     rows = (heads >> (n - k)) - first
     ties = _spread(heads, rows, classes == _TIE)
-    canonical = np.count_nonzero(classes == _ALL, axis=1)[rows].sum()
-    canonical += np.count_nonzero(_is_canonical(ties, n))
-    words = _spread(heads, rows, kept & (classes != _NONE))
-    tie = classes[(words >> (n - k)) - first, words & ((1 << k) - 1)] == _TIE
-    ok = ~tie
-    ok[tie] = _is_canonical(words[tie], n)
-    words = words[ok]
+    ties = ties[_is_canonical(ties, n)]
+    canonical = np.count_nonzero(classes == _ALL, axis=1)[rows].sum() + ties.size
+    ties = ties[kept[(ties >> (n - k)) - first, ties & ((1 << k) - 1)]]
+    words = np.concatenate((_spread(heads, rows, kept & (classes == _ALL)), ties))
     values = np.empty(words.size, np.int64)
     for i in range(0, words.size, _TASK):
         values[i : i + _TASK] = sd_batch(words[i : i + _TASK], n)
     best = int(values.max(initial=-1))
-    hits = words[np.flatnonzero(values == best)[:limit]]
+    hits = np.sort(words[values == best])
+    hits = hits[_is_canonical(hits, n)][:limit]
     return best, hits.tolist(), int(canonical), words.size
 
 
@@ -387,7 +390,8 @@ def sd_max(
     blocks whose bound reaches the threshold are evaluated, and only the
     a-half [0, 2^(n-1)) is scanned, since every canonical word starts with
     a; ``prune=False`` evaluates every word and exists to demonstrate that
-    the pruned maximum is the true one.
+    the pruned maximum is the true one.  Both report the least canonical
+    achievers as ``extremal``.
 
     The scan runs as tasks of ``_TASK`` words in ascending order, cut into
     chunks by the words each task sends to the kernel (``_chunk_plan``).
@@ -416,7 +420,7 @@ def sd_max(
     starts = _task_starts(n, prune)
     blocks = _blocks(n, prune)
     task = partial(_scan_chunk, n, limit)
-    words = _task_words(n, blocks, starts)
+    words = _task_words(blocks, starts)
     cuts = _chunk_plan(words)
     chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
     tables = [blocks.rows(n, c) for c in chunks]
@@ -448,18 +452,12 @@ def sd_max(
                     )
                     last_report = now
 
-    if prune:
-        extremal = tuple(Word(n, bits) for bits in merged)
-    else:
-        canon = {Word(n, bits).canonical() for bits in merged}
-        extremal = tuple(sorted(canon, key=lambda w: w.bits))[:limit]
-
     return SdTableRow(
         n=n,
         sd=best,
         lower=lower_bound(n) if n >= 2 else 0,
         upper=upper_bound(n),
-        extremal=extremal,
+        extremal=tuple(Word(n, bits) for bits in merged),
         words_scanned=scanned,
         tasks=len(starts),
         elapsed_s=time.perf_counter() - began,

@@ -93,11 +93,17 @@ def test_batch_matches_scalar_sd_sampled(lengths, data):
         ([1 << 32], 32),
         ([1 << 63], 63),
         (np.array([1 << 63], dtype=np.uint64), 63),
+        ([1.5, 6.9], 3),
+        ([1, 2.0], 3),
+        (["6"], 3),
+        ([True], 1),
+        (np.array([1.0]), 3),
     ],
 )
 def test_batch_rejects_what_it_cannot_compute(words, n):
-    """A length outside 0..63 or a word outside [0, 2^n) raises; 2^32 at
-    n = 32 would wrap to 0 on a uint32 lane."""
+    """A length outside 0..63, a word outside [0, 2^n) or a word that is not
+    an integer raises; 2^32 at n = 32 would wrap to 0 on a uint32 lane, and
+    a cast to int64 would truncate 1.5 and parse "6"."""
     with pytest.raises(ValueError, match=r"must be in"):
         sd_batch(words, n)
 
@@ -179,8 +185,17 @@ def test_rows_above_acceptance_range():
 
 
 def test_pruned_equals_unpruned():
+    """Both scans find the same maximum and report the same least canonical
+    achievers, also where the limit is below the row's count of all
+    achievers: rows 9 and 12 have 15 and 59 canonical ones, among more than
+    16 and 64 achievers."""
     for n in range(1, 11):
         assert sd_max(n, ONE).sd == sd_max(n, ONE, prune=False).sd
+    for limit in (1, 8, 16, 64):
+        config = SearchConfig(worker_count=1, extremal_limit=limit)
+        for n in range(1, 15):
+            full = sd_max(n, config, prune=False).extremal
+            assert full == sd_max(n, config).extremal, (n, limit)
 
 
 def test_unpruned_scans_everything():
@@ -190,7 +205,7 @@ def test_unpruned_scans_everything():
 
 def _counted_words(n):
     """The counted kernel words of each task of row n."""
-    return search._task_words(n, search._blocks(n, True), search._task_starts(n))
+    return search._task_words(search._blocks(n, True), search._task_starts(n))
 
 
 @pytest.fixture
@@ -298,8 +313,8 @@ def test_pool_opens_at_the_first_row_over_the_threshold(monkeypatch, recorded):
 
 
 def _task_words_by_spread(n, blocks, starts):
-    """The words ``_scan_chunk`` builds for each task before the canonical
-    test of tie blocks."""
+    """The words of each task's kept blocks of class _ALL or _TIE, spread
+    word by word as ``_scan_chunk`` spreads them."""
     k, classes, kept, _ = blocks
     out = []
     for lo in starts:
@@ -317,7 +332,7 @@ def test_chunk_plan_covers_every_task_once():
     rows = [(n, True) for n in range(1, 27)] + [(8, False), (16, False)]
     for n, prune in rows:
         starts, blocks = search._task_starts(n, prune), search._blocks(n, prune)
-        words = search._task_words(n, blocks, starts)
+        words = search._task_words(blocks, starts)
         if n <= 22:
             assert words.tolist() == _task_words_by_spread(n, blocks, starts)
         cuts = search._chunk_plan(words)
@@ -334,7 +349,7 @@ def test_chunk_counts_bound_the_words_evaluated():
     kernel, and the chunks together evaluate the row's words."""
     for n in range(14, 24):
         starts, blocks = search._task_starts(n), search._blocks(n, True)
-        words = search._task_words(n, blocks, starts)
+        words = search._task_words(blocks, starts)
         cuts = search._chunk_plan(words)
         evaluated = 0
         for i, j in zip(cuts, cuts[1:]):
@@ -371,20 +386,21 @@ def test_table_determinism_across_chunks(pool_every_row):
 
 def _plain_scan(n, limit):
     """Maximum sd over every word of length n by a walk over all 2^n words,
-    its first ``limit`` canonical and plain achievers in ascending order,
-    and the number of canonical words."""
+    its first ``limit`` canonical achievers in ascending order, and the
+    number of canonical words."""
     values = sd_batch(np.arange(1 << n, dtype=np.int64), n)
     best = int(values.max())
     canonical = [bits for bits in range(1 << n) if Word(n, bits).is_canonical()]
-    achievers = [bits for bits in range(1 << n) if values[bits] == best]
     hits = [bits for bits in canonical if values[bits] == best]
-    return best, hits[:limit], achievers[:limit], len(canonical)
+    return best, hits[:limit], len(canonical)
 
 
 def test_sd_max_matches_plain_scan():
-    """Scanning only the a-half in tasks gives the full scan's answer."""
+    """Scanning only the a-half in tasks gives the full scan's answer, and
+    the unpruned scan of every word gives the same least canonical
+    achievers."""
     for n in range(1, 19):
-        best, hits, achievers, count = _plain_scan(n, 64)
+        best, hits, count = _plain_scan(n, 64)
         for jobs in (1, 2):
             row = sd_max(n, SearchConfig(worker_count=jobs, extremal_limit=64))
             assert row.sd == best
@@ -394,9 +410,8 @@ def test_sd_max_matches_plain_scan():
             full = sd_max(
                 n, SearchConfig(worker_count=1, extremal_limit=64), prune=False
             )
-            canon = sorted({Word(n, bits).canonical().bits for bits in achievers})
             assert full.sd == best
-            assert [w.bits for w in full.extremal] == canon[:64]
+            assert [w.bits for w in full.extremal] == hits
             assert full.words_scanned == 1 << n
 
 
