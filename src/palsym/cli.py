@@ -328,7 +328,7 @@ def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
     config = search.SearchConfig(worker_count=jobs)
     for n in range(1, min(max_n, 12) + 1):
         pruned = search.sd_max(n, config).sd
-        full = search.sd_max(n, config, prune=False).sd
+        full = int(search.sd_batch(range(1 << n), n).max())
         checks.append(
             (
                 f"pruning n={n}",

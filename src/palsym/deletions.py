@@ -187,14 +187,12 @@ def sd_words(ws: Sequence[Word]) -> list[SdResult]:
 
 def lps_length(w: Word) -> int:
     """Length of the longest palindromic subsequence."""
-    vp, _ = _mirror_lcs(w.bits, len(w))
-    return len(w) - vp.bit_count()
+    return sd(w).lps
 
 
 def las_length(w: Word) -> int:
     """Length of the longest antipalindromic subsequence; always even."""
-    _, va = _mirror_lcs(w.bits, len(w))
-    return len(w) - va.bit_count()
+    return sd(w).las
 
 
 def sd(w: Word) -> SdResult:

@@ -23,10 +23,9 @@ achievers and their order are those of the full scan.
 Each block also has a class, from comparing u with rev v and comp rev v:
 none of its words is canonical (u above either), all are (u below both),
 or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Each
-word of a tie block takes ``words._is_canonical`` once, and beyond that
-only the achievers do, so the unpruned scan (one block of class _ALL)
-reports the least canonical achievers too.  ``words_scanned`` counts the
-canonical words of every block, evaluated or not: the number of orbits.
+word of a tie block takes ``words._is_canonical`` once, so the kernel
+sees only canonical words.  ``words_scanned`` counts the canonical words of
+every block, evaluated or not: the number of orbits.
 k depends on n alone (``_block_letters``): 0 on the rows of one task
 (n <= 15), where one block holds the a-half and every word takes the
 canonical test, else min(n // 2 - 2, 11).
@@ -74,7 +73,8 @@ from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
 
-# Row 32 takes about 15 s on two cores; each row below it takes less.
+# Row 32 takes 6.1 to 8.5 s on two cores (2-vCPU Xeon VM, 7 runs, median
+# 6.7 s); each row below it takes less.
 MAX_SEARCH_LENGTH = 32
 
 # Words per scan task, and per kernel call.  A row whose scan fits in one
@@ -221,14 +221,12 @@ class _Blocks(NamedTuple):
         )
 
 
-def _blocks(n: int, prune: bool) -> _Blocks:
-    """The blocks of row n.  Without ``prune`` one block holds every word
-    and counts them all; with k = 0 one block holds the a-half and every
-    word needs the canonical test."""
-    k = _block_letters(n) if prune else 0
+def _blocks(n: int) -> _Blocks:
+    """The blocks of row n; with k = 0 one tie block holds the a-half and
+    every word takes the canonical test."""
+    k = _block_letters(n)
     if k == 0:
-        one = np.full((1, 1), _TIE if prune else _ALL, np.int8)
-        return _Blocks(0, one, np.ones((1, 1), bool))
+        return _Blocks(0, np.full((1, 1), _TIE, np.int8), np.ones((1, 1), bool))
     mask = (1 << k) - 1
     u = np.arange(1 << (k - 1), dtype=np.int64)[:, None]
     rev = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
@@ -256,14 +254,11 @@ def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray
 def _task_words(blocks: _Blocks, starts: range) -> np.ndarray:
     """The words each task at ``starts`` sends to the kernel at most: every
     word of its kept blocks that hold canonical words, the non-canonical
-    words of tie blocks included.  A head of row r brings per_row[r] words;
-    the counts are summed per task over units of a task or a row of heads,
-    whichever is smaller, never over 2^n single heads of an unpruned row."""
+    words of tie blocks included.  A head of table row r brings per_row[r]
+    words, and a task sums those of its heads (2^20 heads at n = 32)."""
     per_row = np.count_nonzero(blocks.kept & (blocks.classes != _NONE), axis=1)
     heads = (len(starts) * starts.step >> blocks.k) // per_row.size  # per row
-    unit = min(starts.step >> blocks.k, heads)
-    per_unit = np.repeat(per_row * unit, heads // unit)
-    return per_unit.reshape(len(starts), -1).sum(axis=1)
+    return np.repeat(per_row, heads).reshape(len(starts), -1).sum(axis=1)
 
 
 def _chunk_plan(words: np.ndarray) -> list[int]:
@@ -289,7 +284,7 @@ def _scan_chunk(
     The words are the heads (the fixed bits and the middle, v = 0) joined
     to each suffix v.  Each tie word takes ``_is_canonical`` once; the
     canonical ones are counted and, in kept blocks, join the words of kept
-    _ALL blocks in the kernel.  Beyond that only the achievers take it.
+    _ALL blocks in the kernel, so every word evaluated is canonical.
     The kernel runs in batches of ``_TASK`` words, however few words each
     task keeps.
     """
@@ -305,8 +300,7 @@ def _scan_chunk(
     for i in range(0, words.size, _TASK):
         values[i : i + _TASK] = sd_batch(words[i : i + _TASK], n)
     best = int(values.max(initial=-1))
-    hits = np.sort(words[values == best])
-    hits = hits[_is_canonical(hits, n)][:limit]
+    hits = np.sort(words[values == best])[:limit]
     return best, hits.tolist(), int(canonical), words.size
 
 
@@ -361,48 +355,36 @@ class TableMismatch(NamedTuple):
     expected: int
 
 
-def _task_starts(n: int, prune: bool = True) -> range:
-    """First packed word of each scan task of row n, in ascending order."""
-    total = 1 << (n - 1) if prune else 1 << n
-    return range(0, total, min(total, _TASK))
-
-
-def _lazy_pool(stack: ExitStack, workers: int) -> Callable[[], Executor]:
-    """A function that opens a process pool of ``workers`` on its first
-    call, closed with ``stack``, and returns that pool on every call."""
-    # fork starts every worker at the first submit, so callers ask for no
-    # more workers than the largest row has tasks
-    return cache(
-        lambda: stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-    )
+def _task_starts(n: int) -> range:
+    """First packed word of each scan task of row n, in ascending order:
+    the a-half [0, 2^(n-1)) in tasks of at most ``_TASK`` words."""
+    half = 1 << (n - 1)
+    return range(0, half, min(half, _TASK))
 
 
 def sd_max(
     n: int,
     config: SearchConfig | None = None,
-    prune: bool = True,
     *,
     pool: Callable[[], Executor] | None = None,
 ) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
-    With ``prune`` (the default) only canonical orbit representatives in
-    blocks whose bound reaches the threshold are evaluated, and only the
-    a-half [0, 2^(n-1)) is scanned, since every canonical word starts with
-    a; ``prune=False`` evaluates every word and exists to demonstrate that
-    the pruned maximum is the true one.  Both report the least canonical
-    achievers as ``extremal``.
+    Only canonical orbit representatives in blocks whose bound reaches the
+    threshold are evaluated, and only the a-half [0, 2^(n-1)) is scanned,
+    since every canonical word starts with a; ``extremal`` holds the least
+    canonical achievers.
 
     The scan runs as tasks of ``_TASK`` words in ascending order, cut into
     chunks by the words each task sends to the kernel (``_chunk_plan``).
     The row runs in this process when one worker is asked for, one task
     covers the range or its counted words are below ``_POOL_WORDS``; else
-    on the pool that ``pool()`` returns (``compute_table`` passes the one
-    of its table), or on a pool of its own when none is given.  Results
-    come back one per chunk in chunk order, so the row, including the
-    extremal words and their order, is the same for any worker count;
-    ``config.progress_interval`` prints scan totals to stderr, checked
-    after each chunk.  ``words_evaluated`` counts the words sent to the
+    on the pool that ``pool()`` returns.  Without ``pool`` the row is
+    ``compute_table(n, n, config)[0]``, which lends it a pool as it lends
+    one to every row of a table.  Results come back one per chunk in chunk
+    order, so the row, including the extremal words and their order, is
+    the same for any worker count; ``config.progress_interval`` prints scan
+    totals to stderr, checked after each chunk.  ``words_evaluated`` counts the words sent to the
     kernel, ``blocks_pruned`` the blocks with canonical words that the
     bound skipped, and ``chunks`` and ``pooled`` how the row was
     dispatched.
@@ -414,11 +396,13 @@ def sd_max(
             f"n = {n} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
     config = config if config is not None else SearchConfig()
+    if pool is None:
+        return compute_table(n, n, config)[0]
     limit = config.extremal_limit
     began = time.perf_counter()
 
-    starts = _task_starts(n, prune)
-    blocks = _blocks(n, prune)
+    starts = _task_starts(n)
+    blocks = _blocks(n)
     task = partial(_scan_chunk, n, limit)
     words = _task_words(blocks, starts)
     cuts = _chunk_plan(words)
@@ -432,25 +416,22 @@ def sd_max(
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
-    with ExitStack() as stack:
-        if pooled and pool is None:
-            pool = _lazy_pool(stack, min(config.worker_count, len(starts)))
-        run = pool().map if pooled else map
-        for chunk_best, hits, canonical, count in run(task, chunks, tables):
-            scanned += canonical
-            evaluated += count
-            if chunk_best > best:
-                best, merged = chunk_best, []
-            if chunk_best == best:
-                merged.extend(hits[: limit - len(merged)])
-            if config.progress_interval is not None:
-                now = time.monotonic()
-                if now - last_report >= config.progress_interval:
-                    print(
-                        f"n={n}: scanned {scanned} words, current max {best}",
-                        file=sys.stderr,
-                    )
-                    last_report = now
+    run = pool().map if pooled else map
+    for chunk_best, hits, canonical, count in run(task, chunks, tables):
+        scanned += canonical
+        evaluated += count
+        if chunk_best > best:
+            best, merged = chunk_best, []
+        if chunk_best == best:
+            merged.extend(hits[: limit - len(merged)])
+        if config.progress_interval is not None:
+            now = time.monotonic()
+            if now - last_report >= config.progress_interval:
+                print(
+                    f"n={n}: scanned {scanned} words, current max {best}",
+                    file=sys.stderr,
+                )
+                last_report = now
 
     return SdTableRow(
         n=n,
@@ -478,7 +459,8 @@ def compute_table(
     Rows below ``_POOL_WORDS`` counted words run in this process.  The
     first row over it opens one process pool, sized by the task count of
     row ``n_max``, and every later row that needs a pool uses the same one,
-    so the table pays at most one pool start-up.
+    so the table pays at most one pool start-up.  No other code opens a
+    pool.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}..{n_max}")
@@ -487,9 +469,13 @@ def compute_table(
             f"n = {n_max} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
     config = config if config is not None else SearchConfig()
+    # fork starts every worker at the first submit, so the pool has no more
+    # workers than the largest row has tasks
     workers = min(config.worker_count, len(_task_starts(n_max)))
     with ExitStack() as stack:
-        pool = _lazy_pool(stack, workers)
+        pool = cache(
+            lambda: stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+        )
         return [sd_max(n, config, pool=pool) for n in range(n_min, n_max + 1)]
 
 

@@ -361,10 +361,21 @@ def test_verify_peeling_small(capsys):
 
 
 def test_verify_invariance_small(capsys):
-    code, out, _ = run_cli(
+    """The pruned maximum of each row against the maximum of sd_batch over
+    every word of the row."""
+    code, out, err = run_cli(
         capsys, "verify", "--suite", "invariance", "--max-n", "6", "--jobs", "1"
     )
     assert code == 0
+    assert err == ""
+    maxima = [0, 0, 1, 1, 1, 2]
+    lines = [
+        f"ok   group invariance n={n}: sd constant on orbits" for n in range(1, 7)
+    ] + [
+        f"ok   pruning n={n}: canonical-only max {m}, full-scan max {m}"
+        for n, m in enumerate(maxima, 1)
+    ]
+    assert out == "\n".join(lines) + "\nsuite invariance: 12/12 checks passed\n"
 
 
 def test_verify_bounds_small(capsys):

@@ -185,27 +185,22 @@ def test_rows_above_acceptance_range():
 
 
 def test_pruned_equals_unpruned():
-    """Both scans find the same maximum and report the same least canonical
-    achievers, also where the limit is below the row's count of all
-    achievers: rows 9 and 12 have 15 and 59 canonical ones, among more than
-    16 and 64 achievers."""
-    for n in range(1, 11):
-        assert sd_max(n, ONE).sd == sd_max(n, ONE, prune=False).sd
+    """The scan finds the maximum of every word and reports the least
+    canonical achievers of the plain scan, also where the limit is below
+    the row's count of all achievers: rows 9 and 12 have 15 and 59
+    canonical ones, among more than 16 and 64 achievers."""
     for limit in (1, 8, 16, 64):
         config = SearchConfig(worker_count=1, extremal_limit=limit)
         for n in range(1, 15):
-            full = sd_max(n, config, prune=False).extremal
-            assert full == sd_max(n, config).extremal, (n, limit)
-
-
-def test_unpruned_scans_everything():
-    assert sd_max(8, ONE, prune=False).words_scanned == 256
-    assert sd_max(8, ONE).words_scanned < 256
+            best, hits, _ = _plain_scan(n, limit)
+            row = sd_max(n, config)
+            assert row.sd == best, (n, limit)
+            assert [w.bits for w in row.extremal] == hits, (n, limit)
 
 
 def _counted_words(n):
     """The counted kernel words of each task of row n."""
-    return search._task_words(search._blocks(n, True), search._task_starts(n))
+    return search._task_words(search._blocks(n), search._task_starts(n))
 
 
 @pytest.fixture
@@ -329,9 +324,8 @@ def test_chunk_plan_covers_every_task_once():
     """Per-task counts equal the words the scan builds, and the plan cuts
     the tasks in order into chunks of at most ``_CHUNK`` tasks, each closed
     at the first task that brings its words to ``_BUDGET``."""
-    rows = [(n, True) for n in range(1, 27)] + [(8, False), (16, False)]
-    for n, prune in rows:
-        starts, blocks = search._task_starts(n, prune), search._blocks(n, prune)
+    for n in range(1, 27):
+        starts, blocks = search._task_starts(n), search._blocks(n)
         words = search._task_words(blocks, starts)
         if n <= 22:
             assert words.tolist() == _task_words_by_spread(n, blocks, starts)
@@ -348,7 +342,7 @@ def test_chunk_counts_bound_the_words_evaluated():
     """Each chunk's counted words are at least the words it sends to the
     kernel, and the chunks together evaluate the row's words."""
     for n in range(14, 24):
-        starts, blocks = search._task_starts(n), search._blocks(n, True)
+        starts, blocks = search._task_starts(n), search._blocks(n)
         words = search._task_words(blocks, starts)
         cuts = search._chunk_plan(words)
         evaluated = 0
@@ -387,18 +381,24 @@ def test_table_determinism_across_chunks(pool_every_row):
 def _plain_scan(n, limit):
     """Maximum sd over every word of length n by a walk over all 2^n words,
     its first ``limit`` canonical achievers in ascending order, and the
-    number of canonical words."""
-    values = sd_batch(np.arange(1 << n, dtype=np.int64), n)
+    number of canonical words.  A word is canonical when it equals the
+    least of its reversal/complement images; the reversal moves one bit
+    position at a time, sharing no code with the scan's canonical test."""
+    bits = np.arange(1 << n, dtype=np.int64)
+    values = sd_batch(bits, n)
     best = int(values.max())
-    canonical = [bits for bits in range(1 << n) if Word(n, bits).is_canonical()]
-    hits = [bits for bits in canonical if values[bits] == best]
-    return best, hits[:limit], len(canonical)
+    rev = np.zeros_like(bits)
+    for i in range(n):
+        rev |= ((bits >> i) & 1) << (n - 1 - i)
+    mask = (1 << n) - 1
+    canonical = bits == np.minimum.reduce([bits, rev, bits ^ mask, rev ^ mask])
+    hits = bits[canonical & (values == best)]
+    return best, hits[:limit].tolist(), int(np.count_nonzero(canonical))
 
 
 def test_sd_max_matches_plain_scan():
-    """Scanning only the a-half in tasks gives the full scan's answer, and
-    the unpruned scan of every word gives the same least canonical
-    achievers."""
+    """Scanning only the a-half in tasks gives the answer of the plain scan
+    of every word, on one worker and on two."""
     for n in range(1, 19):
         best, hits, count = _plain_scan(n, 64)
         for jobs in (1, 2):
@@ -406,13 +406,6 @@ def test_sd_max_matches_plain_scan():
             assert row.sd == best
             assert [w.bits for w in row.extremal] == hits
             assert row.words_scanned == count
-        if n <= 14:
-            full = sd_max(
-                n, SearchConfig(worker_count=1, extremal_limit=64), prune=False
-            )
-            assert full.sd == best
-            assert [w.bits for w in full.extremal] == hits
-            assert full.words_scanned == 1 << n
 
 
 def _block_maxima(n, k):
@@ -443,7 +436,7 @@ def test_block_classes_exhaustive():
     words; each prefix u has two tie blocks, v = rev u and v = comp rev u."""
     for n in range(16, 21):
         k = search._block_letters(n)
-        classes = search._blocks(n, True).classes
+        classes = search._blocks(n).classes
         canon = _is_canonical(np.arange(1 << (n - 1), dtype=np.int64), n)
         share = canon.reshape(1 << (k - 1), 1 << (n - 2 * k), 1 << k).mean(axis=1)
         assert (share[classes == search._NONE] == 0).all()
