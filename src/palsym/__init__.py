@@ -40,7 +40,6 @@ from .game import (
     SCAN_MAX_LENGTH,
     GameOutcome,
     GameSolver,
-    GameState,
     Player,
     engine_move,
     game_value,
@@ -82,7 +81,6 @@ __all__ = [
     "GAME_MAX_LENGTH",
     "GameOutcome",
     "GameSolver",
-    "GameState",
     "InvalidLetterError",
     "InvalidPairError",
     "KNOWN_MAX_SD",

@@ -252,6 +252,12 @@ def _suite_bounds(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
+def _first_failure(pool, holds) -> words.Word | None:
+    """The first word of ``pool`` on which ``holds`` is false, or None; in
+    ``all_words`` order that is the least failing word."""
+    return next((w for w in pool if not holds(w)), None)
+
+
 def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
     rng = random.Random(_ORACLE_SEED)
     checks = []
@@ -267,11 +273,9 @@ def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
             )
             label = f"oracle n={n} sampled"
             count = _ORACLE_SAMPLES
-        bad = None
-        for w in pool:
-            if deletions.sd(w).value != deletions.brute_force_sd(w):
-                bad = w
-                break
+        bad = _first_failure(
+            pool, lambda w: deletions.sd(w).value == deletions.brute_force_sd(w)
+        )
         checks.append(
             (
                 label,
@@ -282,20 +286,18 @@ def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
+def _peels(w: words.Word) -> bool:
+    """Equal end letters add 2 to the lps of the word between them, unequal
+    ones 2 to its las."""
+    s = str(w)
+    length = deletions.lps_length if s[0] == s[-1] else deletions.las_length
+    return length(w) == 2 + length(words.parse_word(s[1:-1]))
+
+
 def _suite_peeling(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for n in range(2, max_n + 1):
-        bad = None
-        for w in words.all_words(n):
-            s = str(w)
-            inner = words.parse_word(s[1:-1])
-            if s[0] == s[-1]:
-                ok = deletions.lps_length(w) == 2 + deletions.lps_length(inner)
-            else:
-                ok = deletions.las_length(w) == 2 + deletions.las_length(inner)
-            if not ok:
-                bad = w
-                break
+        bad = _first_failure(words.all_words(n), _peels)
         checks.append(
             (
                 f"peeling n={n}",
@@ -306,18 +308,15 @@ def _suite_peeling(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
+def _orbit_constant(w: words.Word) -> bool:
+    orbit = (w, w.reverse(), w.complement())
+    return len({deletions.sd(v).value for v in orbit}) == 1
+
+
 def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
     checks = []
     for n in range(1, max_n + 1):
-        bad = None
-        for w in words.all_words(n):
-            value = deletions.sd(w).value
-            if (
-                deletions.sd(w.reverse()).value != value
-                or deletions.sd(w.complement()).value != value
-            ):
-                bad = w
-                break
+        bad = _first_failure(words.all_words(n), _orbit_constant)
         checks.append(
             (
                 f"group invariance n={n}",
@@ -498,9 +497,7 @@ def _cmd_game_play(args) -> int:
                 return 2
             actor = "you"
         else:
-            pos = game.engine_move(
-                game.GameState(word, mover), args.engine, last_letter, solver
-            )
+            pos = game.engine_move(word, mover, args.engine, last_letter, solver)
             actor = "engine"
         letter = word.letter_at(pos)
         word = word.delete(pos)

@@ -70,15 +70,6 @@ class Player(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class GameState:
-    word: Word
-    mover: Player
-
-    def is_terminal(self) -> bool:
-        return self.word.is_symmetric()
-
-
-@dataclass(frozen=True, slots=True)
 class GameOutcome:
     """Exact move count under optimal play plus one optimal line.
 
@@ -260,11 +251,13 @@ class GameSolver:
         lattice, k, i = self._locate(word, mover)
         return int(lattice.values[k][i])
 
-    def best_move(self, state: GameState) -> int:
-        """Lowest position whose successor preserves the minimax value."""
-        if state.is_terminal():
-            raise TerminalStateError(f"word {state.word} is already symmetric")
-        lattice, k, i = self._locate(state.word, state.mover)
+    def best_move(self, word: Word, mover: Player = Player.MINIMIZER) -> int:
+        """Lowest 1-based position of ``word`` whose deletion keeps the
+        minimax value with ``mover`` to move; a symmetric word raises
+        ``TerminalStateError``."""
+        if word.is_symmetric():
+            raise TerminalStateError(f"word {word} is already symmetric")
+        lattice, k, i = self._locate(word, mover)
         return lattice.move(k, i)[0]
 
     def outcome(self, word: Word, mover: Player = Player.MINIMIZER) -> GameOutcome:
@@ -347,42 +340,44 @@ def mirror_move(current: Word, opponent_deleted: str) -> int:
 
 
 def engine_move(
-    state: GameState,
+    word: Word,
+    mover: Player,
     mode: str = "exact",
     last_deleted: str | None = None,
     solver: GameSolver | None = None,
 ) -> int:
-    """Choose a move for ``state.mover``.
+    """Choose a 1-based position of ``word`` to delete for ``mover``.
 
     ``exact`` follows a principal line of the minimax solver.  ``heuristic``
     plays the mirror rule for the maximizer (position 1 when the opponent
-    has not moved yet) and, for the minimizer, picks the move whose
+    has not moved yet, else the leftmost letter complementary to
+    ``last_deleted``) and, for the minimizer, picks the move whose
     successor resolves fastest: the exact best move when successors fit the
     solver guard, else the move whose successor has the least sd.  Ties go
     to the leftmost position.  Values are exact, so one ``solver`` may serve
-    every move of a game.
+    every move of a game.  A symmetric word raises ``TerminalStateError``.
     """
-    if state.is_terminal():
-        raise TerminalStateError(f"word {state.word} is already symmetric")
+    if word.is_symmetric():
+        raise TerminalStateError(f"word {word} is already symmetric")
     solver = solver if solver is not None else GameSolver()
     if mode == "exact":
-        if len(state.word) > GAME_MAX_LENGTH:
+        if len(word) > GAME_MAX_LENGTH:
             raise LengthBudgetExceeded(
                 f"exact engine supports at most {GAME_MAX_LENGTH} letters"
             )
-        return solver.best_move(state)
+        return solver.best_move(word, mover)
     if mode != "heuristic":
         raise ValueError(f"unknown engine mode {mode!r}")
 
-    if state.mover is Player.MAXIMIZER:
+    if mover is Player.MAXIMIZER:
         if last_deleted is None:
             return 1
-        return mirror_move(state.word, last_deleted)
+        return mirror_move(word, last_deleted)
 
-    n = len(state.word)
+    n = len(word)
     if n <= GAME_MAX_LENGTH + 1:
-        return solver.best_move(state)
-    moves = _run_children(state.word.bits, n)
+        return solver.best_move(word, mover)
+    moves = _run_children(word.bits, n)
     return min(moves, key=lambda move: sd(Word(n - 1, move[1])).value)[0]
 
 

@@ -384,10 +384,10 @@ def sd_max(
     one to every row of a table.  Results come back one per chunk in chunk
     order, so the row, including the extremal words and their order, is
     the same for any worker count; ``config.progress_interval`` prints scan
-    totals to stderr, checked after each chunk.  ``words_evaluated`` counts the words sent to the
-    kernel, ``blocks_pruned`` the blocks with canonical words that the
-    bound skipped, and ``chunks`` and ``pooled`` how the row was
-    dispatched.
+    totals to stderr, checked after each chunk.  ``words_evaluated`` counts
+    the words sent to the kernel, ``blocks_pruned`` the blocks with
+    canonical words that the bound skipped, and ``chunks`` and ``pooled``
+    how the row was dispatched.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from palsym import cli, deletions, game, parse_word
+from palsym import bounds, cli, deletions, game, parse_word, search
 from palsym.cli import main
 
 
@@ -99,6 +99,17 @@ def test_table_compare_reference_ok(capsys):
     )
     assert code == 0
     assert "match" in err
+
+
+def test_table_compare_reference_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(search.KNOWN_MAX_SD, 10, 5)
+    code, out, err = run_cli(
+        capsys, "table", "--from", "1", "--to", "12", "--compare-paper",
+        "--jobs", "1",
+    )
+    assert code == 1
+    assert len(out.splitlines()) == 12
+    assert err == "MISMATCH n=10: computed 4, reference 5\n"
 
 
 def test_table_guard_exit_2(capsys):
@@ -340,24 +351,40 @@ def test_construct_invalid_pair(capsys):
 
 
 def test_verify_lemma4(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "lemma4", "--max-n", "1")
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma4", "--max-n", "1")
     assert code == 0
-    assert "14/14 checks passed" in out
+    assert err == ""
+    pairs = ((0, 0), (1, 0), (1, 1), (2, 1), (3, 1), (3, 2), (4, 2))
+    params = [(n, alpha, beta) for n in (0, 1) for alpha, beta in pairs]
+    sds = (1, 1, 1, 2, 2, 2, 3, 4, 4, 4, 5, 5, 5, 6)
+    lines = [
+        f"ok   family n={n} alpha={alpha} beta={beta}: "
+        f"length={length} sd={value} expected={value}"
+        for length, value, (n, alpha, beta) in zip(range(3, 17), sds, params)
+    ]
+    assert out == "\n".join(lines) + "\nsuite lemma4: 14/14 checks passed\n"
 
 
 def test_verify_oracle_small(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--suite", "oracle", "--max-n", "7"
     )
     assert code == 0
-    assert "7/7 checks passed" in out
+    assert err == ""
+    lines = [
+        f"ok   oracle n={n} exhaustive: {1 << n} words agree" for n in range(1, 8)
+    ]
+    assert out == "\n".join(lines) + "\nsuite oracle: 7/7 checks passed\n"
 
 
 def test_verify_peeling_small(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--suite", "peeling", "--max-n", "6"
     )
     assert code == 0
+    assert err == ""
+    lines = [f"ok   peeling n={n}: both identities hold" for n in range(2, 7)]
+    assert out == "\n".join(lines) + "\nsuite peeling: 5/5 checks passed\n"
 
 
 def test_verify_invariance_small(capsys):
@@ -379,17 +406,162 @@ def test_verify_invariance_small(capsys):
 
 
 def test_verify_bounds_small(capsys):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "verify", "--suite", "bounds", "--max-n", "10", "--jobs", "1"
     )
     assert code == 0
-    assert "exact n=10" in out
+    assert err == ""
+    # (n, lower = sd = reference, upper)
+    rows = [(2, 0, 1), (3, 1, 1), (4, 1, 2), (5, 1, 2), (6, 2, 3), (7, 2, 3),
+            (8, 2, 4), (9, 3, 4), (10, 4, 5)]
+    lines = []
+    for n, sd, upper in rows:
+        lines.append(f"ok   range n={n}: lower={sd} sd={sd} upper={upper}")
+        lines.append(f"ok   exact n={n}: sd={sd} lower={sd} reference={sd}")
+    assert out == "\n".join(lines) + "\nsuite bounds: 18/18 checks passed\n"
 
 
 def test_verify_game_small(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--suite", "game", "--max-n", "8")
+    code, out, err = run_cli(capsys, "verify", "--suite", "game", "--max-n", "8")
     assert code == 0
-    assert "game value n=8" in out
+    assert err == ""
+    assert out == (
+        "ok   game value n=6: best=3 (word aaaabb) needs >= 2\n"
+        "ok   game value n=7: best=3 (word aaaaabb) needs >= 3\n"
+        "ok   game value n=8: best=5 (word aaaaabbb) needs >= 4\n"
+        + "".join(
+            f"ok   game termination n={n}: all values <= {max(0, n - 2)}\n"
+            for n in range(1, 9)
+        )
+        + "suite game: 11/11 checks passed\n"
+    )
+
+
+def _wrong_on(real, texts, wrong):
+    """``real`` with the answer ``wrong(answer)`` on the words in ``texts``."""
+
+    def patched(word):
+        answer = real(word)
+        return wrong(answer) if str(word) in texts else answer
+
+    return patched
+
+
+def _one_more_sd(result):
+    return deletions.SdResult(result.value + 1, result.lps, result.las)
+
+
+def test_verify_lemma4_failure_exits_1(capsys, monkeypatch):
+    family_word = str(bounds.build_word(bounds.ConstructionParams(0, 2, 1)))
+    monkeypatch.setattr(
+        bounds, "sd", _wrong_on(deletions.sd, {family_word}, _one_more_sd)
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma4", "--max-n", "0")
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL family n=0 alpha=2 beta=1: length=6 sd=3 expected=2"
+    ]
+    assert lines[-1] == "suite lemma4: 6/7 checks passed"
+
+
+def test_verify_bounds_failure_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(search.KNOWN_MAX_SD, 10, 5)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "bounds", "--max-n", "10", "--jobs", "1"
+    )
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL exact n=10: sd=4 lower=4 reference=5"
+    ]
+    assert lines[-1] == "suite bounds: 17/18 checks passed"
+
+
+def test_verify_oracle_failure_names_least_word(capsys, monkeypatch):
+    monkeypatch.setattr(
+        deletions,
+        "brute_force_sd",
+        _wrong_on(deletions.brute_force_sd, {"abb", "bab"}, lambda v: v + 1),
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "4")
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "ok   oracle n=1 exhaustive: 2 words agree\n"
+        "ok   oracle n=2 exhaustive: 4 words agree\n"
+        "FAIL oracle n=3 exhaustive: mismatch at abb\n"
+        "ok   oracle n=4 exhaustive: 16 words agree\n"
+        "suite oracle: 3/4 checks passed\n"
+    )
+
+
+def test_verify_peeling_failure_names_least_word(capsys, monkeypatch):
+    # lps(aba) is 3; 2 breaks the identity at aba and at every word of
+    # length 5 whose middle three letters are aba, the least being aabaa
+    monkeypatch.setattr(
+        deletions,
+        "lps_length",
+        _wrong_on(deletions.lps_length, {"aba"}, lambda v: v - 1),
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "peeling", "--max-n", "5")
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "ok   peeling n=2: both identities hold\n"
+        "FAIL peeling n=3: fails at aba\n"
+        "ok   peeling n=4: both identities hold\n"
+        "FAIL peeling n=5: fails at aabaa\n"
+        "suite peeling: 2/4 checks passed\n"
+    )
+
+
+def test_verify_invariance_failure_names_least_word(capsys, monkeypatch):
+    # the orbit of abb is aab, abb, baa, bba; the check of aab reads aab,
+    # baa and bba only, so abb is the least failing word
+    monkeypatch.setattr(
+        deletions, "sd", _wrong_on(deletions.sd, {"abb"}, _one_more_sd)
+    )
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "invariance", "--max-n", "3", "--jobs", "1"
+    )
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "ok   group invariance n=1: sd constant on orbits\n"
+        "ok   group invariance n=2: sd constant on orbits\n"
+        "FAIL group invariance n=3: fails at abb\n"
+        "ok   pruning n=1: canonical-only max 0, full-scan max 0\n"
+        "ok   pruning n=2: canonical-only max 0, full-scan max 0\n"
+        "ok   pruning n=3: canonical-only max 1, full-scan max 1\n"
+        "suite invariance: 5/6 checks passed\n"
+    )
+
+
+def test_verify_game_failure_names_least_word(capsys, monkeypatch):
+    real = game.GameSolver._table
+    too_long = [parse_word("abbab").bits, parse_word("abaab").bits]
+
+    def table(self, m, maximizer):
+        values = real(self, m, maximizer)
+        if m == 5 and not maximizer:
+            values = values.copy()
+            values[too_long] = 4
+        return values
+
+    monkeypatch.setattr(game.GameSolver, "_table", table)
+    code, out, err = run_cli(capsys, "verify", "--suite", "game", "--max-n", "5")
+    assert code == 1
+    assert err == ""
+    assert out == "".join(
+        f"ok   game termination n={n}: all values <= {max(0, n - 2)}\n"
+        for n in range(1, 5)
+    ) + (
+        "FAIL game termination n=5: fails at abaab\n"
+        "suite game: 4/5 checks passed\n"
+    )
 
 
 def test_verify_guard_exit_2(capsys):

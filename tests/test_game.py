@@ -15,7 +15,6 @@ from palsym import (
     GAME_MAX_LENGTH,
     GameOutcome,
     GameSolver,
-    GameState,
     LengthBudgetExceeded,
     Player,
     TerminalStateError,
@@ -220,8 +219,7 @@ def test_lattice_outcome_matches_table_walk_sampled(tables, word, mover):
     assert solver.outcome(word, mover) == expected
     assert solver.value(word, mover) == expected.value
     if expected.value:
-        state = GameState(word, mover)
-        assert solver.best_move(state) == expected.principal_line[0]
+        assert solver.best_move(word, mover) == expected.principal_line[0]
 
 
 def test_solve_builds_no_tables(monkeypatch):
@@ -238,7 +236,7 @@ def test_solve_builds_no_tables(monkeypatch):
     assert solver.outcome(word, Player.MAXIMIZER).value == solver.value(
         word, Player.MAXIMIZER
     )
-    assert engine_move(GameState(word, Player.MINIMIZER), "exact") == (
+    assert engine_move(word, Player.MINIMIZER, "exact") == (
         outcome.principal_line[0]
     )
     assert solver.table_words == 0
@@ -348,10 +346,9 @@ def test_mirror_move():
 
 
 def test_engine_move_exact():
-    state = GameState(parse_word("aab"), Player.MINIMIZER)
-    assert engine_move(state, "exact") == 1
+    assert engine_move(parse_word("aab"), Player.MINIMIZER, "exact") == 1
     with pytest.raises(TerminalStateError):
-        engine_move(GameState(parse_word("ab"), Player.MINIMIZER), "exact")
+        engine_move(parse_word("ab"), Player.MINIMIZER, "exact")
 
 
 def test_engine_move_exact_is_optimal():
@@ -359,8 +356,7 @@ def test_engine_move_exact_is_optimal():
     for text in ("aabab", "aabbbb", "abaab"):
         word = parse_word(text)
         for mover in Player:
-            state = GameState(word, mover)
-            pos = engine_move(state, "exact")
+            pos = engine_move(word, mover, "exact")
             value = solver.value(word, mover)
             assert solver.value(word.delete(pos), mover.other) == value - 1
 
@@ -372,9 +368,8 @@ def test_engine_move_shared_solver_plays_same_game(mode):
     for text in ("aabbbbaaabbabbab", "abaabbbababbab", "aabab"):
         word, mover, last = parse_word(text), Player.MINIMIZER, None
         while not word.is_symmetric():
-            state = GameState(word, mover)
-            pos = engine_move(state, mode, last, shared)
-            assert pos == engine_move(state, mode, last)
+            pos = engine_move(word, mover, mode, last, shared)
+            assert pos == engine_move(word, mover, mode, last)
             last = word.letter_at(pos)
             word, mover = word.delete(pos), mover.other
     # The solve of an 18-letter word builds one lattice, levels of lengths
@@ -384,24 +379,23 @@ def test_engine_move_shared_solver_plays_same_game(mode):
     solver.outcome(word)
     assert (solver.lattice_levels, solver.states, solver.levels) == (16, 5071, 0)
     solver.value(word.delete(1), Player.MAXIMIZER)
-    solver.best_move(GameState(word.delete(1).delete(5), Player.MINIMIZER))
-    engine_move(GameState(word.delete(3), Player.MAXIMIZER), mode, "a", solver)
-    later = GameState(word.delete(3).delete(2), Player.MINIMIZER)
-    engine_move(later, mode, "b", solver)
+    solver.best_move(word.delete(1).delete(5), Player.MINIMIZER)
+    engine_move(word.delete(3), Player.MAXIMIZER, mode, "a", solver)
+    engine_move(word.delete(3).delete(2), Player.MINIMIZER, mode, "b", solver)
     assert (solver.lattice_levels, solver.states, solver.levels) == (16, 5071, 0)
 
 
 def test_engine_move_heuristic_mirror():
-    state = GameState(parse_word("aabbbb"), Player.MAXIMIZER)
-    pos = engine_move(state, "heuristic", last_deleted="a")
-    assert state.word.letter_at(pos) == "b"
+    word = parse_word("aabbbb")
+    pos = engine_move(word, Player.MAXIMIZER, "heuristic", last_deleted="a")
+    assert word.letter_at(pos) == "b"
     assert pos == 3  # leftmost b
 
 
 def test_engine_move_heuristic_minimizer_resolves_fast():
-    state = GameState(parse_word("aab"), Player.MINIMIZER)
-    pos = engine_move(state, "heuristic")
-    assert game_value(state.word.delete(pos)).value == 0
+    word = parse_word("aab")
+    pos = engine_move(word, Player.MINIMIZER, "heuristic")
+    assert game_value(word.delete(pos)).value == 0
 
 
 def _per_position_minimizer_move(word, solver):
@@ -433,10 +427,9 @@ def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
         for word in all_words(n):
             if word.is_symmetric():
                 continue
-            state = GameState(word, Player.MINIMIZER)
-            assert engine_move(state, "heuristic", solver=engine) == (
-                _per_position_minimizer_move(word, solver)
-            )
+            assert engine_move(
+                word, Player.MINIMIZER, "heuristic", solver=engine
+            ) == _per_position_minimizer_move(word, solver)
         assert engine.states == 0  # no lattice of its own was built
 
 
@@ -449,14 +442,13 @@ def test_engine_move_heuristic_minimizer_matches_loop_long(text):
     word = parse_word(text)
     if word.is_symmetric():
         return
-    state = GameState(word, Player.MINIMIZER)
     expected = _per_position_minimizer_move(word, GameSolver())
-    assert engine_move(state, "heuristic") == expected
+    assert engine_move(word, Player.MINIMIZER, "heuristic") == expected
 
 
 def test_engine_move_rejects_unknown_mode():
     with pytest.raises(ValueError):
-        engine_move(GameState(parse_word("aab"), Player.MINIMIZER), "mystery")
+        engine_move(parse_word("aab"), Player.MINIMIZER, "mystery")
 
 
 def test_transcript_from_principal_line():
