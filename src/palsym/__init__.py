@@ -57,7 +57,6 @@ from .search import (
     TableMismatch,
     compare_with_known,
     compute_table,
-    known_values,
     row_to_csv,
     row_to_json,
     sd_batch,
@@ -107,7 +106,6 @@ __all__ = [
     "engine_move",
     "family_bound",
     "game_value",
-    "known_values",
     "las_length",
     "lower_bound",
     "lps_length",

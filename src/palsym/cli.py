@@ -26,7 +26,6 @@ from . import bounds as bounds_mod
 from . import deletions, game, search, words
 from .errors import (
     InvalidLetterError,
-    InvalidPairError,
     LengthBudgetExceeded,
     TerminalStateError,
 )
@@ -635,13 +634,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InvalidLetterError,
-        InvalidPairError,
-        LengthBudgetExceeded,
-        TerminalStateError,
-        ValueError,
-    ) as exc:
+    except (TerminalStateError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,10 @@ F(n + 3) - 1 of them for a binary word (Flaxman, Harrow & Sorkin 2004),
 where a table of every word of each length up to n has 2^(n+1) entries.
 The forward pass builds the lattice level by level: a level is the sorted
 int64 array of the distinct non-symmetric words of one length, its
-children are all m single-letter deletions as one ``(states, m)`` array in
-position order, and ``np.unique`` gives both the next level and each
-child's index.  A symmetric child ends the game, so the walk stops there.
+children are all m single-letter deletions (``words._delete``) as one
+``(states, m)`` array in position order, and ``np.unique`` gives both the
+next level and each child's index.  A symmetric child
+(``words._is_symmetric``) ends the game, so the walk stops there.
 The backward pass fills each level's int8 values with 1 plus the min
 (minimizer) or max (maximizer) over its children, the mover alternating by
 level.  A solver keeps the last lattice it built, so the moves of one game
@@ -48,7 +49,9 @@ import numpy as np
 
 from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
-from .words import Word, _reverse_bits, complement_letter, parse_word
+from .words import (
+    Word, _delete, _is_symmetric, _reverse_bits, complement_letter, parse_word
+)
 
 # Exact solve and play.  The heuristic minimizer scores its moves exactly
 # up to one letter more, so raising this guard would change its moves on
@@ -89,7 +92,7 @@ def _run_children(bits: int, n: int):
     while starts:
         low = starts.bit_length() - 1
         starts ^= 1 << low
-        yield n - low, ((bits >> (low + 1)) << low) | (bits & ((1 << low) - 1))
+        yield n - low, _delete(bits, low)
 
 
 def _check_scan_length(m: int) -> None:
@@ -119,15 +122,11 @@ class _Lattice:
         self.words: list[np.ndarray] = []
         self.children: list[np.ndarray] = []
         low = np.arange(n - 1, -1, -1, dtype=np.int64)  # bit of position j + 1
-        high, below = low + 1, (1 << low) - 1  # length m reads the last m
         level, m = roots, n
         while level.size:
-            col = level[:, None]
-            kids = ((col >> high[n - m :]) << low[n - m :]) | (col & below[n - m :])
+            kids = _delete(level[:, None], low[n - m :])  # length m reads the last m
             distinct, inverse = np.unique(kids, return_inverse=True)
-            rev = _reverse_bits(distinct, m - 1)
-            complement = (1 << (m - 1)) - 1
-            keep = (distinct != rev) & (distinct != rev ^ complement)
+            keep = ~_is_symmetric(distinct, m - 1)
             index = keep.cumsum(dtype=np.int32) - 1
             nxt = distinct[keep]
             index[~keep] = nxt.size

@@ -377,9 +377,10 @@ def sd_max(
 
     The scan runs as tasks of ``_TASK`` words in ascending order, cut into
     chunks by the words each task sends to the kernel (``_chunk_plan``).
-    The row runs in this process when one worker is asked for, one task
-    covers the range or its counted words are below ``_POOL_WORDS``; else
-    on the pool that ``pool()`` returns.  Without ``pool`` the row is
+    The row runs in this process when one worker is asked for or its
+    counted words are below ``_POOL_WORDS``, as they always are for a row
+    of one task (at most ``_TASK``); else on the pool that ``pool()``
+    returns.  Without ``pool`` the row is
     ``compute_table(n, n, config)[0]``, which lends it a pool as it lends
     one to every row of a table.  Results come back one per chunk in chunk
     order, so the row, including the extremal words and their order, is
@@ -408,11 +409,7 @@ def sd_max(
     cuts = _chunk_plan(words)
     chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
     tables = [blocks.rows(n, c) for c in chunks]
-    pooled = (
-        config.worker_count > 1
-        and len(starts) > 1
-        and int(words.sum()) >= _POOL_WORDS
-    )
+    pooled = config.worker_count > 1 and int(words.sum()) >= _POOL_WORDS
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
@@ -503,11 +500,6 @@ KNOWN_MAX_SD = {
     19: 7,
     20: 8,
 }
-
-
-def known_values() -> dict[int, int]:
-    """The reference table of maximum sd values for 1 <= n <= 20."""
-    return dict(KNOWN_MAX_SD)
 
 
 def compare_with_known(rows: list[SdTableRow]) -> list[TableMismatch]:

@@ -4,10 +4,12 @@ A word is stored bit-packed in a single integer: the leftmost letter is the
 most significant bit, a is 0 and b is 1.  Equal-length words therefore
 compare lexicographically as plain integers, and the two symmetry
 transforms (reversal and letter complement) are cheap bit operations.
-``_reverse_bits`` and the canonical test ``_is_canonical`` are written with
-integer operators only, like ``deletions._mirror_lcs``, so the same code
-serves a Python ``int`` (``Word``) and an ``int64`` numpy array of packed
-words (the scan filter of ``search``, the symmetric words of ``game``).
+``_reverse_bits``, the canonical test ``_is_canonical``, the palindrome or
+antipalindrome test ``_is_symmetric`` and the one-letter deletion
+``_delete`` are written with integer operators only, like
+``deletions._mirror_lcs``, so the same code serves a Python ``int``
+(``Word``) and an ``int64`` numpy array of packed words (the scan filter of
+``search``, the symmetric words and the subsequence lattice of ``game``).
 """
 
 from __future__ import annotations
@@ -82,6 +84,21 @@ def _is_canonical(bits, n: int):
     return (bits <= rev) & (bits <= bits ^ mask) & (bits <= rev ^ mask)
 
 
+def _is_symmetric(bits, n: int):
+    """Whether each packed word of length n is a palindrome or an
+    antipalindrome; a ``bool`` for an ``int``, a boolean array for an
+    array."""
+    rev = _reverse_bits(bits, n)
+    return (bits == rev) | (bits == rev ^ _mask(n))
+
+
+def _delete(bits, low):
+    """Packed words left by deleting the letter at bit ``low`` (position
+    n - low of an n-letter word): the bits above it shift down by one.
+    ``low`` is an ``int`` or an array that broadcasts against ``bits``."""
+    return ((bits >> (low + 1)) << low) | (bits & ((1 << low) - 1))
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     """Immutable bit-packed word.
@@ -122,9 +139,7 @@ class Word:
         """A copy with the letter at a 1-based position removed."""
         if not 1 <= position <= self.length:
             raise IndexError(f"position {position} not in 1..{self.length}")
-        low = self.length - position
-        kept_low = self.bits & _mask(low)
-        return Word(self.length - 1, ((self.bits >> (low + 1)) << low) | kept_low)
+        return Word(self.length - 1, _delete(self.bits, self.length - position))
 
     def reverse(self) -> Word:
         return Word(self.length, _reverse_bits(self.bits, self.length))
@@ -156,7 +171,7 @@ class Word:
 
     def is_symmetric(self) -> bool:
         """Palindrome or antipalindrome."""
-        return self.symmetry_class() is not SymmetryClass.NEITHER
+        return _is_symmetric(self.bits, self.length)
 
 
 def parse_word(text: str, allow_digits: bool = False) -> Word:

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from palsym import (
+    KNOWN_MAX_SD,
     GameSolver,
     Player,
     SearchConfig,
@@ -20,7 +21,6 @@ from palsym import (
     brute_force_sd,
     compute_table,
     game_value,
-    known_values,
     las_length,
     lower_bound,
     lps_length,
@@ -74,12 +74,11 @@ def test_criterion_1_table_reproduction(capsys):
 
 
 def test_criterion_2_bounds_and_exactness(rows_2_to_22, capsys):
-    table = known_values()
     for row in rows_2_to_22:
         assert lower_bound(row.n) <= row.sd <= upper_bound(row.n), row
         assert row.sd == lower_bound(row.n), row
         if row.n <= 20:
-            assert row.sd == table[row.n], row
+            assert row.sd == KNOWN_MAX_SD[row.n], row
     with capsys.disabled():
         print(
             "ACCEPTANCE 2 PASS: lower <= max sd <= upper for n in 2..22, "

@@ -29,8 +29,8 @@ from palsym import (
     sd,
     transcript,
 )
-from palsym.game import _Lattice
-from palsym.words import Word, _reverse_bits
+from palsym.game import _Lattice, _symmetric_words
+from palsym.words import Word, _is_symmetric
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +50,7 @@ def _full_lattice(n, maximizer):
     """Every non-symmetric word of length n, ascending, and one lattice
     rooted at all of them."""
     words = np.arange(1 << n, dtype=np.int64)
-    rev = _reverse_bits(words, n)
-    roots = words[(words != rev) & (words != rev ^ ((1 << n) - 1))]
+    roots = words[~_is_symmetric(words, n)]
     return roots, _Lattice(roots, n, maximizer)
 
 
@@ -126,6 +125,15 @@ def test_memo_agrees_with_plain_recursion():
     for n in range(7):
         for w in all_words(n):
             assert solver.value(w) == plain(w, Player.MINIMIZER)
+
+
+def test_symmetric_words_match_packed_test():
+    """The symmetric words that the value tables zero, built from their
+    halves, are exactly the words of length m that ``_is_symmetric``
+    marks, each once."""
+    for m in range(1, 17):
+        marked = np.flatnonzero(_is_symmetric(np.arange(1 << m, dtype=np.int64), m))
+        assert np.sort(_symmetric_words(m)).tolist() == marked.tolist()
 
 
 def test_max_game_value_small():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from palsym import (
+    KNOWN_MAX_SD,
     MAX_SEARCH_LENGTH,
     LengthBudgetExceeded,
     SdTableRow,
@@ -14,7 +15,6 @@ from palsym import (
     all_words,
     compare_with_known,
     compute_table,
-    known_values,
     lower_bound,
     parse_word,
     row_to_csv,
@@ -136,8 +136,7 @@ def test_conjectured_third_fails_at_10():
 
 def test_rows_match_reference_prefix():
     rows = compute_table(1, 12, ONE)
-    table = known_values()
-    assert [r.sd for r in rows] == [table[n] for n in range(1, 13)]
+    assert [r.sd for r in rows] == [KNOWN_MAX_SD[n] for n in range(1, 13)]
     assert compare_with_known(rows) == []
 
 
@@ -205,8 +204,7 @@ def _counted_words(n):
 
 @pytest.fixture
 def pool_every_row(monkeypatch):
-    """Send every row of more than one task to a pool, however little
-    kernel work it counts."""
+    """Send every row to a pool, however little kernel work it counts."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
 
 
@@ -253,24 +251,28 @@ def test_pool_sized_by_task_count(pool_every_row, recorded):
 
 
 def test_compute_table_starts_one_pool(pool_every_row, recorded):
-    """Rows 16..19 share one pool sized by row 19's 16 tasks; a table whose
-    rows are all one task starts none.  The rows are the one-worker rows."""
+    """Rows 1..19 share one pool sized by row 19's 16 tasks, and a table
+    whose rows are all one task gets a pool of one worker.  The rows are
+    the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    assert recorded == [("open", 8)] + [("map", n) for n in (16, 17, 18, 19)]
+    assert recorded == [("open", 8)] + [("map", n) for n in range(1, 20)]
     assert rows == compute_table(1, 19, ONE)
+    del recorded[:]
     assert compute_table(1, 15, SearchConfig(worker_count=8)) == compute_table(
         1, 15, ONE
     )
-    assert len(recorded) == 5
+    assert recorded == [("open", 1)] + [("map", n) for n in range(1, 16)]
 
 
 def test_small_rows_open_no_pool(recorded):
     """No row up to 22 counts enough kernel words to pay for a pool, so
-    eight workers run the whole table in this process."""
+    eight workers run the whole table in this process.  A row of one task
+    counts at most ``_TASK`` words, so it never pools."""
     rows = compute_table(1, 22, SearchConfig(worker_count=8))
     assert recorded == []
     assert not any(row.pooled for row in rows)
     assert max(_counted_words(n).sum() for n in range(1, 23)) < search._POOL_WORDS
+    assert search._TASK < search._POOL_WORDS
 
 
 def test_pool_opens_at_the_first_row_over_the_threshold(monkeypatch, recorded):
@@ -516,8 +518,7 @@ def test_guards():
 
 
 def test_known_values_sequence():
-    table = known_values()
-    assert [table[n] for n in range(1, 21)] == [
+    assert [KNOWN_MAX_SD[n] for n in range(1, 21)] == [
         0, 0, 1, 1, 1, 2, 2, 2, 3, 4, 4, 4, 5, 5, 5, 6, 7, 7, 7, 8,
     ]
 

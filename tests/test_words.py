@@ -12,7 +12,7 @@ from palsym import (
     complement_letter,
     parse_word,
 )
-from palsym.words import _is_canonical, _reverse_bits
+from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
 word_texts = st.text(alphabet="ab", max_size=14)
 
@@ -209,6 +209,47 @@ def test_packed_transforms_sampled(n, data):
     sign bit of an int64 array word."""
     bits = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1))
     _check_packed_transforms(n, [Word(n, b) for b in bits])
+
+
+def _check_packed_symmetry_and_deletion(n, ws):
+    """_is_symmetric and _delete on the words ws of length n, each as an
+    int and all as one int64 array, against the symmetry class and the
+    text with one letter removed; the array deletion also takes every
+    position at once as an array of bits."""
+    symmetric = [w.symmetry_class() is not SymmetryClass.NEITHER for w in ws]
+    arr = np.array([w.bits for w in ws], dtype=np.int64)
+    assert [_is_symmetric(w.bits, n) for w in ws] == symmetric
+    assert [w.is_symmetric() for w in ws] == symmetric
+    assert _is_symmetric(arr, n).tolist() == symmetric
+    texts = [str(w) for w in ws]
+    every = _delete(arr[:, None], np.arange(n - 1, -1, -1, dtype=np.int64))
+    for pos in range(1, n + 1):
+        kept = [parse_word(t[: pos - 1] + t[pos:]).bits for t in texts]
+        assert [_delete(w.bits, n - pos) for w in ws] == kept
+        assert _delete(arr, n - pos).tolist() == kept
+        assert every[:, pos - 1].tolist() == kept
+
+
+def test_packed_symmetry_and_deletion_exhaustive():
+    """Every packed word of 0..14 letters, at every position."""
+    for n in range(15):
+        _check_packed_symmetry_and_deletion(n, list(all_words(n)))
+
+
+@given(st.integers(15, 63), st.data())
+def test_packed_symmetry_and_deletion_sampled(n, data):
+    """Samples at 15..63 letters, with a palindrome and an antipalindrome
+    built from each sampled left half."""
+    half = n // 2
+    bits = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1))
+    ws = [Word(n, b) for b in bits]
+    for w in ws[:4]:
+        left = str(w)[:half]
+        mirrored = left[::-1]
+        ws.append(parse_word(left + str(w)[half : n - half] + mirrored))
+        if n % 2 == 0:
+            ws.append(parse_word(left + mirrored.translate(str.maketrans("ab", "ba"))))
+    _check_packed_symmetry_and_deletion(n, ws)
 
 
 def test_delete_positions():
