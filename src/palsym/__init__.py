@@ -7,120 +7,98 @@ given length for the maximum distance, checks the closed-form bounds and
 the extremal word family that attains them, and solves the adversarial
 deletion game in which one player prolongs and the other shortens the path
 to a symmetric word.
+
+The exports in ``__all__`` are resolved on first use (PEP 562): reading
+``palsym.sd`` imports ``palsym.deletions`` and returns its ``sd``, the same
+object at every read, and ``palsym.search`` imports the submodule.  So
+``import palsym`` loads no module of the package, and a command imports
+only what it runs: numpy only where arrays are built, the process pool
+only when one opens.
 """
 
-from .bounds import (
-    ConstructionParams,
-    FamilyCheck,
-    VALID_PAIRS,
-    build_word,
-    family_bound,
-    lower_bound,
-    upper_bound,
-    verify_family,
-)
-from .deletions import (
-    ORACLE_MAX_LENGTH,
-    DeletionWitness,
-    SdResult,
-    brute_force_sd,
-    las_length,
-    lps_length,
-    sd,
-    sd_witness,
-)
-from .errors import (
-    InvalidLetterError,
-    InvalidPairError,
-    LengthBudgetExceeded,
-    TerminalStateError,
-)
-from .game import (
-    GAME_MAX_LENGTH,
-    SCAN_MAX_LENGTH,
-    GameOutcome,
-    GameSolver,
-    Player,
-    engine_move,
-    game_value,
-    max_game_value,
-    mirror_move,
-    opening_word,
-    replay,
-    transcript,
-)
-from .search import (
-    KNOWN_MAX_SD,
-    MAX_SEARCH_LENGTH,
-    SdTableRow,
-    SearchConfig,
-    TableMismatch,
-    compare_with_known,
-    compute_table,
-    row_to_csv,
-    row_to_json,
-    sd_batch,
-    sd_max,
-)
-from .words import (
-    MAX_LENGTH,
-    SymmetryClass,
-    Word,
-    all_words,
-    complement_letter,
-    parse_word,
-)
+import importlib
+
+# The module that defines each export.
+_EXPORTS = {
+    "bounds": (
+        "ConstructionParams",
+        "FamilyCheck",
+        "VALID_PAIRS",
+        "build_word",
+        "family_bound",
+        "lower_bound",
+        "upper_bound",
+        "verify_family",
+    ),
+    "deletions": (
+        "ORACLE_MAX_LENGTH",
+        "DeletionWitness",
+        "SdResult",
+        "brute_force_sd",
+        "las_length",
+        "lps_length",
+        "sd",
+        "sd_witness",
+    ),
+    "errors": (
+        "InvalidLetterError",
+        "InvalidPairError",
+        "LengthBudgetExceeded",
+        "TerminalStateError",
+    ),
+    "game": (
+        "GAME_MAX_LENGTH",
+        "SCAN_MAX_LENGTH",
+        "GameOutcome",
+        "GameSolver",
+        "Player",
+        "engine_move",
+        "game_value",
+        "max_game_value",
+        "mirror_move",
+        "opening_word",
+        "replay",
+        "transcript",
+    ),
+    "search": (
+        "KNOWN_MAX_SD",
+        "MAX_SEARCH_LENGTH",
+        "SdTableRow",
+        "SearchConfig",
+        "TableMismatch",
+        "compare_with_known",
+        "compute_table",
+        "row_to_csv",
+        "row_to_json",
+        "sd_batch",
+        "sd_max",
+    ),
+    "words": (
+        "MAX_LENGTH",
+        "SymmetryClass",
+        "Word",
+        "all_words",
+        "complement_letter",
+        "parse_word",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(("cli", *_EXPORTS))
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstructionParams",
-    "DeletionWitness",
-    "FamilyCheck",
-    "GAME_MAX_LENGTH",
-    "GameOutcome",
-    "GameSolver",
-    "InvalidLetterError",
-    "InvalidPairError",
-    "KNOWN_MAX_SD",
-    "LengthBudgetExceeded",
-    "MAX_LENGTH",
-    "MAX_SEARCH_LENGTH",
-    "ORACLE_MAX_LENGTH",
-    "Player",
-    "SCAN_MAX_LENGTH",
-    "SdResult",
-    "SdTableRow",
-    "SearchConfig",
-    "SymmetryClass",
-    "TableMismatch",
-    "TerminalStateError",
-    "VALID_PAIRS",
-    "Word",
-    "all_words",
-    "brute_force_sd",
-    "build_word",
-    "compare_with_known",
-    "complement_letter",
-    "compute_table",
-    "engine_move",
-    "family_bound",
-    "game_value",
-    "las_length",
-    "lower_bound",
-    "lps_length",
-    "max_game_value",
-    "mirror_move",
-    "opening_word",
-    "parse_word",
-    "replay",
-    "row_to_csv",
-    "row_to_json",
-    "sd",
-    "sd_batch",
-    "sd_max",
-    "sd_witness",
-    "transcript",
-    "upper_bound",
-    "verify_family",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """An export, read from its module at each access so that it is always
+    that module's object, or a submodule, imported on first use."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

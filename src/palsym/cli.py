@@ -16,14 +16,16 @@ input after the reports of the words before it, with exit code 2.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import random
 import sys
 import time
+from functools import cache
 
 from . import bounds as bounds_mod
-from . import deletions, game, search, words
+from . import deletions, words
 from .errors import (
     InvalidLetterError,
     LengthBudgetExceeded,
@@ -138,6 +140,8 @@ def _cmd_sd(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import search
+
     config = search.SearchConfig(
         worker_count=_jobs(args.jobs),
         extremal_limit=args.extremal_limit,
@@ -229,6 +233,8 @@ def _suite_lemma4(max_n: int, jobs: int) -> list[Check]:
 
 
 def _suite_bounds(max_n: int, jobs: int) -> list[Check]:
+    from . import search
+
     config = search.SearchConfig(worker_count=jobs)
     checks = []
     for row in search.compute_table(2, max_n, config):
@@ -313,6 +319,8 @@ def _orbit_constant(w: words.Word) -> bool:
 
 
 def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
+    from . import search
+
     checks = []
     for n in range(1, max_n + 1):
         bad = _first_failure(words.all_words(n), _orbit_constant)
@@ -338,6 +346,8 @@ def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
 
 
 def _suite_game(max_n: int, jobs: int) -> list[Check]:
+    from . import game
+
     checks = []
     for n in range(6, max_n + 1):
         value, word = game.max_game_value(n)
@@ -365,21 +375,29 @@ def _suite_game(max_n: int, jobs: int) -> list[Check]:
     return checks
 
 
-# suite name -> (runner, default --max-n, smallest and largest allowed
-# --max-n); below the smallest a suite would run no check at all.
+def _guard(module: str, name: str):
+    """A module's guard, read when the suite runs, so that importing the
+    CLI does not import the module."""
+    return lambda: getattr(importlib.import_module(f".{module}", __package__), name)
+
+
+# suite name -> (runner, default --max-n, smallest allowed --max-n, largest
+# allowed --max-n or a guard that gives it); below the smallest a suite
+# would run no check at all.
 _SUITES = {
     "lemma4": (_suite_lemma4, 4, 0, 7),
-    "bounds": (_suite_bounds, 14, 2, search.MAX_SEARCH_LENGTH),
+    "bounds": (_suite_bounds, 14, 2, _guard("search", "MAX_SEARCH_LENGTH")),
     "oracle": (_suite_oracle, 10, 1, deletions.ORACLE_MAX_LENGTH),
     "peeling": (_suite_peeling, 12, 2, 16),
     "invariance": (_suite_invariance, 10, 1, 14),
-    "game": (_suite_game, 10, 1, game.SCAN_MAX_LENGTH),
+    "game": (_suite_game, 10, 1, _guard("game", "SCAN_MAX_LENGTH")),
 }
 
 
 def _cmd_verify(args) -> int:
     suite = args.suite
     runner, default_max_n, lowest, guard = _SUITES[suite]
+    guard = guard() if callable(guard) else guard
     max_n = args.max_n if args.max_n is not None else default_max_n
     if max_n < lowest or max_n > guard:
         print(
@@ -410,6 +428,8 @@ def _print_game_stats(start: float, counts: str) -> None:
 
 
 def _cmd_game_solve(args) -> int:
+    from . import game
+
     word = words.parse_word(args.word, allow_digits=args.digits)
     start = time.perf_counter()
     solver = game.GameSolver()
@@ -434,6 +454,8 @@ def _cmd_game_solve(args) -> int:
 
 
 def _cmd_game_best(args) -> int:
+    from . import game
+
     start = time.perf_counter()
     solver = game.GameSolver()
     value, word = game.max_game_value(args.n, solver)
@@ -470,6 +492,8 @@ def _read_position(word: words.Word) -> int | None:
 
 
 def _cmd_game_play(args) -> int:
+    from . import game
+
     word = words.parse_word(args.word, allow_digits=args.digits)
     if args.engine == "exact" and len(word) > game.GAME_MAX_LENGTH:
         print(
@@ -629,9 +653,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built at the
+    first; parsing keeps no state in it between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (TerminalStateError, ValueError) as exc:

@@ -12,7 +12,8 @@ only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
 words of different lengths packed as 64-bit lanes of one Python ``int``
 ("SIMD within a register"; ``sd_words``).  There each lane has its own
 length mask, and a lane joins the pass at the step of its word's first
-letter, so one pass answers a whole chunk of words.
+letter, so one pass answers a whole chunk of words.  Only the witness
+tables build arrays, so only ``_tables`` and ``sd_witnesses`` import numpy.
 
 The classic interval recurrence for the longest palindromic (P) or
 antipalindromic (A) subsequence of w_i..w_j is
@@ -37,11 +38,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .errors import LengthBudgetExceeded
 from .words import SymmetryClass, Word, parse_word
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The oracle's length guard, and so the top of `verify --suite oracle
 # --max-n`, whose range stays 1..22.  At 22 letters the walk takes about
@@ -53,6 +57,8 @@ _SWAP = str.maketrans("ab", "ba")
 # Bits per lane of a packed chunk (``_pack``): a word of up to 63 letters
 # and the bit its sums may carry into.
 _LANE = 64
+# Adds the eight bytes of a 64-bit lane into its top byte.
+_BYTE_SUM = 0x0101010101010101
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +100,8 @@ def _tables(bits: np.ndarray, n: int, pal: np.ndarray) -> np.ndarray:
     ``T(i+1, j-1) + 2``.  Entries below the diagonal stay 0, the empty
     interval, so ``T(i+1, i)`` reads 0.
     """
+    import numpy as np
+
     letters = (bits[:, None] >> np.arange(n - 1, -1, -1)) & 1
     match = letters[:, :, None] == letters[:, None, :]
     np.equal(match, pal[:, None, None], out=match)  # where end pairs count
@@ -169,10 +177,30 @@ def _pack(ws: Sequence[Word]) -> tuple[int, int, dict[int, int]]:
     return bits, longest, starts
 
 
+@cache
+def _lane_masks(width: int) -> tuple[int, int, int]:
+    """The bytes 0x55, 0x33 and 0x0f over 2^width lanes, which serve any
+    int of as many lanes or fewer."""
+    ones = (1 << (_LANE << width)) - 1
+    return ones // 3, ones // 5, ones // 17
+
+
 def _lane_counts(vector: int, lanes: int) -> list[int]:
-    """Set bits in each 64-bit lane of ``vector``."""
-    words = np.frombuffer(vector.to_bytes(lanes * 8, "little"), "<u8")
-    return np.bitwise_count(words).tolist()
+    """Set bits in each 64-bit lane of ``vector``.
+
+    A SWAR popcount of the whole int leaves each byte's count in that byte
+    (no mask lets a sum cross into the next lane), and one multiply adds
+    the eight counts of each lane into its top byte.  Over 64 lanes this
+    takes about 3 us, against 2 us for ``np.bitwise_count`` on the lanes
+    and 4.5 us for ``int.bit_count`` on each (2-vCPU Xeon VM, Python
+    3.11.7), and it needs no numpy.
+    """
+    m1, m2, m4 = _lane_masks((lanes - 1).bit_length())
+    x = vector - ((vector >> 1) & m1)
+    x = (x & m2) + ((x >> 2) & m2)
+    x = (x + (x >> 4)) & m4
+    size = lanes * (_LANE // 8)
+    return list((x * _BYTE_SUM).to_bytes(size + 8, "little")[7::8][:lanes])
 
 
 def sd_words(ws: Sequence[Word]) -> list[SdResult]:
@@ -207,6 +235,8 @@ def sd_witnesses(ws: Sequence[Word]) -> list[DeletionWitness]:
     """``sd_witness`` of every word: one kernel pass gives their ``sd``
     and targets, one batched interval table holds the table of each word's
     target, and each word is backtracked through its own table."""
+    import numpy as np
+
     results = sd_words(ws)
     targets = [r.lps >= r.las for r in results]  # palindrome, else anti
     n = max((w.length for w in ws), default=0)

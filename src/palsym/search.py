@@ -54,11 +54,10 @@ import os
 import sys
 import time
 from collections.abc import Callable
-from concurrent.futures import Executor, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import cache, partial
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -72,6 +71,9 @@ from .bounds import (
 from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 # Row 32 takes 6.1 to 8.5 s on two cores (2-vCPU Xeon VM, 7 runs, median
 # 6.7 s); each row below it takes less.
@@ -99,6 +101,19 @@ _BUDGET = 1 << 16
 # row 25 (316 k) 0.084 against 0.080 s and row 26 (779 k) 0.24 against
 # 0.19 s; starting and stopping the pool takes about 12 ms of that.
 _POOL_WORDS = 1 << 18
+
+
+def __getattr__(name: str):
+    # The pool class is read as ``search.ProcessPoolExecutor`` when a pool
+    # opens, so that tests and tracers can replace it; the pool machinery
+    # (multiprocessing) is imported on that first read.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Block classes: whether no word, every word or only some words of a block
 # are canonical.
@@ -469,9 +484,12 @@ def compute_table(
     # fork starts every worker at the first submit, so the pool has no more
     # workers than the largest row has tasks
     workers = min(config.worker_count, len(_task_starts(n_max)))
+    module = sys.modules[__name__]
     with ExitStack() as stack:
         pool = cache(
-            lambda: stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            lambda: stack.enter_context(
+                module.ProcessPoolExecutor(max_workers=workers)
+            )
         )
         return [sd_max(n, config, pool=pool) for n in range(n_min, n_max + 1)]
 

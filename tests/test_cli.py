@@ -1,9 +1,15 @@
+import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import palsym
 from palsym import bounds, cli, deletions, game, parse_word, search
 from palsym.cli import main
 
@@ -740,3 +746,113 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["table", "--from", "1"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------- start-up
+
+# (argv, stdin) of calls made one after another through one parser, among
+# them error paths and help
+_CALLS = [
+    (["sd", "abbab", "ba"], ""),
+    (["sd", "--witness", "abbab", "--format", "json"], ""),
+    (["sd", "--stdin"], "aab\nabba\n"),
+    (["sd", "abbab"], ""),
+    (["table", "--from", "1", "--to", "8", "--jobs", "1", "--stats"], ""),
+    (["verify", "--suite", "lemma4"], ""),
+    (["game", "best", "6", "--stats"], ""),
+    (["game", "solve", "abbab", "--stats"], ""),
+    (["sd", "axb"], ""),
+    (["table", "--from", "1", "--to", "4", "--jobs", "0"], ""),
+    (["verify", "--suite", "game", "--max-n", "23"], ""),
+    (["verify"], ""),
+    (["--help"], ""),
+    (["game", "solve", "--help"], ""),
+    (["sd"], ""),
+    (["sd", "ab", "--witness"], ""),
+]
+_CODES = [0, 0, 0, 0, 0, 0, 0, 0, 2, 2, 2, "exit 2", "exit 0", "exit 0", 2, 0]
+
+
+def _outcome(capsys, monkeypatch, argv, stdin):
+    """Exit code, stdout and stderr of one call, timings left out."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    out, err = capsys.readouterr()
+    return code, out, re.sub(r"elapsed=\S+ |words_per_s=\d+ ", "", err)
+
+
+def test_reused_parser_answers_like_a_fresh_one(capsys, monkeypatch):
+    """``main`` parses every call of a process with one parser: a sequence
+    of calls, error paths and help included, prints the same and exits the
+    same as each call through a parser built for it."""
+    assert cli._parser() is cli._parser()
+    shared = [_outcome(capsys, monkeypatch, *call) for call in _CALLS]
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [_outcome(capsys, monkeypatch, *call) for call in _CALLS]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == _CODES
+
+
+def test_parsed_values_do_not_leak_between_calls(capsys):
+    """A namespace changed by one call leaves the next call's defaults as
+    a fresh parser gives them."""
+    parser = cli._parser()
+    args = parser.parse_args(["sd", "--witness", "ab"])
+    args.words.append("bbb")
+    args.witness = False
+    for argv in (["sd"], ["sd", "ba"], ["sd", "--witness"]):
+        assert parser.parse_args(argv) == cli.build_parser().parse_args(argv)
+    assert run_cli(capsys, "sd") == (
+        2, "", "no words given; pass words or use --stdin\n"
+    )
+    code, out, _ = run_cli(capsys, "sd", "ba")
+    assert (code, out) == (0, "ba length=2 class=antipalindrome lps=1 las=2 sd=0\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, unused",
+    [
+        (["construct", "1", "0", "0"], "", ("numpy", "palsym.search", "palsym.game")),
+        (["sd", "abba"], "", ("numpy", "palsym.search", "palsym.game")),
+        (["sd", "--stdin"], "aab\nabba\n" + "ab" * 31 + "\n", ("numpy",)),
+        (["game", "solve", "abbab"], "", ("concurrent.futures.process",)),
+        (["sd", "--witness", "abba"], "", ("concurrent.futures.process",)),
+    ],
+    ids=["construct", "sd", "sd-stdin", "game-solve", "sd-witness"],
+)
+def test_command_imports_only_what_it_uses(argv, stdin, unused):
+    """In a fresh interpreter, a command that builds no array leaves numpy
+    unimported, and one that opens no pool the pool machinery."""
+    script = (
+        "import sys\n"
+        "from palsym import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        f"print(sorted(set({unused!r}) & set(sys.modules)), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    src = str(Path(palsym.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines()[-1] == "[]"
+
+
+def test_package_exports_are_their_modules_objects():
+    """Every name of ``palsym.__all__`` reads as the object its module
+    defines, at every read."""
+    for name in palsym.__all__:
+        module = importlib.import_module(f"palsym.{palsym._HOME[name]}")
+        obj = getattr(palsym, name)
+        assert obj is vars(module)[name] is getattr(palsym, name)
+        assert getattr(obj, "__module__", module.__name__) == module.__name__
+    assert set(palsym.__all__) <= set(dir(palsym))
+    assert palsym.search is search and palsym.cli is cli
+    with pytest.raises(AttributeError):
+        palsym.no_such_name

@@ -17,7 +17,7 @@ from palsym import (
     sd,
     sd_witness,
 )
-from palsym.deletions import _tables, sd_witnesses, sd_words
+from palsym.deletions import _lane_counts, _tables, sd_witnesses, sd_words
 
 from _helpers import (
     batched_table_lengths,
@@ -192,6 +192,33 @@ mixed_batches = st.lists(
     min_size=1,
     max_size=12,
 )
+
+
+_LANE_ONES = (1 << 64) - 1
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0),
+            st.just(_LANE_ONES),
+            st.integers(1 << 63, _LANE_ONES),
+            st.integers(0, _LANE_ONES),
+        ),
+        min_size=1,
+        max_size=64,
+    )
+)
+@example([_LANE_ONES] * 64)
+@example([1 << 63, 0, _LANE_ONES, 0])
+@example([0] * 33)
+@settings(max_examples=200, deadline=None)
+def test_lane_counts_match_numpy(lanes):
+    """The numpy-free lane popcount equals ``np.bitwise_count`` on the
+    lanes: empty and all-ones lanes, bit 63 set, 1..64 lanes."""
+    vector = sum(v << (64 * k) for k, v in enumerate(lanes))
+    expected = np.bitwise_count(np.array(lanes, np.uint64)).tolist()
+    assert _lane_counts(vector, len(lanes)) == expected
 
 
 @given(mixed_batches)
