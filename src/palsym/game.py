@@ -15,11 +15,14 @@ n-letter word reaches only the word's distinct subsequences, at most
 F(n + 3) - 1 of them for a binary word (Flaxman, Harrow & Sorkin 2004),
 where a table of every word of each length up to n has 2^(n+1) entries.
 The forward pass builds the lattice level by level: a level is the sorted
-int64 array of the distinct non-symmetric words of one length, its
+int64 array of the distinct non-symmetric words of one length, and its
 children are all m single-letter deletions (``words._delete``) as one
-``(states, m)`` array in position order, and ``np.unique`` gives both the
-next level and each child's index.  A symmetric child
-(``words._is_symmetric``) ends the game, so the walk stops there.
+``(states, m)`` array in position order.  The next level is found by
+direct addressing over the 2^(m-1) words of the child length, with no
+sort: the children are marked in a bool table, the symmetric words of
+that length (``_symmetric_words``, built once per length) are read from
+it and cleared, since a symmetric child ends the game, and the marks left
+are the next level in ascending order.
 The backward pass fills each level's int8 values with 1 plus the min
 (minimizer) or max (maximizer) over its children, the mover alternating by
 level.  A solver keeps the last lattice it built, so the moves of one game
@@ -42,6 +45,7 @@ is the first letter of the leftmost such run.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -49,13 +53,11 @@ import numpy as np
 
 from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
-from .words import (
-    Word, _delete, _is_symmetric, _reverse_bits, complement_letter, parse_word
-)
+from .words import Word, _delete, _reverse_bits, complement_letter, parse_word
 
 # Exact solve and play.  The heuristic minimizer scores its moves exactly
 # up to one letter more, so raising this guard would change its moves on
-# longer words, although a lattice of 26 letters takes about 0.6 s.
+# longer words, although a lattice of 26 letters takes about 0.25 s.
 GAME_MAX_LENGTH = 20
 # Full scan over starting words and the longest table built: 8 MB of
 # tables at n = 22.  No lattice is built past it either: at most
@@ -113,6 +115,14 @@ class _Lattice:
     deleting each letter of ``words[k][i]``.  ``values[k]`` holds one int8
     value per word of level k and then a 0 that stands for every symmetric
     word, so a child that ends the game points one past the level's words.
+
+    Each level's children are marked in a bool table over the 2^(m-1)
+    words of their length m - 1, at most 2^21 entries under the guard.
+    The symmetric words of that length are read from the table and only
+    those marked are cleared, so a level writes only where its children
+    fall.  The marks left, in order, are the next level, and an int32
+    index written only at the children maps each child to its place
+    there, or one past the level's end for a symmetric child.
     """
 
     __slots__ = ("length", "maximizer", "words", "children", "values")
@@ -125,13 +135,18 @@ class _Lattice:
         level, m = roots, n
         while level.size:
             kids = _delete(level[:, None], low[n - m :])  # length m reads the last m
-            distinct, inverse = np.unique(kids, return_inverse=True)
-            keep = ~_is_symmetric(distinct, m - 1)
-            index = keep.cumsum(dtype=np.int32) - 1
-            nxt = distinct[keep]
-            index[~keep] = nxt.size
+            present = np.zeros(1 << (m - 1), dtype=bool)
+            present[kids] = True
+            ends = _symmetric_words(m - 1)
+            # a gather: clearing every symmetric word would touch every page
+            ends = ends[present[ends]]
+            present[ends] = False
+            nxt = np.flatnonzero(present)
+            index = np.empty(present.size, dtype=np.int32)  # read only at the kids
+            index[ends] = nxt.size
+            index[nxt] = np.arange(nxt.size, dtype=np.int32)
             self.words.append(level)
-            self.children.append(index[inverse].reshape(kids.shape))
+            self.children.append(index[kids])
             level, m = nxt, m - 1
         # every word below the last level is symmetric
         symmetric = values = np.zeros(1, dtype=np.int8)
@@ -276,18 +291,23 @@ def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:
     return solver.outcome(word)
 
 
+@functools.cache
 def _symmetric_words(m: int) -> np.ndarray:
-    """Packed palindromes and antipalindromes of length m >= 1, built from
-    their left halves (an antipalindrome has even length)."""
+    """Packed palindromes and antipalindromes of length m >= 0, each once,
+    built from their left halves (an antipalindrome has even length, and
+    the empty word is both).  Built once per length and read-only, so the
+    tables and every lattice share it."""
     h = m // 2
     halves = np.arange(1 << h, dtype=np.int64)
     mirror = _reverse_bits(halves, h)
     high = halves << (m - h)
     middles = (0, 1 << h) if m % 2 else (0,)
     found = [high | middle | mirror for middle in middles]
-    if m % 2 == 0:
+    if m % 2 == 0 and m:
         found.append(high | (mirror ^ ((1 << h) - 1)))
-    return np.concatenate(found)
+    words = np.concatenate(found)
+    words.flags.writeable = False
+    return words
 
 
 def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]:

@@ -19,6 +19,10 @@ depth-first search that the value tables of ``GameSolver`` replaced, and
 ``orbit_max_game_value`` is the scan over it that ``max_game_value``
 replaced.  ``table_outcome`` is the principal-line walk over value tables
 that the subsequence lattice of ``GameSolver.outcome`` replaced.
+``unique_lattice`` is the lattice build that the direct addressing of
+``game._Lattice`` replaced: ``np.unique`` over each level's single-letter
+deletions gives the next level and each child's index, and
+``_is_symmetric`` drops the symmetric children.
 ``plain_canonical_scan`` is the scan that the branch and bound of
 ``search.sd_max`` replaced: every canonical word of the a-half goes to the
 kernel, with no bound.
@@ -31,7 +35,7 @@ import numpy as np
 from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word, sd_batch
 from palsym.deletions import _mirror_lcs, _tables
 from palsym.game import _run_children
-from palsym.words import _is_canonical, _reverse_bits
+from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
 
@@ -292,6 +296,30 @@ def table_outcome(tables: GameSolver, word: Word, mover: Player) -> GameOutcome:
         current = current.delete(pos)
         to_move = to_move.other
     return GameOutcome(total, tuple(line))
+
+
+def unique_lattice(roots: np.ndarray, n: int, maximizer: bool):
+    """Words, children and values of ``game._Lattice(roots, n, maximizer)``,
+    one array per level, built by sorting each level's children."""
+    words, children = [], []
+    low = np.arange(n - 1, -1, -1, dtype=np.int64)
+    level, m = roots, n
+    while level.size:
+        kids = _delete(level[:, None], low[n - m :])
+        distinct, inverse = np.unique(kids, return_inverse=True)
+        keep = ~_is_symmetric(distinct, m - 1)
+        index = keep.cumsum(dtype=np.int32) - 1
+        nxt = distinct[keep]
+        index[~keep] = nxt.size
+        words.append(level)
+        children.append(index[inverse].reshape(kids.shape))
+        level, m = nxt, m - 1
+    values = [np.zeros(1, dtype=np.int8)]
+    for k in range(len(words) - 1, -1, -1):
+        pick = np.max if maximizer != (k % 2 == 1) else np.min
+        best = pick(values[0][children[k]], axis=1) + 1
+        values.insert(0, np.append(best, np.int8(0)))
+    return words, children, values
 
 
 def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:

@@ -10,6 +10,7 @@ from _helpers import (
     ReferenceGameSolver,
     orbit_max_game_value,
     table_outcome,
+    unique_lattice,
 )
 from palsym import (
     GAME_MAX_LENGTH,
@@ -29,7 +30,7 @@ from palsym import (
     sd,
     transcript,
 )
-from palsym.game import _Lattice, _symmetric_words
+from palsym.game import SCAN_MAX_LENGTH, _Lattice, _symmetric_words
 from palsym.words import Word, _is_symmetric
 
 
@@ -128,12 +129,22 @@ def test_memo_agrees_with_plain_recursion():
 
 
 def test_symmetric_words_match_packed_test():
-    """The symmetric words that the value tables zero, built from their
-    halves, are exactly the words of length m that ``_is_symmetric``
-    marks, each once."""
-    for m in range(1, 17):
+    """The symmetric words that the value tables zero and the lattices
+    clear, built from their halves: up to 16 letters exactly the words that
+    ``_is_symmetric`` marks, each once; from 17 to 22 letters as many
+    distinct words as there are palindromes and antipalindromes, each
+    marked.  Each length's array is built once and is read-only."""
+    for m in range(17):
         marked = np.flatnonzero(_is_symmetric(np.arange(1 << m, dtype=np.int64), m))
         assert np.sort(_symmetric_words(m)).tolist() == marked.tolist()
+    for m in range(17, 23):
+        found = _symmetric_words(m)
+        count = (1 << (m + 1) // 2) + (0 if m % 2 else 1 << m // 2)
+        assert found.size == count == np.unique(found).size, m
+        assert found.max() < 1 << m and _is_symmetric(found, m).all()
+    for m in range(23):
+        found = _symmetric_words(m)
+        assert found is _symmetric_words(m) and not found.flags.writeable
 
 
 def test_max_game_value_small():
@@ -212,6 +223,40 @@ def test_lattice_lines_match_table_walk_exhaustive(tables):
                     n,
                     mover,
                 )
+
+
+def _assert_matches_unique_build(lattice, roots, n, maximizer):
+    """Every level's words, children and values equal the sorting build's,
+    with the same dtypes."""
+    expected = unique_lattice(roots, n, maximizer)
+    got = (lattice.words, lattice.children, lattice.values)
+    for arrays, want, dtype in zip(got, expected, (np.int64, np.int32, np.int8)):
+        assert len(arrays) == len(want)
+        for a, b in zip(arrays, want):
+            assert a.dtype == b.dtype == dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", range(15))
+def test_lattice_matches_unique_build_exhaustive(n):
+    """Both movers, the all-roots lattice of every length up to 14."""
+    for maximizer in (False, True):
+        roots, lattice = _full_lattice(n, maximizer)
+        _assert_matches_unique_build(lattice, roots, n, maximizer)
+
+
+@given(
+    st.integers(15, SCAN_MAX_LENGTH).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_lattice_matches_unique_build_sampled(word):
+    """Both movers, the lattice of one word of 15 to 22 letters."""
+    n, bits = word
+    roots = np.array([bits], dtype=np.int64)
+    for maximizer in (False, True):
+        lattice = _Lattice(roots, n, maximizer)
+        _assert_matches_unique_build(lattice, roots, n, maximizer)
 
 
 @given(
