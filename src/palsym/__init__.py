@@ -48,7 +48,6 @@ _EXPORTS = {
     ),
     "game": (
         "GAME_MAX_LENGTH",
-        "SCAN_MAX_LENGTH",
         "GameOutcome",
         "GameSolver",
         "Player",

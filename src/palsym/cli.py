@@ -390,7 +390,7 @@ _SUITES = {
     "oracle": (_suite_oracle, 10, 1, deletions.ORACLE_MAX_LENGTH),
     "peeling": (_suite_peeling, 12, 2, 16),
     "invariance": (_suite_invariance, 10, 1, 14),
-    "game": (_suite_game, 10, 1, _guard("game", "SCAN_MAX_LENGTH")),
+    "game": (_suite_game, 10, 1, _guard("game", "GAME_MAX_LENGTH")),
 }
 
 
@@ -495,7 +495,11 @@ def _cmd_game_play(args) -> int:
     from . import game
 
     word = words.parse_word(args.word, allow_digits=args.digits)
-    if args.engine == "exact" and len(word) > game.GAME_MAX_LENGTH:
+    if (
+        args.engine == "exact"
+        and len(word) > game.GAME_MAX_LENGTH
+        and not word.is_symmetric()
+    ):
         print(
             f"exact engine supports words up to {game.GAME_MAX_LENGTH} "
             "letters; use --engine heuristic",

@@ -55,14 +55,14 @@ from .deletions import sd
 from .errors import LengthBudgetExceeded, TerminalStateError
 from .words import Word, _delete, _reverse_bits, complement_letter, parse_word
 
-# Exact solve and play.  The heuristic minimizer scores its moves exactly
-# up to one letter more, so raising this guard would change its moves on
-# longer words, although a lattice of 26 letters takes about 0.25 s.
-GAME_MAX_LENGTH = 20
-# Full scan over starting words and the longest table built: 8 MB of
-# tables at n = 22.  No lattice is built past it either: at most
-# F(25) - 1 = 75 024 states at n = 22.
-SCAN_MAX_LENGTH = 22
+# The one game guard: no value table and no lattice is built past it, so
+# solve, play, best and verify all stop here.  At n = 22 the tables take
+# 8 MB and a lattice holds at most F(25) - 1 = 75 024 states, about 0.03 s;
+# a lattice of 26 letters takes about 0.25 s.
+GAME_MAX_LENGTH = 22
+# The heuristic minimizer scores its moves exactly up to this length and by
+# least sd beyond; it stays at 21 letters so that its moves do not change.
+_HEURISTIC_EXACT_LENGTH = 21
 
 
 class Player(Enum):
@@ -97,10 +97,10 @@ def _run_children(bits: int, n: int):
         yield n - low, _delete(bits, low)
 
 
-def _check_scan_length(m: int) -> None:
-    if m > SCAN_MAX_LENGTH:
+def _check_length(m: int) -> None:
+    if m > GAME_MAX_LENGTH:
         raise LengthBudgetExceeded(
-            f"game solver supports at most {SCAN_MAX_LENGTH} letters, got {m}"
+            f"game solver supports at most {GAME_MAX_LENGTH} letters, got {m}"
         )
 
 
@@ -225,7 +225,7 @@ class GameSolver:
         table = self._tables.get((m, maximizer))
         if table is not None:
             return table
-        _check_scan_length(m)
+        _check_length(m)
         shorter = self._table(m - 1, not maximizer)
         pick = np.maximum if maximizer else np.minimum
         table = np.repeat(shorter, 2)  # delete the last letter
@@ -247,7 +247,7 @@ class GameSolver:
         found = lattice and lattice.find(word.bits, word.length, maximizer)
         if found:
             return lattice, *found
-        _check_scan_length(word.length)
+        _check_length(word.length)
         roots = np.array([word.bits], dtype=np.int64)
         lattice = _Lattice(roots, word.length, maximizer)
         self._lattice = lattice
@@ -283,10 +283,6 @@ class GameSolver:
 
 def game_value(word: Word, solver: GameSolver | None = None) -> GameOutcome:
     """Exact minimax outcome with the minimizer to move first."""
-    if len(word) > GAME_MAX_LENGTH:
-        raise LengthBudgetExceeded(
-            f"game solver supports at most {GAME_MAX_LENGTH} letters, got {len(word)}"
-        )
     solver = solver if solver is not None else GameSolver()
     return solver.outcome(word)
 
@@ -318,9 +314,9 @@ def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > SCAN_MAX_LENGTH:
+    if n > GAME_MAX_LENGTH:
         raise LengthBudgetExceeded(
-            f"full scan supports at most {SCAN_MAX_LENGTH} letters, got {n}"
+            f"full scan supports at most {GAME_MAX_LENGTH} letters, got {n}"
         )
     solver = solver if solver is not None else GameSolver()
     word = Word(n, int(np.argmax(solver._table(n, False))))
@@ -371,8 +367,8 @@ def engine_move(
     plays the mirror rule for the maximizer (position 1 when the opponent
     has not moved yet, else the leftmost letter complementary to
     ``last_deleted``) and, for the minimizer, picks the move whose
-    successor resolves fastest: the exact best move when successors fit the
-    solver guard, else the move whose successor has the least sd.  Ties go
+    successor resolves fastest: the exact best move on words of at most 21
+    letters, else the move whose successor has the least sd.  Ties go
     to the leftmost position.  Values are exact, so one ``solver`` may serve
     every move of a game.  A symmetric word raises ``TerminalStateError``.
     """
@@ -380,10 +376,6 @@ def engine_move(
         raise TerminalStateError(f"word {word} is already symmetric")
     solver = solver if solver is not None else GameSolver()
     if mode == "exact":
-        if len(word) > GAME_MAX_LENGTH:
-            raise LengthBudgetExceeded(
-                f"exact engine supports at most {GAME_MAX_LENGTH} letters"
-            )
         return solver.best_move(word, mover)
     if mode != "heuristic":
         raise ValueError(f"unknown engine mode {mode!r}")
@@ -394,7 +386,7 @@ def engine_move(
         return mirror_move(word, last_deleted)
 
     n = len(word)
-    if n <= GAME_MAX_LENGTH + 1:
+    if n <= _HEURISTIC_EXACT_LENGTH:
         return solver.best_move(word, mover)
     moves = _run_children(word.bits, n)
     return min(moves, key=lambda move: sd(Word(n - 1, move[1])).value)[0]

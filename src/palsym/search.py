@@ -469,10 +469,10 @@ def compute_table(
     """Rows of the exact maximum-sd table for n_min..n_max inclusive.
 
     Rows below ``_POOL_WORDS`` counted words run in this process.  The
-    first row over it opens one process pool, sized by the task count of
-    row ``n_max``, and every later row that needs a pool uses the same one,
-    so the table pays at most one pool start-up.  No other code opens a
-    pool.
+    first row over it opens one process pool, of at most as many workers
+    as row ``n_max`` has tasks and the machine has CPUs, and every later
+    row that needs a pool uses the same one, so the table pays at most one
+    pool start-up.  No other code opens a pool.
     """
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}..{n_max}")
@@ -482,8 +482,10 @@ def compute_table(
         )
     config = config if config is not None else SearchConfig()
     # fork starts every worker at the first submit, so the pool has no more
-    # workers than the largest row has tasks
-    workers = min(config.worker_count, len(_task_starts(n_max)))
+    # workers than the largest row has tasks or the machine has CPUs
+    workers = min(
+        config.worker_count, len(_task_starts(n_max)), os.cpu_count() or 1
+    )
     module = sys.modules[__name__]
     with ExitStack() as stack:
         pool = cache(

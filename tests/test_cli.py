@@ -641,6 +641,92 @@ def test_game_best_above_old_guard(capsys):
     assert json.loads(out) == {"n": 17, "value": 13, "word": "aaaaaaaaaabbbbbbb"}
 
 
+# one solver builds each value table once for the tests that read them
+_GAME_TABLES = game.GameSolver()
+
+
+# words of 21 and 22 letters: near-alternating ones, which have the
+# largest lattices and value 1, then ones with long games
+_LONG_GAME_WORDS = (
+    "abbababababababababab",
+    "abbabababababababababa",
+    "abaabbbababbabaabbaba",
+    "abaabbbababbabaabbabab",
+)
+
+
+@pytest.mark.parametrize("text", _LONG_GAME_WORDS)
+def test_game_solve_up_to_the_guard(capsys, text):
+    """Solve answers 21 and 22 letters with the table's value, in text and
+    json, and the line replays to a symmetric word in that many moves."""
+    word = parse_word(text)
+    value = int(_GAME_TABLES._table(len(word), False)[word.bits])
+    code, out, err = run_cli(capsys, "game", "solve", text, "--format", "json")
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["value"] == data["move_count"] == value > 0
+    line = [move["position"] for move in data["moves"]]
+    records = game.replay(word, line)
+    assert records[-1].result.is_symmetric()
+    assert not any(r.result.is_symmetric() for r in records[:-1])
+    code, out, err = run_cli(capsys, "game", "solve", text)
+    assert (code, err) == (0, "")
+    positions = ",".join(map(str, line))
+    assert out.startswith(f"word={text} value={value} line={positions} ")
+
+
+@pytest.mark.parametrize("text", _LONG_GAME_WORDS[2:])
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_game_play_exact_up_to_the_guard(capsys, monkeypatch, text, side):
+    """The exact engine plays 21 and 22 letters, and each of its moves
+    keeps the value that the tables give the position."""
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n" * 22))
+    code, out, err = run_cli(
+        capsys, "game", "play", text, "--side", side, "--engine", "exact",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    engine_moves = 0
+    word, maximizer = parse_word(text), False
+    for move in json.loads(out.splitlines()[-1])["moves"]:
+        child = word.delete(move["position"])
+        if move["player"] != side:
+            before = _GAME_TABLES._table(len(word), maximizer)[word.bits]
+            after = _GAME_TABLES._table(len(child), not maximizer)[child.bits]
+            assert after == before - 1
+            engine_moves += 1
+        word, maximizer = child, not maximizer
+    assert word.is_symmetric() and engine_moves >= 2
+
+
+def test_game_guard_exit_2(capsys, monkeypatch):
+    """A 23-letter word that still needs a move exits 2 naming the guard,
+    before any prompt; a symmetric one has already ended its game."""
+    text = "a" * 22 + "b"
+    code, out, err = run_cli(capsys, "game", "solve", text)
+    assert (code, out) == (2, "")
+    assert err == "error: game solver supports at most 22 letters, got 23\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n" * 23))
+    code, out, err = run_cli(
+        capsys, "game", "play", text, "--side", "second", "--engine", "exact"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "exact engine supports words up to 22 letters; use --engine heuristic\n"
+    )
+    symmetric = "a" * 23
+    code, out, err = run_cli(capsys, "game", "solve", symmetric)
+    assert (code, err) == (0, "")
+    assert out == (
+        f"word={symmetric} value=0 line=- final={symmetric} class=palindrome\n"
+    )
+    code, out, err = run_cli(
+        capsys, "game", "play", symmetric, "--side", "first", "--engine", "exact"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{symmetric} is already symmetric; no moves to play\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

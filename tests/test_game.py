@@ -30,7 +30,7 @@ from palsym import (
     sd,
     transcript,
 )
-from palsym.game import SCAN_MAX_LENGTH, _Lattice, _symmetric_words
+from palsym.game import _HEURISTIC_EXACT_LENGTH, _Lattice, _symmetric_words
 from palsym.words import Word, _is_symmetric
 
 
@@ -72,8 +72,14 @@ def test_game_value_examples():
 
 
 def test_game_value_guard():
-    with pytest.raises(LengthBudgetExceeded):
-        game_value(parse_word("a" * 21))
+    """A word past the guard that still needs a move is refused; a
+    symmetric one has already ended its game."""
+    word = parse_word("a" * 22 + "b")
+    with pytest.raises(LengthBudgetExceeded, match="at most 22 letters, got 23"):
+        game_value(word)
+    with pytest.raises(LengthBudgetExceeded, match="at most 22 letters, got 23"):
+        engine_move(word, Player.MINIMIZER, "exact")
+    assert game_value(parse_word("a" * 23)) == GameOutcome(0, ())
 
 
 def test_replay_principal_line():
@@ -162,8 +168,8 @@ def test_max_game_value_guard():
 
 
 def test_solver_table_guard():
-    """Neither a lattice nor a table is built beyond the scan guard, so no
-    input asks for 2^23 table entries or a lattice past 22 letters.  A
+    """Neither a lattice nor a table is built beyond the one game guard, so
+    no input asks for 2^23 table entries or a lattice past 22 letters.  A
     symmetric word of any length has already ended its game: value 0 and
     an empty line, with nothing built."""
     word = parse_word("a" * 22 + "b")
@@ -245,7 +251,7 @@ def test_lattice_matches_unique_build_exhaustive(n):
 
 
 @given(
-    st.integers(15, SCAN_MAX_LENGTH).flatmap(
+    st.integers(15, GAME_MAX_LENGTH).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))
     )
 )
@@ -260,13 +266,15 @@ def test_lattice_matches_unique_build_sampled(word):
 
 
 @given(
-    st.integers(13, 20).flatmap(
+    st.integers(13, GAME_MAX_LENGTH).flatmap(
         lambda n: st.builds(Word, st.just(n), st.integers(0, (1 << n) - 1))
     ),
     st.sampled_from(Player),
 )
 @settings(max_examples=40, deadline=None)
 def test_lattice_outcome_matches_table_walk_sampled(tables, word, mover):
+    """Both movers, one word of 13 to 22 letters: the solve answers with the
+    tables' value and line, up to the guard."""
     solver = GameSolver()
     expected = table_outcome(tables, word, mover)
     assert solver.outcome(word, mover) == expected
@@ -453,14 +461,14 @@ def test_engine_move_heuristic_minimizer_resolves_fast():
 
 def _per_position_minimizer_move(word, solver):
     """The heuristic minimizer's move by the loop that ``engine_move``
-    replaced: every position, successors scored exactly within the solver
-    guard and by sd beyond it, the leftmost least score wins.  Exact scores
-    are read from the value tables of ``solver``, so one may serve many
-    words."""
+    replaced: every position, successors scored exactly on words within the
+    heuristic's exact length and by sd beyond it, the leftmost least score
+    wins.  Exact scores are read from the value tables of ``solver``, so
+    one may serve many words."""
     best_pos, best_score = 1, None
     for pos in range(1, len(word) + 1):
         successor = word.delete(pos)
-        if len(successor) <= GAME_MAX_LENGTH:
+        if len(word) <= _HEURISTIC_EXACT_LENGTH:
             score = solver._table(len(successor), True)[successor.bits]
         else:
             score = sd(successor).value
@@ -491,12 +499,26 @@ def test_engine_move_heuristic_minimizer_matches_loop_exhaustive():
 ))
 @settings(max_examples=60, deadline=None)
 def test_engine_move_heuristic_minimizer_matches_loop_long(text):
-    """Beyond the solver guard the move is the least-sd run start."""
+    """Beyond the heuristic's exact length the move is the least-sd run
+    start."""
     word = parse_word(text)
     if word.is_symmetric():
         return
     expected = _per_position_minimizer_move(word, GameSolver())
     assert engine_move(word, Player.MINIMIZER, "heuristic") == expected
+
+
+def test_engine_move_heuristic_exact_length_is_21():
+    """The heuristic minimizer solves 21 letters exactly and ranks by sd
+    from 22 letters, though the game guard allows exact moves there."""
+    word = parse_word("bbabaaaabbabaaaabbabaa")
+    assert len(word) == 22 == _HEURISTIC_EXACT_LENGTH + 1
+    assert GameSolver().best_move(word, Player.MINIMIZER) == 1
+    assert engine_move(word, Player.MINIMIZER, "heuristic") == 5
+    # its 21-letter child, where least sd would delete position 8
+    shorter = word.delete(1)
+    assert GameSolver().best_move(shorter, Player.MINIMIZER) == 1
+    assert engine_move(shorter, Player.MINIMIZER, "heuristic") == 1
 
 
 def test_engine_move_rejects_unknown_mode():

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -211,8 +212,9 @@ def pool_every_row(monkeypatch):
 @pytest.fixture
 def recorded(monkeypatch):
     """The events of every pool the test opens: ("open", workers asked
-    for) and ("map", row n)."""
+    for) and ("map", row n), on a machine that reports eight CPUs."""
     events = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
     class RecordingPool(search.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
@@ -262,6 +264,19 @@ def test_compute_table_starts_one_pool(pool_every_row, recorded):
         1, 15, ONE
     )
     assert recorded == [("open", 1)] + [("map", n) for n in range(1, 16)]
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
+def test_pool_capped_at_cpu_count(
+    monkeypatch, pool_every_row, recorded, cpus, workers
+):
+    """However many workers are asked for, the pool has no more than the
+    CPUs the machine reports, and one when it reports none; the rows are
+    the one-worker rows."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rows = compute_table(18, 19, SearchConfig(worker_count=5000))
+    assert recorded == [("open", workers), ("map", 18), ("map", 19)]
+    assert rows == compute_table(18, 19, ONE)
 
 
 def test_small_rows_open_no_pool(recorded):
