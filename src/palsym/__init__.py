@@ -16,7 +16,7 @@ only what it runs: numpy only where arrays are built, the process pool
 only when one opens.
 """
 
-import importlib
+import sys
 
 # The module that defines each export.
 _EXPORTS = {
@@ -89,13 +89,22 @@ __version__ = "0.1.0"
 __all__ = sorted(_HOME)
 
 
+def _submodule(name: str):
+    """The submodule ``name``, imported on first use.  ``__import__`` runs
+    the interpreter's own import, which ``python -X importtime`` logs;
+    ``importlib.import_module`` bypasses that log."""
+    module = f"{__name__}.{name}"
+    __import__(module)
+    return sys.modules[module]
+
+
 def __getattr__(name: str):
     """An export, read from its module at each access so that it is always
     that module's object, or a submodule, imported on first use."""
     if name in _HOME:
-        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+        return getattr(_submodule(_HOME[name]), name)
     if name in _SUBMODULES:
-        return importlib.import_module(f".{name}", __name__)
+        return _submodule(name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -16,16 +16,16 @@ input after the reports of the words before it, with exit code 2.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import random
 import sys
 import time
+from collections.abc import Iterator
 from functools import cache
 
 from . import bounds as bounds_mod
-from . import deletions, words
+from . import _submodule, deletions, words
 from .errors import (
     InvalidLetterError,
     LengthBudgetExceeded,
@@ -218,43 +218,34 @@ def _cmd_construct(args) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_lemma4(max_n: int, jobs: int) -> list[Check]:
-    checks = []
+def _suite_lemma4(max_n: int, jobs: int) -> Iterator[Check]:
     for c in bounds_mod.verify_family(max_n):
         p = c.params
-        checks.append(
-            (
-                f"family n={p.n} alpha={p.alpha} beta={p.beta}",
-                c.ok,
-                f"length={len(c.word)} sd={c.computed} expected={c.bound}",
-            )
+        yield (
+            f"family n={p.n} alpha={p.alpha} beta={p.beta}",
+            c.ok,
+            f"length={len(c.word)} sd={c.computed} expected={c.bound}",
         )
-    return checks
 
 
-def _suite_bounds(max_n: int, jobs: int) -> list[Check]:
+def _suite_bounds(max_n: int, jobs: int) -> Iterator[Check]:
     from . import search
 
     config = search.SearchConfig(worker_count=jobs)
-    checks = []
-    for row in search.compute_table(2, max_n, config):
-        checks.append(
-            (
-                f"range n={row.n}",
-                row.lower <= row.sd <= row.upper,
-                f"lower={row.lower} sd={row.sd} upper={row.upper}",
-            )
+    for n in range(2, max_n + 1):
+        row = search.sd_max(n, config)
+        yield (
+            f"range n={n}",
+            row.lower <= row.sd <= row.upper,
+            f"lower={row.lower} sd={row.sd} upper={row.upper}",
         )
-        if row.n <= 20:
-            expected = search.KNOWN_MAX_SD[row.n]
-            checks.append(
-                (
-                    f"exact n={row.n}",
-                    row.sd == row.lower == expected,
-                    f"sd={row.sd} lower={row.lower} reference={expected}",
-                )
+        expected = search.KNOWN_MAX_SD.get(n)
+        if expected is not None:
+            yield (
+                f"exact n={n}",
+                row.sd == row.lower == expected,
+                f"sd={row.sd} lower={row.lower} reference={expected}",
             )
-    return checks
 
 
 def _first_failure(pool, holds) -> words.Word | None:
@@ -263,9 +254,8 @@ def _first_failure(pool, holds) -> words.Word | None:
     return next((w for w in pool if not holds(w)), None)
 
 
-def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
+def _suite_oracle(max_n: int, jobs: int) -> Iterator[Check]:
     rng = random.Random(_ORACLE_SEED)
-    checks = []
     for n in range(1, max_n + 1):
         if n <= _EXHAUSTIVE_ORACLE_MAX:
             pool = words.all_words(n)
@@ -281,14 +271,11 @@ def _suite_oracle(max_n: int, jobs: int) -> list[Check]:
         bad = _first_failure(
             pool, lambda w: deletions.sd(w).value == deletions.brute_force_sd(w)
         )
-        checks.append(
-            (
-                label,
-                bad is None,
-                f"{count} words agree" if bad is None else f"mismatch at {bad}",
-            )
+        yield (
+            label,
+            bad is None,
+            f"{count} words agree" if bad is None else f"mismatch at {bad}",
         )
-    return checks
 
 
 def _peels(w: words.Word) -> bool:
@@ -299,18 +286,14 @@ def _peels(w: words.Word) -> bool:
     return length(w) == 2 + length(words.parse_word(s[1:-1]))
 
 
-def _suite_peeling(max_n: int, jobs: int) -> list[Check]:
-    checks = []
+def _suite_peeling(max_n: int, jobs: int) -> Iterator[Check]:
     for n in range(2, max_n + 1):
         bad = _first_failure(words.all_words(n), _peels)
-        checks.append(
-            (
-                f"peeling n={n}",
-                bad is None,
-                "both identities hold" if bad is None else f"fails at {bad}",
-            )
+        yield (
+            f"peeling n={n}",
+            bad is None,
+            "both identities hold" if bad is None else f"fails at {bad}",
         )
-    return checks
 
 
 def _orbit_constant(w: words.Word) -> bool:
@@ -318,67 +301,53 @@ def _orbit_constant(w: words.Word) -> bool:
     return len({deletions.sd(v).value for v in orbit}) == 1
 
 
-def _suite_invariance(max_n: int, jobs: int) -> list[Check]:
+def _suite_invariance(max_n: int, jobs: int) -> Iterator[Check]:
     from . import search
 
-    checks = []
     for n in range(1, max_n + 1):
         bad = _first_failure(words.all_words(n), _orbit_constant)
-        checks.append(
-            (
-                f"group invariance n={n}",
-                bad is None,
-                "sd constant on orbits" if bad is None else f"fails at {bad}",
-            )
+        yield (
+            f"group invariance n={n}",
+            bad is None,
+            "sd constant on orbits" if bad is None else f"fails at {bad}",
         )
     config = search.SearchConfig(worker_count=jobs)
     for n in range(1, min(max_n, 12) + 1):
         pruned = search.sd_max(n, config).sd
         full = int(search.sd_batch(range(1 << n), n).max())
-        checks.append(
-            (
-                f"pruning n={n}",
-                pruned == full,
-                f"canonical-only max {pruned}, full-scan max {full}",
-            )
+        yield (
+            f"pruning n={n}",
+            pruned == full,
+            f"canonical-only max {pruned}, full-scan max {full}",
         )
-    return checks
 
 
-def _suite_game(max_n: int, jobs: int) -> list[Check]:
+def _suite_game(max_n: int, jobs: int) -> Iterator[Check]:
     from . import game
 
-    checks = []
     for n in range(6, max_n + 1):
         value, word = game.max_game_value(n)
-        checks.append(
-            (
-                f"game value n={n}",
-                value >= n - 4,
-                f"best={value} (word {word}) needs >= {n - 4}",
-            )
+        yield (
+            f"game value n={n}",
+            value >= n - 4,
+            f"best={value} (word {word}) needs >= {n - 4}",
         )
     solver = game.GameSolver()
     for n in range(1, min(max_n, 10) + 1):
         # the first failing word in all_words order is the least one
         over = (solver._table(n, False) > max(0, n - 2)).nonzero()[0]
         bad = words.Word(n, int(over[0])) if over.size else None
-        checks.append(
-            (
-                f"game termination n={n}",
-                bad is None,
-                f"all values <= {max(0, n - 2)}"
-                if bad is None
-                else f"fails at {bad}",
-            )
+        yield (
+            f"game termination n={n}",
+            bad is None,
+            f"all values <= {max(0, n - 2)}" if bad is None else f"fails at {bad}",
         )
-    return checks
 
 
 def _guard(module: str, name: str):
     """A module's guard, read when the suite runs, so that importing the
     CLI does not import the module."""
-    return lambda: getattr(importlib.import_module(f".{module}", __package__), name)
+    return lambda: getattr(_submodule(module), name)
 
 
 # suite name -> (runner, default --max-n, smallest allowed --max-n, largest
@@ -405,15 +374,14 @@ def _cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    checks = runner(max_n, _jobs(args.jobs))
-
-    failures = 0
-    for name, ok, detail in checks:
-        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
+    # each check is printed as it is made, so a long suite shows its
+    # progress and a suite cut short shows the checks it made
+    checks = failures = 0
+    for name, ok, detail in runner(max_n, _jobs(args.jobs)):
+        print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}", flush=True)
+        checks += 1
         failures += 0 if ok else 1
-    print(
-        f"suite {suite}: {len(checks) - failures}/{len(checks)} checks passed"
-    )
+    print(f"suite {suite}: {checks - failures}/{checks} checks passed")
     return 0 if failures == 0 else 1
 
 

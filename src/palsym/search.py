@@ -37,13 +37,12 @@ and ``_chunk_plan`` cuts a row's tasks into chunks by that count: a chunk
 closes once its words reach ``_BUDGET`` or it holds ``_CHUNK`` tasks, so the
 kernel runs in full batches.  The same plan serves every worker count.  A
 row whose counted words are below ``_POOL_WORDS`` runs in this process; a
-larger one, with more than one worker, goes to a process pool, which
-``compute_table`` opens at the first such row and lends to every row after
-it.  A chunk is sent the block table rows of its prefixes, builds the words
-of its kept blocks and runs the bit-parallel LCS kernel of ``deletions`` on
-them in batches of ``_TASK`` words.  The parent merges chunk results in
-chunk order and prints progress after each, so the outcome is identical
-for any worker count.
+larger one, with more than one worker, goes to a process pool that the
+row opens and shuts down itself.  A chunk is sent the block table rows of
+its prefixes, builds the words of its kept blocks and runs the bit-parallel
+LCS kernel of ``deletions`` on them in batches of ``_TASK`` words.  The
+parent merges chunk results in chunk order and prints progress after each,
+so the outcome is identical for any worker count.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ import math
 import os
 import sys
 import time
-from collections.abc import Callable
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cache, partial
-from typing import TYPE_CHECKING, NamedTuple
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,11 +70,9 @@ from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
 
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
-
-# Row 32 takes 6.1 to 8.5 s on two cores (2-vCPU Xeon VM, 7 runs, median
-# 6.7 s); each row below it takes less.
+# Row 32 takes 7.7 to 8.7 s on two cores (`table --from 32 --to 32 --jobs
+# 2` as a process on a 2-vCPU Xeon VM, 3 runs, median 8.1 s); each row
+# below it takes less.
 MAX_SEARCH_LENGTH = 32
 
 # Words per scan task, and per kernel call.  A row whose scan fits in one
@@ -377,12 +373,7 @@ def _task_starts(n: int) -> range:
     return range(0, half, min(half, _TASK))
 
 
-def sd_max(
-    n: int,
-    config: SearchConfig | None = None,
-    *,
-    pool: Callable[[], Executor] | None = None,
-) -> SdTableRow:
+def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
     Only canonical orbit representatives in blocks whose bound reaches the
@@ -394,16 +385,15 @@ def sd_max(
     chunks by the words each task sends to the kernel (``_chunk_plan``).
     The row runs in this process when one worker is asked for or its
     counted words are below ``_POOL_WORDS``, as they always are for a row
-    of one task (at most ``_TASK``); else on the pool that ``pool()``
-    returns.  Without ``pool`` the row is
-    ``compute_table(n, n, config)[0]``, which lends it a pool as it lends
-    one to every row of a table.  Results come back one per chunk in chunk
-    order, so the row, including the extremal words and their order, is
-    the same for any worker count; ``config.progress_interval`` prints scan
-    totals to stderr, checked after each chunk.  ``words_evaluated`` counts
-    the words sent to the kernel, ``blocks_pruned`` the blocks with
-    canonical words that the bound skipped, and ``chunks`` and ``pooled``
-    how the row was dispatched.
+    of one task (at most ``_TASK``); else on a process pool of at most as
+    many workers as the row has tasks and the machine has CPUs, opened for
+    this row and shut down before it returns.  Results come back one per
+    chunk in chunk order, so the row, including the extremal words and
+    their order, is the same for any worker count;
+    ``config.progress_interval`` prints scan totals to stderr, checked
+    after each chunk.  ``words_evaluated`` counts the words sent to the
+    kernel, ``blocks_pruned`` the blocks with canonical words that the bound
+    skipped, and ``chunks`` and ``pooled`` how the row was dispatched.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -412,8 +402,6 @@ def sd_max(
             f"n = {n} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
     config = config if config is not None else SearchConfig()
-    if pool is None:
-        return compute_table(n, n, config)[0]
     limit = config.extremal_limit
     began = time.perf_counter()
 
@@ -428,22 +416,33 @@ def sd_max(
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
-    run = pool().map if pooled else map
-    for chunk_best, hits, canonical, count in run(task, chunks, tables):
-        scanned += canonical
-        evaluated += count
-        if chunk_best > best:
-            best, merged = chunk_best, []
-        if chunk_best == best:
-            merged.extend(hits[: limit - len(merged)])
-        if config.progress_interval is not None:
-            now = time.monotonic()
-            if now - last_report >= config.progress_interval:
-                print(
-                    f"n={n}: scanned {scanned} words, current max {best}",
-                    file=sys.stderr,
-                )
-                last_report = now
+    # fork starts every worker at the first submit, so the pool has no more
+    # workers than the row has tasks or the machine has CPUs; the class is
+    # read through the module (see ``__getattr__``)
+    pool = (
+        sys.modules[__name__].ProcessPoolExecutor(
+            max_workers=min(config.worker_count, len(starts), os.cpu_count() or 1)
+        )
+        if pooled
+        else nullcontext()
+    )
+    with pool:
+        run = pool.map if pooled else map
+        for chunk_best, hits, canonical, count in run(task, chunks, tables):
+            scanned += canonical
+            evaluated += count
+            if chunk_best > best:
+                best, merged = chunk_best, []
+            if chunk_best == best:
+                merged.extend(hits[: limit - len(merged)])
+            if config.progress_interval is not None:
+                now = time.monotonic()
+                if now - last_report >= config.progress_interval:
+                    print(
+                        f"n={n}: scanned {scanned} words, current max {best}",
+                        file=sys.stderr,
+                    )
+                    last_report = now
 
     return SdTableRow(
         n=n,
@@ -466,34 +465,16 @@ def compute_table(
     n_max: int,
     config: SearchConfig | None = None,
 ) -> list[SdTableRow]:
-    """Rows of the exact maximum-sd table for n_min..n_max inclusive.
-
-    Rows below ``_POOL_WORDS`` counted words run in this process.  The
-    first row over it opens one process pool, of at most as many workers
-    as row ``n_max`` has tasks and the machine has CPUs, and every later
-    row that needs a pool uses the same one, so the table pays at most one
-    pool start-up.  No other code opens a pool.
-    """
+    """Rows of the exact maximum-sd table for n_min..n_max inclusive, one
+    ``sd_max`` call per row, after the whole range is checked; each row
+    decides for itself whether it runs on a pool."""
     if n_min < 1 or n_min > n_max:
         raise ValueError(f"bad range {n_min}..{n_max}")
     if n_max > MAX_SEARCH_LENGTH:
         raise LengthBudgetExceeded(
             f"n = {n_max} beyond the search guard {MAX_SEARCH_LENGTH}"
         )
-    config = config if config is not None else SearchConfig()
-    # fork starts every worker at the first submit, so the pool has no more
-    # workers than the largest row has tasks or the machine has CPUs
-    workers = min(
-        config.worker_count, len(_task_starts(n_max)), os.cpu_count() or 1
-    )
-    module = sys.modules[__name__]
-    with ExitStack() as stack:
-        pool = cache(
-            lambda: stack.enter_context(
-                module.ProcessPoolExecutor(max_workers=workers)
-            )
-        )
-        return [sd_max(n, config, pool=pool) for n in range(n_min, n_max + 1)]
+    return [sd_max(n, config) for n in range(n_min, n_max + 1)]
 
 
 # Independently recomputed reference values for n <= 20; the scan must

@@ -486,6 +486,30 @@ def test_verify_bounds_failure_exits_1(capsys, monkeypatch):
     assert lines[-1] == "suite bounds: 17/18 checks passed"
 
 
+def test_verify_bounds_prints_each_row_as_it_finishes(capsys, monkeypatch):
+    """A row's checks are printed when the row finishes: a scan that fails
+    at row 4 leaves the checks of rows 2 and 3 on stdout."""
+    scan = search.sd_max
+
+    def sd_max_failing_at_4(n, *args, **kwargs):
+        if n == 4:
+            raise ValueError("scan failed at n = 4")
+        return scan(n, *args, **kwargs)
+
+    monkeypatch.setattr(search, "sd_max", sd_max_failing_at_4)
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "bounds", "--max-n", "6", "--jobs", "1"
+    )
+    assert code == 2
+    assert out == (
+        "ok   range n=2: lower=0 sd=0 upper=1\n"
+        "ok   exact n=2: sd=0 lower=0 reference=0\n"
+        "ok   range n=3: lower=1 sd=1 upper=1\n"
+        "ok   exact n=3: sd=1 lower=1 reference=1\n"
+    )
+    assert err == "error: scan failed at n = 4\n"
+
+
 def test_verify_oracle_failure_names_least_word(capsys, monkeypatch):
     monkeypatch.setattr(
         deletions,
@@ -898,6 +922,13 @@ def test_parsed_values_do_not_leak_between_calls(capsys):
     assert (code, out) == (0, "ba length=2 class=antipalindrome lps=1 las=2 sd=0\n")
 
 
+def _source_env() -> dict:
+    """The environment of a fresh interpreter that imports this package."""
+    src = str(Path(palsym.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 @pytest.mark.parametrize(
     "argv, stdin, unused",
     [
@@ -919,15 +950,25 @@ def test_command_imports_only_what_it_uses(argv, stdin, unused):
         f"print(sorted(set({unused!r}) & set(sys.modules)), file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
-    src = str(Path(palsym.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     done = subprocess.run(
         [sys.executable, "-c", script, *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        input=stdin, capture_output=True, text=True, env=_source_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr.splitlines()[-1] == "[]"
+
+
+def test_importtime_lists_the_package_modules():
+    """``-X importtime`` logs the package's own modules, those loaded on
+    first use included: the bounds a verify suite checks and the scan."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "palsym",
+         "verify", "--suite", "bounds", "--max-n", "3"],
+        capture_output=True, text=True, env=_source_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"palsym.bounds", "palsym.search"} <= logged
 
 
 def test_package_exports_are_their_modules_objects():

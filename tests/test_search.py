@@ -212,7 +212,8 @@ def pool_every_row(monkeypatch):
 @pytest.fixture
 def recorded(monkeypatch):
     """The events of every pool the test opens: ("open", workers asked
-    for) and ("map", row n), on a machine that reports eight CPUs."""
+    for), ("map", row n) and ("shutdown",), on a machine that reports eight
+    CPUs."""
     events = []
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
@@ -225,6 +226,10 @@ def recorded(monkeypatch):
         def map(self, fn, *iterables, **kwargs):
             events.append(("map", fn.args[0]))
             return super().map(fn, *iterables, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            events.append(("shutdown",))
+            super().shutdown(*args, **kwargs)
 
     monkeypatch.setattr(search, "ProcessPoolExecutor", RecordingPool)
     return events
@@ -244,6 +249,16 @@ def test_worker_determinism(pool_every_row):
     assert rows[2] == rows[0]
 
 
+def _row_pools(workers):
+    """The events of rows that each open, use and shut down their own pool:
+    row n asks for ``workers[n]`` workers."""
+    return [
+        event
+        for n, w in workers.items()
+        for event in (("open", w), ("map", n), ("shutdown",))
+    ]
+
+
 def test_pool_sized_by_task_count(pool_every_row, recorded):
     """n = 16 scans two tasks, so eight requested workers start a pool of
     two; the row is the one-worker row."""
@@ -252,30 +267,27 @@ def test_pool_sized_by_task_count(pool_every_row, recorded):
     assert row == sd_max(16, ONE)
 
 
-def test_compute_table_starts_one_pool(pool_every_row, recorded):
-    """Rows 1..19 share one pool sized by row 19's 16 tasks, and a table
-    whose rows are all one task gets a pool of one worker.  The rows are
-    the one-worker rows."""
+def test_each_pooled_row_starts_its_own_pool(pool_every_row, recorded):
+    """Each of rows 1..19 opens its own pool, sized by its own tasks: one
+    up to row 15, then 2, 4 and 8, and row 19's 16 tasks capped at the
+    eight CPUs.  Each pool is shut down before the next row opens one, and
+    the rows are the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    assert recorded == [("open", 8)] + [("map", n) for n in range(1, 20)]
+    workers = [1] * 15 + [2, 4, 8, 8]
+    assert recorded == _row_pools(dict(zip(range(1, 20), workers)))
     assert rows == compute_table(1, 19, ONE)
-    del recorded[:]
-    assert compute_table(1, 15, SearchConfig(worker_count=8)) == compute_table(
-        1, 15, ONE
-    )
-    assert recorded == [("open", 1)] + [("map", n) for n in range(1, 16)]
 
 
 @pytest.mark.parametrize("cpus, workers", [(2, 2), (1, 1), (None, 1)])
 def test_pool_capped_at_cpu_count(
     monkeypatch, pool_every_row, recorded, cpus, workers
 ):
-    """However many workers are asked for, the pool has no more than the
-    CPUs the machine reports, and one when it reports none; the rows are
-    the one-worker rows."""
+    """However many workers are asked for, each row's pool has no more
+    than the CPUs the machine reports, and one when it reports none; the
+    rows are the one-worker rows."""
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     rows = compute_table(18, 19, SearchConfig(worker_count=5000))
-    assert recorded == [("open", workers), ("map", 18), ("map", 19)]
+    assert recorded == _row_pools({18: workers, 19: workers})
     assert rows == compute_table(18, 19, ONE)
 
 
@@ -290,10 +302,11 @@ def test_small_rows_open_no_pool(recorded):
     assert search._TASK < search._POOL_WORDS
 
 
-def test_pool_opens_at_the_first_row_over_the_threshold(monkeypatch, recorded):
+def test_pool_opens_at_each_row_over_the_threshold(monkeypatch, recorded):
     """With the threshold at row 19's counted words, rows 16..18 and 20
-    run in this process and rows 19 and 21 on one pool, opened while row 19
-    runs; the decision is per row, not per range."""
+    run in this process and rows 19 and 21 each on a pool of their own,
+    opened while the row runs and shut down before it returns; the
+    decision is per row, not per range."""
     counted = {n: _counted_words(n).sum() for n in range(16, 22)}
     monkeypatch.setattr(search, "_POOL_WORDS", counted[19])
     assert [n for n in counted if counted[n] >= counted[19]] == [19, 21]
@@ -301,27 +314,26 @@ def test_pool_opens_at_the_first_row_over_the_threshold(monkeypatch, recorded):
 
     def sd_max_recorded(n, *args, **kwargs):
         recorded.append(("row", n))
-        return scan(n, *args, **kwargs)
+        row = scan(n, *args, **kwargs)
+        recorded.append(("done", n))
+        return row
 
     monkeypatch.setattr(search, "sd_max", sd_max_recorded)
     config = SearchConfig(worker_count=2)
     rows = compute_table(16, 21, config)
     assert recorded == [
-        ("row", 16),
-        ("row", 17),
-        ("row", 18),
-        ("row", 19),
-        ("open", 2),
-        ("map", 19),
-        ("row", 20),
-        ("row", 21),
-        ("map", 21),
+        ("row", 16), ("done", 16),
+        ("row", 17), ("done", 17),
+        ("row", 18), ("done", 18),
+        ("row", 19), ("open", 2), ("map", 19), ("shutdown",), ("done", 19),
+        ("row", 20), ("done", 20),
+        ("row", 21), ("open", 2), ("map", 21), ("shutdown",), ("done", 21),
     ]
     assert [row.pooled for row in rows] == [0, 0, 0, 1, 0, 1]
     assert rows == compute_table(16, 21, ONE)
     del recorded[:]
     compute_table(16, 18, config)
-    assert [e for e in recorded if e[0] != "row"] == []
+    assert [e for e in recorded if e[0] not in ("row", "done")] == []
 
 
 def _task_words_by_spread(n, blocks, starts):
