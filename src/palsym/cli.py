@@ -8,15 +8,17 @@ game).  Exit codes: 0 success, 1 failed verification or table mismatch,
 
 ``sd`` parses its words, then answers them in chunks of ``_SD_CHUNK``
 words: one pass of the sd kernel per chunk and, with ``--witness``, one
-batched interval table for the chunk's witnesses.  The output is the same
-as answering one word at a time: a word that does not parse ends the
-input after the reports of the words before it, with exit code 2.
+batched interval table for the chunk's witnesses; each chunk's lines are
+filled from one template per format and written at once.  The output is
+the same as answering one word at a time: a word that does not parse ends
+the input after the reports of the words before it, with exit code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -36,11 +38,12 @@ _ORACLE_SAMPLES = 200
 _ORACLE_SEED = 20240
 _EXHAUSTIVE_ORACLE_MAX = 14
 # Words per kernel pass and per batched witness table of `sd`.  Per word of
-# 1..63 letters (2 cores, Python 3.11.7, numpy 2.4.6, medians of 9 passes
-# over 2048 words), chunks of 8/16/32/64/128/256 words cost 8.4/5.8/5.1/
-# 6.2/4.5/4.5 us for sd and 101/85/69/52/48/48 us with the witness, against
-# about 25 and 120 us one word at a time.  Past 64 words the gain is under
-# a tenth, while the witness arrays grow by 8 KB per word.
+# 1..63 letters, kernel pass and JSON lines together (`_sd_lines`; 2-vCPU
+# Xeon VM, Python 3.11.7, numpy 2.4.6, medians of 9 interleaved passes over
+# 2048 words), chunks of 8/16/32/64/128/256 words cost 7.9/6.0/5.0/4.8/5.4/
+# 4.7 us, and 70/53/44/41/39/38 us with the witness, against 21 and 175 us
+# one word at a time.  Past 64 words the gain is under a tenth, while the
+# witness arrays grow by 8 KB per word.
 _SD_CHUNK = 64
 
 
@@ -65,55 +68,81 @@ def _jobs(requested: int | None) -> int:
 # ---------------------------------------------------------------- sd
 
 
-def _sd_reports(chunk: list[words.Word], with_witness: bool) -> list[dict]:
-    """Reports of a chunk of words: one kernel pass, and with
-    ``with_witness`` one batched table for all of their witnesses."""
+# How `sd` writes a word's line in each format: the word's fields, then
+# its witness's fields, the end of the line, the empty word (as the word or
+# as the residual), the separator of the deleted positions and the text of
+# none.  Words hold only a and b and the class and target names are fixed,
+# so no field needs escaping: a JSON line is the bytes of ``json.dumps`` of
+# the report {"word", "length", "class", "lps", "las", "sd"} with its
+# "witness": {"deleted_positions", "target", "residual"}.
+_SD_FORMATS = {
+    "text": (
+        "{} length={} class={} lps={} las={} sd={}",
+        " deleted={} target={} residual={}",
+        "\n",
+        "(empty)",
+        ",",
+        "-",
+    ),
+    "json": (
+        '{{"word": "{}", "length": {}, "class": "{}", "lps": {}, "las": {}, '
+        '"sd": {}',
+        ', "witness": {{"deleted_positions": [{}], "target": "{}", '
+        '"residual": "{}"}}',
+        "}\n",
+        "",
+        ", ",
+        "",
+    ),
+}
+_PALINDROME = words.SymmetryClass.PALINDROME.value
+_ANTIPALINDROME = words.SymmetryClass.ANTIPALINDROME.value
+_BOTH = words.SymmetryClass.BOTH.value
+_NEITHER = words.SymmetryClass.NEITHER.value
+
+
+def _sd_lines(chunk: list[words.Word], form: str, with_witness: bool) -> str:
+    """The output lines of a chunk of words: one kernel pass, and with
+    ``with_witness`` one batched table for all of their witnesses.
+
+    A word's class is read from its counts: a word of n letters is a
+    palindrome iff lps = LCS(w, rev w) = n, an antipalindrome iff las = n,
+    and both iff n = 0.
+    """
+    line, witness_line, end, empty, separator, no_deletion = _SD_FORMATS[form]
     if with_witness:
         witnesses = deletions.sd_witnesses(chunk)
         results = [w.result for w in witnesses]
     else:
         witnesses = [None] * len(chunk)
         results = deletions.sd_words(chunk)
-    reports = []
+    lines = []
     for word, result, witness in zip(chunk, results, witnesses):
-        report = {
-            "word": str(word),
-            "length": len(word),
-            "class": word.symmetry_class().value,
-            "lps": result.lps,
-            "las": result.las,
-            "sd": result.value,
-        }
-        if witness:
-            report["witness"] = {
-                "deleted_positions": list(witness.deleted_positions),
-                "target": witness.target.value,
-                "residual": str(witness.residual),
-            }
-        reports.append(report)
-    return reports
-
-
-def _print_sd_text(report: dict) -> None:
-    line = (
-        f"{report['word'] or '(empty)'} length={report['length']} "
-        f"class={report['class']} lps={report['lps']} las={report['las']} "
-        f"sd={report['sd']}"
-    )
-    if "witness" in report:
-        w = report["witness"]
-        deleted = ",".join(str(p) for p in w["deleted_positions"]) or "-"
-        line += (
-            f" deleted={deleted} target={w['target']}"
-            f" residual={w['residual'] or '(empty)'}"
+        n, lps, las = word.length, result.lps, result.las
+        if lps == n:
+            cls = _PALINDROME if n else _BOTH
+        else:
+            cls = _ANTIPALINDROME if las == n else _NEITHER
+        lines.append(
+            line.format(str(word) or empty, n, cls, lps, las, result.value)
         )
-    print(line)
+        if witness:
+            deleted = separator.join(map(str, witness.deleted_positions))
+            lines.append(
+                witness_line.format(
+                    deleted or no_deletion,
+                    witness.target.value,
+                    str(witness.residual) or empty,
+                )
+            )
+        lines.append(end)
+    return "".join(lines)
 
 
 def _cmd_sd(args) -> int:
     texts = list(args.words)
     if args.stdin:
-        texts.extend(line.strip() for line in sys.stdin if line.strip())
+        texts.extend(filter(None, map(str.strip, sys.stdin)))
     if not texts:
         print("no words given; pass words or use --stdin", file=sys.stderr)
         return 2
@@ -126,11 +155,8 @@ def _cmd_sd(args) -> int:
             error = exc
             break
     for start in range(0, len(parsed), _SD_CHUNK):
-        for report in _sd_reports(parsed[start : start + _SD_CHUNK], args.witness):
-            if args.format == "json":
-                print(json.dumps(report))
-            else:
-                _print_sd_text(report)
+        chunk = parsed[start : start + _SD_CHUNK]
+        sys.stdout.write(_sd_lines(chunk, args.format, args.witness))
     if error is not None:
         raise error
     return 0
@@ -218,7 +244,9 @@ def _cmd_construct(args) -> int:
 Check = tuple[str, bool, str]
 
 
-def _suite_lemma4(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_lemma4(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     for c in bounds_mod.verify_family(max_n):
         p = c.params
         yield (
@@ -228,10 +256,12 @@ def _suite_lemma4(max_n: int, jobs: int) -> Iterator[Check]:
         )
 
 
-def _suite_bounds(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_bounds(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     from . import search
 
-    config = search.SearchConfig(worker_count=jobs)
+    config = search.SearchConfig(worker_count=jobs, progress_interval=progress)
     for n in range(2, max_n + 1):
         row = search.sd_max(n, config)
         yield (
@@ -254,7 +284,9 @@ def _first_failure(pool, holds) -> words.Word | None:
     return next((w for w in pool if not holds(w)), None)
 
 
-def _suite_oracle(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_oracle(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     rng = random.Random(_ORACLE_SEED)
     for n in range(1, max_n + 1):
         if n <= _EXHAUSTIVE_ORACLE_MAX:
@@ -286,7 +318,9 @@ def _peels(w: words.Word) -> bool:
     return length(w) == 2 + length(words.parse_word(s[1:-1]))
 
 
-def _suite_peeling(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_peeling(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     for n in range(2, max_n + 1):
         bad = _first_failure(words.all_words(n), _peels)
         yield (
@@ -301,7 +335,9 @@ def _orbit_constant(w: words.Word) -> bool:
     return len({deletions.sd(v).value for v in orbit}) == 1
 
 
-def _suite_invariance(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_invariance(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     from . import search
 
     for n in range(1, max_n + 1):
@@ -311,7 +347,7 @@ def _suite_invariance(max_n: int, jobs: int) -> Iterator[Check]:
             bad is None,
             "sd constant on orbits" if bad is None else f"fails at {bad}",
         )
-    config = search.SearchConfig(worker_count=jobs)
+    config = search.SearchConfig(worker_count=jobs, progress_interval=progress)
     for n in range(1, min(max_n, 12) + 1):
         pruned = search.sd_max(n, config).sd
         full = int(search.sd_batch(range(1 << n), n).max())
@@ -322,7 +358,9 @@ def _suite_invariance(max_n: int, jobs: int) -> Iterator[Check]:
         )
 
 
-def _suite_game(max_n: int, jobs: int) -> Iterator[Check]:
+def _suite_game(
+    max_n: int, jobs: int, progress: float | None
+) -> Iterator[Check]:
     from . import game
 
     for n in range(6, max_n + 1):
@@ -352,7 +390,8 @@ def _guard(module: str, name: str):
 
 # suite name -> (runner, default --max-n, smallest allowed --max-n, largest
 # allowed --max-n or a guard that gives it); below the smallest a suite
-# would run no check at all.
+# would run no check at all.  A runner is called with --max-n, the worker
+# count and the --progress interval of the scans it runs, if any.
 _SUITES = {
     "lemma4": (_suite_lemma4, 4, 0, 7),
     "bounds": (_suite_bounds, 14, 2, _guard("search", "MAX_SEARCH_LENGTH")),
@@ -361,6 +400,16 @@ _SUITES = {
     "invariance": (_suite_invariance, 10, 1, 14),
     "game": (_suite_game, 10, 1, _guard("game", "GAME_MAX_LENGTH")),
 }
+
+
+def _progress(seconds: float | None) -> float | None:
+    """``verify --progress``, checked as ``search.SearchConfig`` checks it,
+    also for a suite that runs no scan."""
+    if seconds is not None and not 0 <= seconds < math.inf:
+        raise ValueError(
+            f"progress_interval must be finite and >= 0, got {seconds}"
+        )
+    return seconds
 
 
 def _cmd_verify(args) -> int:
@@ -376,8 +425,9 @@ def _cmd_verify(args) -> int:
         return 2
     # each check is printed as it is made, so a long suite shows its
     # progress and a suite cut short shows the checks it made
+    made = runner(max_n, _jobs(args.jobs), _progress(args.progress))
     checks = failures = 0
-    for name, ok, detail in runner(max_n, _jobs(args.jobs)):
+    for name, ok, detail in made:
         print(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}", flush=True)
         checks += 1
         failures += 0 if ok else 1
@@ -587,6 +637,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=tuple(_SUITES), required=True)
     p_ver.add_argument("--max-n", type=int, default=None)
     p_ver.add_argument("--jobs", type=int, default=None)
+    p_ver.add_argument(
+        "--progress",
+        type=float,
+        default=None,
+        help="progress period in seconds of the scans the suite runs",
+    )
     p_ver.set_defaults(func=_cmd_verify)
 
     p_game = sub.add_parser("game", help="deletion game: solve, scan, or play")

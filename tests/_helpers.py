@@ -26,14 +26,19 @@ deletions gives the next level and each child's index, and
 ``plain_canonical_scan`` is the scan that the branch and bound of
 ``search.sd_max`` replaced: every canonical word of the a-half goes to the
 kernel, with no bound.
+``reference_sd_reports`` and ``reference_sd_output`` are the report
+builder and printer that the line templates of ``cli._sd_lines``
+replaced: a dict per word with ``Word.symmetry_class``, printed by
+``json.dumps`` or as a text line.
 """
 
 import itertools
+import json
 
 import numpy as np
 
 from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word, sd_batch
-from palsym.deletions import _mirror_lcs, _tables
+from palsym.deletions import _mirror_lcs, _tables, sd_witnesses, sd_words
 from palsym.game import _run_children
 from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
@@ -339,3 +344,59 @@ def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:
         if top == best:
             hits.extend(arr[values == best][: limit - len(hits)].tolist())
     return best, hits, count
+
+
+def _reference_sd_report(word: Word, result, witness) -> dict:
+    report = {
+        "word": str(word),
+        "length": len(word),
+        "class": word.symmetry_class().value,
+        "lps": result.lps,
+        "las": result.las,
+        "sd": result.value,
+    }
+    if witness:
+        report["witness"] = {
+            "deleted_positions": list(witness.deleted_positions),
+            "target": witness.target.value,
+            "residual": str(witness.residual),
+        }
+    return report
+
+
+def _reference_sd_text(report: dict) -> str:
+    line = (
+        f"{report['word'] or '(empty)'} length={report['length']} "
+        f"class={report['class']} lps={report['lps']} las={report['las']} "
+        f"sd={report['sd']}"
+    )
+    if "witness" in report:
+        w = report["witness"]
+        deleted = ",".join(str(p) for p in w["deleted_positions"]) or "-"
+        line += (
+            f" deleted={deleted} target={w['target']}"
+            f" residual={w['residual'] or '(empty)'}"
+        )
+    return line
+
+
+def reference_sd_reports(ws: list[Word], with_witness: bool) -> list[dict]:
+    """The report of each word, answered in chunks of 64 words."""
+    reports = []
+    for start in range(0, len(ws), 64):
+        chunk = ws[start : start + 64]
+        if with_witness:
+            witnesses = sd_witnesses(chunk)
+            results = [w.result for w in witnesses]
+        else:
+            witnesses = [None] * len(chunk)
+            results = sd_words(chunk)
+        for word, result, witness in zip(chunk, results, witnesses):
+            reports.append(_reference_sd_report(word, result, witness))
+    return reports
+
+
+def reference_sd_output(reports: list[dict], form: str) -> str:
+    """What ``sd`` prints for these reports in ``form``, "text" or "json"."""
+    line = json.dumps if form == "json" else _reference_sd_text
+    return "".join(line(report) + "\n" for report in reports)

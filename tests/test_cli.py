@@ -8,9 +8,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from _helpers import all_texts, reference_sd_output, reference_sd_reports
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import palsym
-from palsym import bounds, cli, deletions, game, parse_word, search
+from palsym import Word, bounds, cli, deletions, game, parse_word, search
 from palsym.cli import main
 
 
@@ -216,6 +219,43 @@ def test_table_progress_gives_scan_totals(capfd):
     assert lines[-1] == "n=17: scanned 32896 words, current max 7"
 
 
+def test_verify_progress_gives_scan_totals_within_rows(capfd):
+    """``verify --suite bounds --progress 0`` prints each scan's totals
+    after every chunk: row 22 reports four times, the last its full count,
+    and stdout is the same as without it."""
+    argv = ["verify", "--suite", "bounds", "--max-n", "22", "--jobs", "1"]
+    assert main(argv) == 0
+    plain = capfd.readouterr()
+    assert main(argv + ["--progress", "0"]) == 0
+    reported = capfd.readouterr()
+    assert reported.out == plain.out
+    assert plain.err == ""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for line in reported.err.splitlines():
+        match = re.fullmatch(r"n=(\d+): scanned (\d+) words, current max (\d+)", line)
+        assert match, line
+        rows.setdefault(int(match[1]), []).append((int(match[2]), int(match[3])))
+    assert list(rows) == list(range(2, 23))
+    assert len(rows[22]) > 1
+    assert rows[22] == sorted(rows[22])
+    assert rows[22][-1] == (1_049_600, 8)
+
+
+@pytest.mark.parametrize("suite", ["bounds", "lemma4"])
+@pytest.mark.parametrize("interval", ["-1", "nan", "inf"])
+def test_verify_bad_progress_exits_2(capsys, suite, interval):
+    """A bad interval exits 2 as for ``table``, also for a suite that runs
+    no scan."""
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--progress", interval
+    )
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: progress_interval must be finite and >= 0, got {float(interval)}\n"
+    )
+
+
 def test_table_stats_leave_stdout_unchanged(capsys):
     """The stats lines leave stdout alone; one-task rows evaluate every
     canonical word, the bound prunes blocks of the larger rows, and no row
@@ -332,6 +372,99 @@ def test_sd_stdin_bad_line_after_several_chunks(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines() == expected.splitlines()[:130]
     assert err == "error: invalid letter '1' at position 3\n"
+
+
+def _sd_stdin(capsys, monkeypatch, texts, *flags):
+    """Output of ``sd`` with the first text as an argument, since stdin
+    skips blank lines, and the rest on stdin."""
+    stdin = "".join(t + "\n" for t in texts[1:])
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run_cli(capsys, "sd", texts[0], "--stdin", *flags)
+    assert (code, err) == (0, "")
+    return out
+
+
+def _texts_up_to(n: int) -> list[str]:
+    return [t for m in range(n + 1) for t in all_texts(m)]
+
+
+@pytest.mark.parametrize("longest, flags", [(14, []), (12, ["--witness"])])
+def test_sd_lines_match_reference_exhaustive(capsys, monkeypatch, longest, flags):
+    """Every word of 0..14 letters, and of 0..12 with witnesses, prints in
+    both formats what the report dicts printed: each class read from lps
+    and las is ``Word.symmetry_class``."""
+    texts = _texts_up_to(longest)
+    reports = reference_sd_reports(list(map(parse_word, texts)), bool(flags))
+    for form in ("text", "json"):
+        out = _sd_stdin(capsys, monkeypatch, texts, "--format", form, *flags)
+        assert out == reference_sd_output(reports, form)
+
+
+@pytest.mark.parametrize("flags", [[], ["--witness"]])
+def test_sd_digit_lines_match_reference(capsys, monkeypatch, flags):
+    """Digits print as letters: every word of 0..8 letters, its letters
+    written alternately as a letter and as a digit, from a digit in every
+    other word."""
+    texts = _texts_up_to(8)
+    digits = str.maketrans("ab", "01")
+    mixed = [
+        "".join(c.translate(digits) if (i + k) % 2 else c for i, c in enumerate(t))
+        for k, t in enumerate(texts)
+    ]
+    reports = reference_sd_reports(list(map(parse_word, texts)), bool(flags))
+    for form in ("text", "json"):
+        flags_of_form = ["--digits", "--format", form, *flags]
+        out = _sd_stdin(capsys, monkeypatch, mixed, *flags_of_form)
+        assert out == reference_sd_output(reports, form)
+
+
+_sized_words = st.integers(0, 63).flatmap(
+    lambda m: st.text(alphabet="ab", min_size=m, max_size=m)
+)
+
+
+@given(
+    st.integers(1, 200).flatmap(
+        lambda k: st.lists(_sized_words, min_size=k, max_size=k)
+    ),
+    st.sampled_from(["text", "json"]),
+    st.booleans(),
+)
+@settings(max_examples=20, deadline=None)
+def test_sd_batches_match_reference(batch, form, with_witness):
+    """Batches of 1..200 words of 0..63 letters, across chunk boundaries:
+    the first as an argument, the rest on stdin, whose blank lines are
+    skipped."""
+    head, lines = batch[0], batch[1:]
+    flags = ["--format", form] + ["--witness"] * with_witness
+    out = io.StringIO()
+    saved = sys.stdin, sys.stdout
+    sys.stdin = io.StringIO("".join(f" {t}\r\n" for t in lines))
+    sys.stdout = out
+    try:
+        assert main(["sd", "--stdin", *flags, "--", head]) == 0
+    finally:
+        sys.stdin, sys.stdout = saved
+    ws = [parse_word(t) for t in [head, *filter(None, lines)]]
+    reports = reference_sd_reports(ws, with_witness)
+    assert out.getvalue() == reference_sd_output(reports, form)
+
+
+@pytest.mark.parametrize("flags", [[], ["--witness"]])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_sd_neither_classifies_nor_dumps(capsys, monkeypatch, form, flags):
+    """``sd`` reads each class from the kernel's counts and fills its line
+    templates: it calls neither ``Word.symmetry_class`` nor ``json.dumps``."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called by sd")
+
+    monkeypatch.setattr(Word, "symmetry_class", refuse)
+    monkeypatch.setattr(cli.json, "dumps", refuse)
+    texts = ["", "a", "ab", "aab", "abba", "abab", "bbabbbbaaa", "ab" * 31 + "b"]
+    code, out, _ = run_cli(capsys, "sd", "--format", form, *flags, "--", *texts)
+    assert code == 0
+    assert len(out.splitlines()) == len(texts)
 
 
 def test_construct(capsys):
@@ -934,11 +1067,12 @@ def _source_env() -> dict:
     [
         (["construct", "1", "0", "0"], "", ("numpy", "palsym.search", "palsym.game")),
         (["sd", "abba"], "", ("numpy", "palsym.search", "palsym.game")),
+        (["sd", "--format", "json", "abba"], "", ("numpy",)),
         (["sd", "--stdin"], "aab\nabba\n" + "ab" * 31 + "\n", ("numpy",)),
         (["game", "solve", "abbab"], "", ("concurrent.futures.process",)),
         (["sd", "--witness", "abba"], "", ("concurrent.futures.process",)),
     ],
-    ids=["construct", "sd", "sd-stdin", "game-solve", "sd-witness"],
+    ids=["construct", "sd", "sd-json", "sd-stdin", "game-solve", "sd-witness"],
 )
 def test_command_imports_only_what_it_uses(argv, stdin, unused):
     """In a fresh interpreter, a command that builds no array leaves numpy
