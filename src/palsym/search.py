@@ -36,13 +36,15 @@ before anything runs, the words each task will send to the kernel at most
 and ``_chunk_plan`` cuts a row's tasks into chunks by that count: a chunk
 closes once its words reach ``_BUDGET`` or it holds ``_CHUNK`` tasks, so the
 kernel runs in full batches.  The same plan serves every worker count.  A
-row whose counted words are below ``_POOL_WORDS`` runs in this process; a
-larger one, with more than one worker, goes to a process pool that the
-row opens and shuts down itself.  A chunk is sent the block table rows of
-its prefixes, builds the words of its kept blocks and runs the bit-parallel
-LCS kernel of ``deletions`` on them in batches of ``_TASK`` words.  The
-parent merges chunk results in chunk order and prints progress after each,
-so the outcome is identical for any worker count.
+row's workers are those asked for, capped at its tasks and the machine's
+CPUs.  A row runs in this process when that leaves one worker or its
+counted words are below ``_POOL_WORDS``; else it goes to a process pool of
+that many workers, which the row opens and shuts down itself.  A chunk is
+sent the block table rows of its prefixes, builds the words of its kept
+blocks and runs the bit-parallel LCS kernel of ``deletions`` on them in
+batches of ``_TASK`` words.  The parent merges chunk results in chunk order
+and prints progress after each, so the outcome is identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -90,12 +92,13 @@ _CHUNK = 64
 # 37.1 MB (2-vCPU Xeon VM, medians of 7 fresh processes).
 _BUDGET = 1 << 16
 
-# Counted kernel words from which a row goes to a process pool, with more
-# than one worker.  sd_max on one worker against its own 2-worker pool
-# (2-vCPU Xeon VM, medians of 7 to 11 fresh processes): row 22 (186 k
-# words) 0.040 against 0.069 s, row 23 (210 k) 0.042 against 0.058 s,
-# row 25 (316 k) 0.084 against 0.080 s and row 26 (779 k) 0.24 against
-# 0.19 s; starting and stopping the pool takes about 12 ms of that.
+# Counted kernel words from which a row goes to a process pool, when two or
+# more workers remain after the task and CPU caps.  sd_max on one worker
+# against its own 2-worker pool (2-vCPU Xeon VM, medians of 7 to 11 fresh
+# processes): row 22 (186 k words) 0.040 against 0.069 s, row 23 (210 k)
+# 0.042 against 0.058 s, row 25 (316 k) 0.084 against 0.080 s and row 26
+# (779 k) 0.24 against 0.19 s; starting and stopping the pool takes about
+# 12 ms of that.
 _POOL_WORDS = 1 << 18
 
 
@@ -383,13 +386,13 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
 
     The scan runs as tasks of ``_TASK`` words in ascending order, cut into
     chunks by the words each task sends to the kernel (``_chunk_plan``).
-    The row runs in this process when one worker is asked for or its
+    The workers asked for are capped at the row's tasks and the machine's
+    CPUs.  The row runs in this process when that leaves one worker or its
     counted words are below ``_POOL_WORDS``, as they always are for a row
-    of one task (at most ``_TASK``); else on a process pool of at most as
-    many workers as the row has tasks and the machine has CPUs, opened for
-    this row and shut down before it returns.  Results come back one per
-    chunk in chunk order, so the row, including the extremal words and
-    their order, is the same for any worker count;
+    of one task (at most ``_TASK``); else on a process pool of that many
+    workers, opened for this row and shut down before it returns.  Results
+    come back one per chunk in chunk order, so the row, including the
+    extremal words and their order, is the same for any worker count;
     ``config.progress_interval`` prints scan totals to stderr, checked
     after each chunk.  ``words_evaluated`` counts the words sent to the
     kernel, ``blocks_pruned`` the blocks with canonical words that the bound
@@ -412,17 +415,17 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     cuts = _chunk_plan(words)
     chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
     tables = [blocks.rows(n, c) for c in chunks]
-    pooled = config.worker_count > 1 and int(words.sum()) >= _POOL_WORDS
+    # fork starts every worker at the first submit, so the pool has no more
+    # workers than the row has tasks or the machine has CPUs; one worker
+    # gains nothing from a pool
+    workers = min(config.worker_count, len(starts), os.cpu_count() or 1)
+    pooled = workers > 1 and int(words.sum()) >= _POOL_WORDS
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
-    # fork starts every worker at the first submit, so the pool has no more
-    # workers than the row has tasks or the machine has CPUs; the class is
-    # read through the module (see ``__getattr__``)
+    # the class is read through the module (see ``__getattr__``)
     pool = (
-        sys.modules[__name__].ProcessPoolExecutor(
-            max_workers=min(config.worker_count, len(starts), os.cpu_count() or 1)
-        )
+        sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
         if pooled
         else nullcontext()
     )

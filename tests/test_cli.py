@@ -290,6 +290,27 @@ def test_table_stats_leave_stdout_unchanged(capsys):
             assert pruned > 0
 
 
+def test_one_cpu_runs_every_row_in_process(capsys, monkeypatch):
+    """On a machine that reports one CPU, row 25 counts enough kernel
+    words for a pool, but `--jobs 2` leaves it one worker: it runs in this
+    process, opens no pool and prints the `--jobs 1` table."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    counted = search._task_words(search._blocks(25), search._task_starts(25))
+    assert counted.sum() >= search._POOL_WORDS
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-worker row opened a pool")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    argv = ("table", "--from", "25", "--to", "25")
+    code, one, _ = run_cli(capsys, *argv, "--jobs", "1")
+    assert code == 0
+    code, two, err = run_cli(capsys, *argv, "--jobs", "2", "--stats")
+    assert code == 0
+    assert two == one
+    assert err.startswith("stats: n=25 ") and err.endswith(" pool=0\n")
+
+
 @pytest.mark.parametrize("text", ["", "a", "ab", "aab", "abbabaabbbaabab" * 4])
 @pytest.mark.parametrize("with_witness", [False, True])
 def test_sd_report_runs_kernel_once(capsys, monkeypatch, text, with_witness):

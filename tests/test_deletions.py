@@ -244,6 +244,12 @@ def test_lane_counts_match_numpy(lanes):
     assert _lane_counts(vector, len(lanes)) == expected
 
 
+def test_empty_chunk_has_no_lanes():
+    """A chunk of no words has no lanes to count and no results."""
+    assert _lane_counts(0, 0) == []
+    assert sd_words([]) == []
+
+
 @given(mixed_batches)
 @example(
     [("b" * MAX_LENGTH, True), ("b" * MAX_LENGTH, False), ("", True), ("ab", False)]

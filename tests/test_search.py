@@ -268,13 +268,14 @@ def test_pool_sized_by_task_count(pool_every_row, recorded):
 
 
 def test_each_pooled_row_starts_its_own_pool(pool_every_row, recorded):
-    """Each of rows 1..19 opens its own pool, sized by its own tasks: one
-    up to row 15, then 2, 4 and 8, and row 19's 16 tasks capped at the
-    eight CPUs.  Each pool is shut down before the next row opens one, and
-    the rows are the one-worker rows."""
+    """Rows 1..15 have one task each, which leaves one worker, so they run
+    in this process.  Each of rows 16..19 opens its own pool, sized by its
+    own tasks: 2, 4 and 8, and row 19's 16 tasks capped at the eight CPUs.
+    Each pool is shut down before the next row opens one, and the rows are
+    the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    workers = [1] * 15 + [2, 4, 8, 8]
-    assert recorded == _row_pools(dict(zip(range(1, 20), workers)))
+    assert recorded == _row_pools({16: 2, 17: 4, 18: 8, 19: 8})
+    assert [row.pooled for row in rows] == [False] * 15 + [True] * 4
     assert rows == compute_table(1, 19, ONE)
 
 
@@ -283,11 +284,14 @@ def test_pool_capped_at_cpu_count(
     monkeypatch, pool_every_row, recorded, cpus, workers
 ):
     """However many workers are asked for, each row's pool has no more
-    than the CPUs the machine reports, and one when it reports none; the
-    rows are the one-worker rows."""
+    than the CPUs the machine reports.  One reported CPU, or none, leaves
+    one worker, and the rows run in this process with no pool.  The rows
+    are the one-worker rows."""
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     rows = compute_table(18, 19, SearchConfig(worker_count=5000))
-    assert recorded == _row_pools({18: workers, 19: workers})
+    pooled = workers > 1
+    assert recorded == (_row_pools({18: workers, 19: workers}) if pooled else [])
+    assert [row.pooled for row in rows] == [pooled, pooled]
     assert rows == compute_table(18, 19, ONE)
 
 
