@@ -34,12 +34,12 @@ The a-half is cut into tasks of ``_TASK`` words.  The block tables give,
 before anything runs, the words each task will send to the kernel at most
 (``_task_words``: the words of its kept blocks that hold canonical words),
 and ``_chunk_plan`` cuts a row's tasks into chunks by that count: a chunk
-closes once its words reach ``_BUDGET`` or it holds ``_CHUNK`` tasks, so the
-kernel runs in full batches.  The same plan serves every worker count.  A
-row's workers are those asked for, capped at its tasks and the machine's
-CPUs.  A row runs in this process when that leaves one worker or its
-counted words are below ``_POOL_WORDS``; else it goes to a process pool of
-that many workers, which the row opens and shuts down itself.  A chunk is
+closes once its words reach ``_BUDGET``, so the kernel runs in full
+batches.  The same plan serves every worker count.  A row's workers are
+those asked for, capped at its chunks and the machine's CPUs.  A row runs
+in this process when that leaves one worker or its counted words are
+below ``_POOL_WORDS``; else it goes to a process pool of that many
+workers, which the row opens and shuts down itself.  A chunk is
 sent the block table rows of its prefixes, builds the words of its kept
 blocks and runs the bit-parallel LCS kernel of ``deletions`` on them in
 batches of ``_TASK`` words.  The parent merges chunk results in chunk order
@@ -72,8 +72,8 @@ from .deletions import _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
 
-# Row 32 takes 7.7 to 8.7 s on two cores (`table --from 32 --to 32 --jobs
-# 2` as a process on a 2-vCPU Xeon VM, 3 runs, median 8.1 s); each row
+# Row 32 takes 6.5 to 8.2 s on two cores (`table --from 32 --to 32 --jobs
+# 2` as a process on a 2-vCPU Xeon VM, 9 runs, median 7.1 s); each row
 # below it takes less.
 MAX_SEARCH_LENGTH = 32
 
@@ -81,19 +81,15 @@ MAX_SEARCH_LENGTH = 32
 # task runs in this process at any worker count.
 _TASK = 1 << 14
 
-# Most tasks in one chunk: a chunk's results arrive together, and its
-# words are held together.
-_CHUNK = 64
-
 # Counted kernel words that close a chunk, four kernel batches, so the
 # kernel runs mostly on full batches.  compute_table(1, 22) in process at a
 # budget of 2^14, 2^15, 2^16 and 2^17 words: 56, 47, 43 and 41 kernel
-# calls, 0.098, 0.094, 0.089 and 0.087 s, peak RSS 33.4, 33.4, 34.8 and
-# 37.1 MB (2-vCPU Xeon VM, medians of 7 fresh processes).
+# calls, 0.084, 0.080, 0.077 and 0.076 s, peak RSS 31.8, 31.8, 33.3 and
+# 35.8 MB (2-vCPU Xeon VM, medians of 7 fresh processes).
 _BUDGET = 1 << 16
 
 # Counted kernel words from which a row goes to a process pool, when two or
-# more workers remain after the task and CPU caps.  sd_max on one worker
+# more workers remain after the chunk and CPU caps.  sd_max on one worker
 # against its own 2-worker pool (2-vCPU Xeon VM, medians of 7 to 11 fresh
 # processes): row 22 (186 k words) 0.040 against 0.069 s, row 23 (210 k)
 # 0.042 against 0.058 s, row 25 (316 k) 0.084 against 0.080 s and row 26
@@ -278,13 +274,12 @@ def _task_words(blocks: _Blocks, starts: range) -> np.ndarray:
 def _chunk_plan(words: np.ndarray) -> list[int]:
     """Cut points of a row's tasks, 0 first and the task count last, given
     each task's counted words: a chunk closes once its words reach
-    ``_BUDGET`` or it holds ``_CHUNK`` tasks."""
+    ``_BUDGET``."""
     total = np.concatenate(([0], np.cumsum(words)))
     cuts = [0]
     while cuts[-1] < len(words):
-        i = cuts[-1]
-        full = int(np.searchsorted(total, total[i] + _BUDGET))
-        cuts.append(min(full, i + _CHUNK, len(words)))
+        full = int(np.searchsorted(total, total[cuts[-1]] + _BUDGET))
+        cuts.append(min(full, len(words)))
     return cuts
 
 
@@ -386,7 +381,7 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
 
     The scan runs as tasks of ``_TASK`` words in ascending order, cut into
     chunks by the words each task sends to the kernel (``_chunk_plan``).
-    The workers asked for are capped at the row's tasks and the machine's
+    The workers asked for are capped at the row's chunks and the machine's
     CPUs.  The row runs in this process when that leaves one worker or its
     counted words are below ``_POOL_WORDS``, as they always are for a row
     of one task (at most ``_TASK``); else on a process pool of that many
@@ -416,9 +411,9 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
     tables = [blocks.rows(n, c) for c in chunks]
     # fork starts every worker at the first submit, so the pool has no more
-    # workers than the row has tasks or the machine has CPUs; one worker
+    # workers than the row has chunks or the machine has CPUs; one worker
     # gains nothing from a pool
-    workers = min(config.worker_count, len(starts), os.cpu_count() or 1)
+    workers = min(config.worker_count, len(chunks), os.cpu_count() or 1)
     pooled = workers > 1 and int(words.sum()) >= _POOL_WORDS
 
     best, merged, scanned, evaluated = -1, [], 0, 0

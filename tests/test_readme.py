@@ -55,7 +55,7 @@ def test_stats_example_matches_row_22(capsys):
         "tasks": "128",
         "evaluated": "185632",
         "blocks_pruned": "54190",
-        "chunks": "4",
+        "chunks": "3",
         "pool": "0",
     }
     assert main(["table", "--from", "22", "--to", "22", "--jobs", "2", "--stats"]) == 0

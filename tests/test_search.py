@@ -205,8 +205,11 @@ def _counted_words(n):
 
 @pytest.fixture
 def pool_every_row(monkeypatch):
-    """Send every row to a pool, however little kernel work it counts."""
+    """Send every row to a pool, however little kernel work it counts, and
+    close a chunk at each task that counts a word, so that such a task is
+    a chunk of its own and a row has chunks enough for every worker."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
+    monkeypatch.setattr(search, "_BUDGET", 1)
 
 
 @pytest.fixture
@@ -259,20 +262,23 @@ def _row_pools(workers):
     ]
 
 
-def test_pool_sized_by_task_count(pool_every_row, recorded):
-    """n = 16 scans two tasks, so eight requested workers start a pool of
-    two; the row is the one-worker row."""
-    row = sd_max(16, SearchConfig(worker_count=8))
-    assert [e for e in recorded if e[0] == "open"] == [("open", 2)]
-    assert row == sd_max(16, ONE)
+def test_pool_capped_at_chunk_count(monkeypatch, recorded):
+    """At the real budget row 22's tasks make three chunks, so eight
+    requested workers on eight CPUs start a pool of three; the row is the
+    one-worker row."""
+    monkeypatch.setattr(search, "_POOL_WORDS", 0)
+    row = sd_max(22, SearchConfig(worker_count=8))
+    assert recorded == _row_pools({22: 3})
+    assert row.pooled and row.chunks == 3
+    assert row == sd_max(22, ONE)
 
 
 def test_each_pooled_row_starts_its_own_pool(pool_every_row, recorded):
     """Rows 1..15 have one task each, which leaves one worker, so they run
     in this process.  Each of rows 16..19 opens its own pool, sized by its
-    own tasks: 2, 4 and 8, and row 19's 16 tasks capped at the eight CPUs.
-    Each pool is shut down before the next row opens one, and the rows are
-    the one-worker rows."""
+    own chunks, one per task: 2, 4 and 8, and row 19's 16 chunks capped at
+    the eight CPUs.  Each pool is shut down before the next row opens one,
+    and the rows are the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
     assert recorded == _row_pools({16: 2, 17: 4, 18: 8, 19: 8})
     assert [row.pooled for row in rows] == [False] * 15 + [True] * 4
@@ -310,9 +316,11 @@ def test_pool_opens_at_each_row_over_the_threshold(monkeypatch, recorded):
     """With the threshold at row 19's counted words, rows 16..18 and 20
     run in this process and rows 19 and 21 each on a pool of their own,
     opened while the row runs and shut down before it returns; the
-    decision is per row, not per range."""
+    decision is per row, not per range.  A chunk per task that counts a
+    word leaves row 19 two workers."""
     counted = {n: _counted_words(n).sum() for n in range(16, 22)}
     monkeypatch.setattr(search, "_POOL_WORDS", counted[19])
+    monkeypatch.setattr(search, "_BUDGET", 1)
     assert [n for n in counted if counted[n] >= counted[19]] == [19, 21]
     scan = search.sd_max
 
@@ -355,8 +363,9 @@ def _task_words_by_spread(n, blocks, starts):
 
 def test_chunk_plan_covers_every_task_once():
     """Per-task counts equal the words the scan builds, and the plan cuts
-    the tasks in order into chunks of at most ``_CHUNK`` tasks, each closed
-    at the first task that brings its words to ``_BUDGET``."""
+    the tasks in order into chunks, each closed at the first task that
+    brings its words to ``_BUDGET``: every chunk but the last reaches it,
+    and none reaches it without its last task."""
     for n in range(1, 27):
         starts, blocks = search._task_starts(n), search._blocks(n)
         words = search._task_words(blocks, starts)
@@ -365,10 +374,10 @@ def test_chunk_plan_covers_every_task_once():
         cuts = search._chunk_plan(words)
         assert cuts[0] == 0 and cuts[-1] == len(starts)
         for i, j in zip(cuts, cuts[1:]):
-            assert 0 < j - i <= search._CHUNK
+            assert i < j
             assert words[i : j - 1].sum() < search._BUDGET
             if j < len(starts):
-                assert j - i == search._CHUNK or words[i:j].sum() >= search._BUDGET
+                assert words[i:j].sum() >= search._BUDGET
 
 
 def test_chunk_counts_bound_the_words_evaluated():
@@ -390,10 +399,10 @@ def test_chunk_counts_bound_the_words_evaluated():
 
 
 def test_table_determinism_across_chunks(pool_every_row):
-    """Row 19's first 90 extremal words end inside the second task of its
-    one chunk; row 21 merges the hits of several tasks of one chunk and
-    row 23 the hits of two chunks.  Every worker count, on a pool or not,
-    gives the same rows."""
+    """Row 19's first 90 extremal words end inside its second task; row 21
+    merges the hits of several tasks and row 23 the hits of several chunks
+    of its plan.  Every worker count, on a pool or not, gives the same
+    rows."""
     tables = [
         compute_table(19, 23, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
@@ -402,9 +411,9 @@ def test_table_determinism_across_chunks(pool_every_row):
     assert len(row19.extremal) == 90
     assert {w.bits >> 14 for w in row19.extremal} == {0, 1}
     assert len({w.bits >> 14 for w in row21.extremal}) > 1
-    cuts = search._chunk_plan(_counted_words(23))
-    first_chunk_end = cuts[1] << 14
-    assert {w.bits < first_chunk_end for w in row23.extremal} == {True, False}
+    ends = np.array(search._chunk_plan(_counted_words(23))[1:]) << 14
+    bits = [w.bits for w in row23.extremal]
+    assert len(set(np.searchsorted(ends, bits, side="right"))) > 1
     assert [row.tasks for row in tables[0]] == [16, 32, 64, 128, 256]
     assert all(row.pooled for row in tables[1])
     assert tables[1] == tables[0]
@@ -493,19 +502,28 @@ def test_block_letters_fit_a_task():
         assert 1 << k <= search._TASK
 
 
+@pytest.fixture(scope="module")
+def plain_rows():
+    """The scan with no bound of rows 1..22, with the first 100 canonical
+    achievers of each, which hold the first ``limit`` for every smaller
+    limit."""
+    return [plain_canonical_scan(n, 100) for n in range(1, 23)]
+
+
 @pytest.mark.parametrize("limit", [0, 1, 8, 100])
-def test_branch_and_bound_matches_plain_canonical_scan(pool_every_row, limit):
+def test_branch_and_bound_matches_plain_canonical_scan(
+    pool_every_row, plain_rows, limit
+):
     """Every row up to 22, in this process and on a pool of two workers,
     has the maximum, the extremal words and the canonical count of the
     scan with no bound."""
-    plain = [plain_canonical_scan(n, limit) for n in range(1, 23)]
     for jobs in (1, 2):
         rows = compute_table(
             1, 22, SearchConfig(worker_count=jobs, extremal_limit=limit)
         )
-        for row, (best, hits, count) in zip(rows, plain):
+        for row, (best, hits, count) in zip(rows, plain_rows):
             assert row.sd == best
-            assert [w.bits for w in row.extremal] == hits
+            assert [w.bits for w in row.extremal] == hits[:limit]
             assert row.words_scanned == count
 
 
