@@ -6,12 +6,14 @@ maximum per length), ``construct`` (extremal family words), ``verify``
 game).  Exit codes: 0 success, 1 failed verification or table mismatch,
 2 usage or guard errors.
 
-``sd`` parses its words, then answers them in chunks of ``_SD_CHUNK``
-words: one pass of the sd kernel per chunk and, with ``--witness``, one
-batched interval table for the chunk's witnesses; each chunk's lines are
-filled from one template per format and written at once.  The output is
-the same as answering one word at a time: a word that does not parse ends
-the input after the reports of the words before it, with exit code 2.
+``sd`` answers its words in chunks of ``_SD_CHUNK``: it reads each line's
+packed bits (``words._parse_bits``), runs one pass of the sd kernel per
+chunk and, with ``--witness``, one batched interval table for the chunk's
+witnesses; each chunk's lines are filled from one template per format,
+with the line's own letters, and written at once.  Without ``--witness``
+no ``Word`` and no ``SdResult`` is built.  The output is the same as
+answering one word at a time: a word that does not parse ends the input
+after the reports of the words before it, with exit code 2.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ _ORACLE_SEED = 20240
 _EXHAUSTIVE_ORACLE_MAX = 14
 # Words per kernel pass and per batched witness table of `sd`.  Per word of
 # 1..63 letters, kernel pass and JSON lines together (`_sd_lines`; 2-vCPU
-# Xeon VM, Python 3.11.7, numpy 2.4.6, medians of 9 interleaved passes over
-# 2048 words), chunks of 8/16/32/64/128/256 words cost 7.9/6.0/5.0/4.8/5.4/
-# 4.7 us, and 70/53/44/41/39/38 us with the witness, against 21 and 175 us
-# one word at a time.  Past 64 words the gain is under a tenth, while the
-# witness arrays grow by 8 KB per word.
+# Xeon VM, Python 3.11.7, numpy 2.4.6, medians of 3 processes of 9
+# interleaved passes over 2048 words, `BENCH_26.json`), chunks of
+# 8/16/32/64/128/256 words cost 7.3/6.7/5.1/4.6/4.4/5.6 us, and
+# 96/72/60/57/52/55 us with the witness, against 25 and 270 us one word at a
+# time.  Past 64 words the gain is under a tenth, while the witness arrays
+# grow by 8 KB per word.
 _SD_CHUNK = 64
 
 
@@ -101,31 +104,32 @@ _BOTH = words.SymmetryClass.BOTH.value
 _NEITHER = words.SymmetryClass.NEITHER.value
 
 
-def _sd_lines(chunk: list[words.Word], form: str, with_witness: bool) -> str:
-    """The output lines of a chunk of words: one kernel pass, and with
-    ``with_witness`` one batched table for all of their witnesses.
+def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) -> str:
+    """The output lines of a chunk of words, given as their letters and
+    packed bits: one kernel pass, and with ``with_witness`` one batched
+    table for all of their witnesses.
 
     A word's class is read from its counts: a word of n letters is a
     palindrome iff lps = LCS(w, rev w) = n, an antipalindrome iff las = n,
-    and both iff n = 0.
+    and both iff n = 0.  The kernel gives the deletions to each target,
+    n - lps and n - las, and sd is the smaller.
     """
     line, witness_line, end, empty, separator, no_deletion = _SD_FORMATS[form]
+    lengths = list(map(len, texts))
     if with_witness:
-        witnesses = deletions.sd_witnesses(chunk)
-        results = [w.result for w in witnesses]
+        witnesses = deletions.sd_witnesses(list(map(words.Word, lengths, bits)))
+        pal = [n - w.result.lps for n, w in zip(lengths, witnesses)]
+        anti = [n - w.result.las for n, w in zip(lengths, witnesses)]
     else:
-        witnesses = [None] * len(chunk)
-        results = deletions.sd_words(chunk)
+        witnesses = [None] * len(texts)
+        pal, anti = deletions._target_deletions(bits, lengths)
     lines = []
-    for word, result, witness in zip(chunk, results, witnesses):
-        n, lps, las = word.length, result.lps, result.las
-        if lps == n:
+    for text, n, p, a, witness in zip(texts, lengths, pal, anti, witnesses):
+        if p == 0:
             cls = _PALINDROME if n else _BOTH
         else:
-            cls = _ANTIPALINDROME if las == n else _NEITHER
-        lines.append(
-            line.format(str(word) or empty, n, cls, lps, las, result.value)
-        )
+            cls = _ANTIPALINDROME if a == 0 else _NEITHER
+        lines.append(line.format(text or empty, n, cls, n - p, n - a, min(p, a)))
         if witness:
             deleted = separator.join(map(str, witness.deleted_positions))
             lines.append(
@@ -146,19 +150,21 @@ def _cmd_sd(args) -> int:
     if not texts:
         print("no words given; pass words or use --stdin", file=sys.stderr)
         return 2
-    # A bad line ends the input: the words before it are still answered.
-    parsed, error = [], None
-    for text in texts:
+    for start in range(0, len(texts), _SD_CHUNK):
+        chunk = texts[start : start + _SD_CHUNK]
+        # A bad line ends the input: the words before it are still answered.
+        bits, error = [], None
         try:
-            parsed.append(words.parse_word(text, allow_digits=args.digits))
+            for text in chunk:
+                bits.append(words._parse_bits(text, args.digits))
         except (InvalidLetterError, LengthBudgetExceeded) as exc:
             error = exc
-            break
-    for start in range(0, len(parsed), _SD_CHUNK):
-        chunk = parsed[start : start + _SD_CHUNK]
-        sys.stdout.write(_sd_lines(chunk, args.format, args.witness))
-    if error is not None:
-        raise error
+        del chunk[len(bits) :]
+        if args.digits:  # the lines print as letters
+            chunk = [text.translate(words._TO_LETTERS) for text in chunk]
+        sys.stdout.write(_sd_lines(chunk, bits, args.format, args.witness))
+        if error is not None:
+            raise error
     return 0
 
 

@@ -10,11 +10,14 @@ only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
 ``las_length``), on a numpy array of packed words (``search.sd_batch``:
 ``uint32`` lanes up to 32 letters, ``int64`` lanes above), and on many
 words of different lengths packed as 64-bit lanes of one Python ``int``
-("SIMD within a register"; ``sd_words``).  There each lane has its own
-length mask, and a lane joins the pass at the step of its word's first
-letter, so one pass answers a whole chunk of words; ``int.bit_count`` then
-counts each lane's bits.  Only the witness tables build arrays, so only
-``_tables`` and ``sd_witnesses`` import numpy.
+("SIMD within a register").  There each lane has its own length mask, and
+a lane joins the pass at the step of its word's first letter, so one pass
+answers a whole chunk of words; ``int.bit_count`` then counts each lane's
+bits.  ``_pack`` takes the chunk as packed bits and lengths, so
+``_target_deletions`` serves both ``sd_words``, which reads them from
+``Word`` objects, and ``palsym sd``, which reads them from its input lines
+and builds no object per word.  Only the witness tables build arrays, so
+only ``_tables`` and ``sd_witnesses`` import numpy.
 
 The classic interval recurrence for the longest palindromic (P) or
 antipalindromic (A) subsequence of w_i..w_j is
@@ -161,18 +164,19 @@ def _mirror_lcs(bits, n: int, starts=None):
     return vp, va
 
 
-def _pack(ws: Sequence[Word]) -> tuple[int, int, dict[int, int]]:
-    """The words as lanes of one ``int`` for ``_mirror_lcs``: word k in
-    bits 64k .. 64k + 63, with the longest length and the lanes by length."""
-    bits, longest, starts = 0, 0, {}
-    for lane, w in enumerate(ws):
-        shift = lane * _LANE
-        bits |= w.bits << shift
-        if w.length:
-            k = w.length - 1
-            starts[k] = starts.get(k, 0) | ((1 << w.length) - 1) << shift
-            longest = max(longest, w.length)
-    return bits, longest, starts
+def _pack(
+    bits: Sequence[int], lengths: Sequence[int]
+) -> tuple[int, int, dict[int, int]]:
+    """Packed words as lanes of one ``int`` for ``_mirror_lcs``: word k,
+    of ``lengths[k]`` letters, in bits 64k .. 64k + 63, with the longest
+    length and the lanes by length."""
+    packed, starts, shift = 0, {}, 0
+    for b, m in zip(bits, lengths):
+        packed |= b << shift
+        if m:
+            starts[m - 1] = starts.get(m - 1, 0) | ((1 << m) - 1) << shift
+        shift += _LANE
+    return packed, max(lengths, default=0), starts
 
 
 def _lane_counts(vector: int, lanes: int) -> list[int]:
@@ -183,14 +187,23 @@ def _lane_counts(vector: int, lanes: int) -> list[int]:
     return [x.bit_count() for x in lane_view]
 
 
+def _target_deletions(
+    bits: Sequence[int], lengths: Sequence[int]
+) -> tuple[list[int], list[int]]:
+    """The fewest deletions that leave each packed word a palindrome
+    (n - lps) and an antipalindrome (n - las): the set bits of its lane of
+    each vector of one kernel pass."""
+    vp, va = _mirror_lcs(*_pack(bits, lengths))
+    return _lane_counts(vp, len(lengths)), _lane_counts(va, len(lengths))
+
+
 def sd_words(ws: Sequence[Word]) -> list[SdResult]:
     """``sd`` of every word, from one kernel pass over their packed lanes."""
-    vp, va = _mirror_lcs(*_pack(ws))
-    results = []
-    for w, p, a in zip(ws, _lane_counts(vp, len(ws)), _lane_counts(va, len(ws))):
-        lps, las = w.length - p, w.length - a
-        results.append(SdResult(w.length - max(lps, las), lps, las))
-    return results
+    lengths = [w.length for w in ws]
+    pal, anti = _target_deletions([w.bits for w in ws], lengths)
+    return [
+        SdResult(min(p, a), n - p, n - a) for n, p, a in zip(lengths, pal, anti)
+    ]
 
 
 def lps_length(w: Word) -> int:

@@ -174,12 +174,9 @@ class Word:
         return _is_symmetric(self.bits, self.length)
 
 
-def parse_word(text: str, allow_digits: bool = False) -> Word:
-    """Parse a word from its text form.
-
-    Letters are 'a' and 'b'; with ``allow_digits`` the aliases '0' (for a)
-    and '1' (for b) are accepted as well.
-    """
+def _parse_bits(text: str, allow_digits: bool = False) -> int:
+    """The packed bits of a word's text (see ``parse_word``).  The length
+    is checked first, then the letters."""
     if len(text) > MAX_LENGTH:
         raise LengthBudgetExceeded(
             f"word of length {len(text)} exceeds the {MAX_LENGTH}-letter limit"
@@ -189,7 +186,16 @@ def parse_word(text: str, allow_digits: bool = False) -> Word:
         valid = "ab01" if allow_digits else "ab"
         position = next(p for p, c in enumerate(text, start=1) if c not in valid)
         raise InvalidLetterError(position, text[position - 1])
-    return Word(len(text), int(digits, 2) if digits else 0)
+    return int(digits, 2) if digits else 0
+
+
+def parse_word(text: str, allow_digits: bool = False) -> Word:
+    """Parse a word from its text form.
+
+    Letters are 'a' and 'b'; with ``allow_digits`` the aliases '0' (for a)
+    and '1' (for b) are accepted as well.
+    """
+    return Word(len(text), _parse_bits(text, allow_digits))
 
 
 def all_words(n: int):

@@ -15,7 +15,6 @@ import pytest
 from palsym import (
     KNOWN_MAX_SD,
     GameSolver,
-    Player,
     SearchConfig,
     all_words,
     brute_force_sd,
@@ -174,18 +173,23 @@ def test_criterion_8_game(capsys):
         for w in all_words(n):
             assert solver.value(w) <= max(0, n - 2), w
 
-    def plain(word, mover):
-        if word.is_symmetric():
+    swap = str.maketrans("ab", "ba")
+
+    def plain(text, minimizing):
+        """The game's value by its definition, on the word's text: no memo,
+        every deletion position tried, no ``Word`` and no solver."""
+        mirror = text[::-1]
+        if text == mirror or text == mirror.translate(swap):
             return 0
-        child = (
-            plain(word.delete(p), mover.other) for p in range(1, len(word) + 1)
-        )
-        best = min(child) if mover is Player.MINIMIZER else max(child)
-        return 1 + best
+        values = [
+            plain(text[:p] + text[p + 1 :], not minimizing)
+            for p in range(len(text))
+        ]
+        return 1 + (min(values) if minimizing else max(values))
 
     for n in range(9):
         for w in all_words(n):
-            assert solver.value(w) == plain(w, Player.MINIMIZER), w
+            assert solver.value(w) == plain(str(w), True), w
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         print(

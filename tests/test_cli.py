@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -486,6 +487,70 @@ def test_sd_neither_classifies_nor_dumps(capsys, monkeypatch, form, flags):
     code, out, _ = run_cli(capsys, "sd", "--format", form, *flags, "--", *texts)
     assert code == 0
     assert len(out.splitlines()) == len(texts)
+
+
+@pytest.mark.parametrize("digits", [False, True], ids=["letters", "digits"])
+@pytest.mark.parametrize("form", ["text", "json"])
+def test_sd_builds_no_word_and_no_result(capsys, monkeypatch, form, digits):
+    """Without ``--witness``, ``sd`` goes from each line to its output line
+    with no ``Word`` and no ``SdResult``, and prints what it printed with
+    them: the empty word, a 63-letter word and a second chunk included."""
+    rng = random.Random(26)
+    texts = ["", "a", "ab", "abba", "ab" * 31 + "b"] + [
+        "".join(rng.choice("ab") for _ in range(rng.randint(1, 63)))
+        for _ in range(70)
+    ]
+    if digits:  # every other letter as its digit
+        texts = [
+            "".join("01"[c == "b"] if i % 2 else c for i, c in enumerate(t))
+            for t in texts
+        ]
+    flags = ["--format", form] + ["--digits"] * digits
+    expected = _sd_stdin(capsys, monkeypatch, texts, *flags)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built by sd")
+
+    monkeypatch.setattr(Word, "__init__", refuse)
+    monkeypatch.setattr(deletions, "SdResult", refuse)
+    assert _sd_stdin(capsys, monkeypatch, texts, *flags) == expected
+    assert len(expected.splitlines()) == len(texts)
+
+
+_EDGE_ERRORS = {
+    "invalid-letter": ([], "abxb", "error: invalid letter 'x' at position 3\n"),
+    "64-letters": (
+        [],
+        "a" * 63 + "x",  # the length is checked before the letters
+        "error: word of length 64 exceeds the 63-letter limit\n",
+    ),
+    "digit-2": (["--digits"], "01a2b", "error: invalid letter '2' at position 4\n"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_EDGE_ERRORS))
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("line", [1, 64, 65, 129])
+def test_sd_stdin_bad_line_at_chunk_edges(capsys, monkeypatch, kind, form, line):
+    """A bad stdin line first or last in a chunk of 64, or first in the next
+    one: the lines before it as the all-good run prints them, its error,
+    and exit 2."""
+    flags, bad, err = _EDGE_ERRORS[kind]
+    rng = random.Random(line)
+    letters = "ab01" if flags else "ab"
+    texts = [
+        "".join(rng.choice(letters) for _ in range(rng.randint(1, 63)))
+        for _ in range(140)
+    ]
+    argv = ("sd", "--stdin", "--format", form, *flags)
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(texts) + "\n"))
+    code, good, _ = run_cli(capsys, *argv)
+    assert code == 0
+    texts[line - 1] = bad
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(texts) + "\n"))
+    code, out, got = run_cli(capsys, *argv)
+    assert (code, got) == (2, err)
+    assert out.splitlines() == good.splitlines()[: line - 1]
 
 
 def test_construct(capsys):
