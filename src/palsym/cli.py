@@ -9,9 +9,9 @@ game).  Exit codes: 0 success, 1 failed verification or table mismatch,
 ``sd`` answers its words in chunks of ``_SD_CHUNK``: it reads each line's
 packed bits (``words._parse_bits``), runs one pass of the sd kernel per
 chunk and, with ``--witness``, one batched interval table for the chunk's
-witnesses; each chunk's lines are filled from one template per format,
-with the line's own letters, and written at once.  Without ``--witness``
-no ``Word`` and no ``SdResult`` is built.  The output is the same as
+witnesses, backtracked on each line's own letters; each chunk's lines are
+filled from one template per format and written at once.  No ``Word``,
+``SdResult`` or ``DeletionWitness`` is built.  The output is the same as
 answering one word at a time: a word that does not parse ends the input
 after the reports of the words before it, with exit code 2.
 """
@@ -116,13 +116,11 @@ def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) 
     """
     line, witness_line, end, empty, separator, no_deletion = _SD_FORMATS[form]
     lengths = list(map(len, texts))
+    pal, anti = deletions._target_deletions(bits, lengths)
     if with_witness:
-        witnesses = deletions.sd_witnesses(list(map(words.Word, lengths, bits)))
-        pal = [n - w.result.lps for n, w in zip(lengths, witnesses)]
-        anti = [n - w.result.las for n, w in zip(lengths, witnesses)]
+        witnesses = deletions._witnesses(texts, bits, pal, anti)
     else:
         witnesses = [None] * len(texts)
-        pal, anti = deletions._target_deletions(bits, lengths)
     lines = []
     for text, n, p, a, witness in zip(texts, lengths, pal, anti, witnesses):
         if p == 0:
@@ -131,12 +129,12 @@ def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) 
             cls = _ANTIPALINDROME if a == 0 else _NEITHER
         lines.append(line.format(text or empty, n, cls, n - p, n - a, min(p, a)))
         if witness:
-            deleted = separator.join(map(str, witness.deleted_positions))
+            deleted, want_pal, residual = witness
             lines.append(
                 witness_line.format(
-                    deleted or no_deletion,
-                    witness.target.value,
-                    str(witness.residual) or empty,
+                    separator.join(map(str, deleted)) or no_deletion,
+                    _PALINDROME if want_pal else _ANTIPALINDROME,
+                    residual or empty,
                 )
             )
         lines.append(end)

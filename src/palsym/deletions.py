@@ -13,11 +13,10 @@ words of different lengths packed as 64-bit lanes of one Python ``int``
 ("SIMD within a register").  There each lane has its own length mask, and
 a lane joins the pass at the step of its word's first letter, so one pass
 answers a whole chunk of words; ``int.bit_count`` then counts each lane's
-bits.  ``_pack`` takes the chunk as packed bits and lengths, so
-``_target_deletions`` serves both ``sd_words``, which reads them from
-``Word`` objects, and ``palsym sd``, which reads them from its input lines
-and builds no object per word.  Only the witness tables build arrays, so
-only ``_tables`` and ``sd_witnesses`` import numpy.
+bits.  ``_target_deletions`` takes the chunk as packed bits and lengths,
+as ``palsym sd`` reads them from its input lines, and builds no object per
+word.  Only the witness tables build arrays, so only ``_tables`` and
+``_witnesses`` import numpy.
 
 The classic interval recurrence for the longest palindromic (P) or
 antipalindromic (A) subsequence of w_i..w_j is
@@ -29,10 +28,11 @@ with P(i, i) = 1 and A(i, i) = 0.  An end pair counts for P when
 w_i == w_j and for A when w_i != w_j; keeping such a pair is always
 optimal.  ``_tables`` fills T for many words at once, each for its own
 target, as one numpy array of right-aligned words in which row i is a
-running maximum over row i + 1.  ``sd_witnesses`` builds the table of each
-word's target in one such array and backtracks through it with fixed
-tie-breaks so the witness is reproducible; ``sd_witness`` is the same for
-one word.  ``brute_force_sd`` serves as an independent oracle for the
+running maximum over row i + 1.  ``_witnesses`` builds the table of each
+word's target in one such array and backtracks through it on the word's
+own text with fixed tie-breaks, so the witness is reproducible;
+``palsym sd --witness`` runs it on a chunk of lines, and ``sd_witness``
+on one ``Word``.  ``brute_force_sd`` serves as an independent oracle for the
 kernel and the tables: with no DP, it walks the distinct subsequences of w
 level by level, each level one letter shorter, until a level holds a
 palindrome or an antipalindrome.
@@ -197,15 +197,6 @@ def _target_deletions(
     return _lane_counts(vp, len(lengths)), _lane_counts(va, len(lengths))
 
 
-def sd_words(ws: Sequence[Word]) -> list[SdResult]:
-    """``sd`` of every word, from one kernel pass over their packed lanes."""
-    lengths = [w.length for w in ws]
-    pal, anti = _target_deletions([w.bits for w in ws], lengths)
-    return [
-        SdResult(min(p, a), n - p, n - a) for n, p, a in zip(lengths, pal, anti)
-    ]
-
-
 def lps_length(w: Word) -> int:
     """Length of the longest palindromic subsequence."""
     return sd(w).lps
@@ -224,43 +215,40 @@ def sd(w: Word) -> SdResult:
     return SdResult(n - max(lps, las), lps, las)
 
 
-def sd_witnesses(ws: Sequence[Word]) -> list[DeletionWitness]:
-    """``sd_witness`` of every word: one kernel pass gives their ``sd``
-    and targets, one batched interval table holds the table of each word's
-    target, and each word is backtracked through its own table."""
+def _witnesses(
+    texts: Sequence[str], bits: Sequence[int], pal: Sequence[int], anti: Sequence[int]
+) -> list[tuple[tuple[int, ...], bool, str]]:
+    """Each word's deleted positions, target (True for a palindrome) and
+    residual text, from its letters, its packed bits and its deletions to
+    each target as ``_target_deletions`` gives them.  The word targets a
+    palindrome iff ``pal <= anti`` (lps >= las); one batched interval
+    table holds the table of each word's target, and each word is
+    backtracked through its own table on its own text."""
     import numpy as np
 
-    results = sd_words(ws)
-    targets = [r.lps >= r.las for r in results]  # palindrome, else anti
-    n = max((w.length for w in ws), default=0)
-    bits = np.array([w.bits for w in ws], np.int64)
-    t = memoryview(_tables(bits, n, np.array(targets, bool)))
-    pal, anti = SymmetryClass.PALINDROME, SymmetryClass.ANTIPALINDROME
+    targets = [p <= a for p, a in zip(pal, anti)]
+    n = max(map(len, texts), default=0)
+    t = memoryview(_tables(np.array(bits, np.int64), n, np.array(targets, bool)))
     witnesses = []
-    for k, (w, result, want_pal) in enumerate(zip(ws, results, targets)):
-        s = str(w)
+    for k, (s, want_pal) in enumerate(zip(texts, targets)):
         m = len(s)
         o = n - m  # the word's table starts at row and column o
-        kept: list[int] = []
+        kept = [False] * m
         i, j = 0, m - 1
         while i < j:
             if (s[i] == s[j]) == want_pal:
-                kept += (i, j)
+                kept[i] = kept[j] = True
                 i += 1
                 j -= 1
             elif t[k, o + i, o + j] == t[k, o + i, o + j - 1]:
                 j -= 1
             else:
                 i += 1
-        if i == j and want_pal:
-            kept.append(i)
-
-        kept.sort()
-        kept_set = set(kept)
-        deleted = tuple(p + 1 for p in range(m) if p not in kept_set)
-        residual = parse_word("".join(s[p] for p in kept))
-        target = pal if want_pal else anti
-        witnesses.append(DeletionWitness(deleted, target, residual, result))
+        if i == j:
+            kept[i] = want_pal
+        deleted = tuple(p + 1 for p in range(m) if not kept[p])
+        residual = "".join(c for c, keep in zip(s, kept) if keep)
+        witnesses.append((deleted, want_pal, residual))
     return witnesses
 
 
@@ -272,7 +260,13 @@ def sd_witness(w: Word) -> DeletionWitness:
     only.  A pairing end pair is always kept (it is always optimal); when
     one end must go, the right end is dropped if that keeps the value.
     """
-    return sd_witnesses([w])[0]
+    n = len(w)
+    [p], [a] = _target_deletions([w.bits], [n])
+    [(deleted, want_pal, residual)] = _witnesses([str(w)], [w.bits], [p], [a])
+    target = SymmetryClass.PALINDROME if want_pal else SymmetryClass.ANTIPALINDROME
+    return DeletionWitness(
+        deleted, target, parse_word(residual), SdResult(min(p, a), n - p, n - a)
+    )
 
 
 def _is_symmetric_text(t: str) -> bool:

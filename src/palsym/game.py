@@ -87,16 +87,6 @@ class GameOutcome:
     principal_line: tuple[int, ...]
 
 
-def _run_children(bits: int, n: int):
-    """(1-based position, child bits) for each run of a packed word of
-    length n >= 1, left to right; the child drops the run's first letter."""
-    starts = (bits ^ (bits >> 1)) | (1 << (n - 1))
-    while starts:
-        low = starts.bit_length() - 1
-        starts ^= 1 << low
-        yield n - low, _delete(bits, low)
-
-
 def _check_length(m: int) -> None:
     if m > GAME_MAX_LENGTH:
         raise LengthBudgetExceeded(
@@ -388,8 +378,7 @@ def engine_move(
     n = len(word)
     if n <= _HEURISTIC_EXACT_LENGTH:
         return solver.best_move(word, mover)
-    moves = _run_children(word.bits, n)
-    return min(moves, key=lambda move: sd(Word(n - 1, move[1])).value)[0]
+    return min(range(1, n + 1), key=lambda p: sd(word.delete(p)).value)
 
 
 @dataclass(frozen=True, slots=True)

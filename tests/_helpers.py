@@ -18,7 +18,8 @@ symmetry reduction and no cutoffs.  ``DfsGameSolver`` is the packed
 depth-first search that the value tables of ``GameSolver`` replaced, and
 ``orbit_max_game_value`` is the scan over it that ``max_game_value``
 replaced.  ``table_outcome`` is the principal-line walk over value tables
-that the subsequence lattice of ``GameSolver.outcome`` replaced.
+that the subsequence lattice of ``GameSolver.outcome`` replaced.  Both
+move through a packed word's runs (``_run_children``), one child per run.
 ``unique_lattice`` is the lattice build that the direct addressing of
 ``game._Lattice`` replaced: ``np.unique`` over each level's single-letter
 deletions gives the next level and each child's index, and
@@ -29,7 +30,8 @@ kernel, with no bound.
 ``reference_sd_reports`` and ``reference_sd_output`` are the report
 builder and printer that the line templates of ``cli._sd_lines``
 replaced: a dict per word with ``Word.symmetry_class``, printed by
-``json.dumps`` or as a text line.
+``json.dumps`` or as a text line, from the counts of
+``_target_deletions`` and the witnesses of ``_witnesses``.
 """
 
 import itertools
@@ -38,11 +40,20 @@ import json
 import numpy as np
 
 from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word, sd_batch
-from palsym.deletions import _mirror_lcs, _tables, sd_witnesses, sd_words
-from palsym.game import _run_children
+from palsym.deletions import _mirror_lcs, _tables, _target_deletions, _witnesses
 from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
+
+
+def _run_children(bits: int, n: int):
+    """(1-based position, child bits) for each run of a packed word of
+    length n >= 1, left to right; the child drops the run's first letter."""
+    starts = (bits ^ (bits >> 1)) | (1 << (n - 1))
+    while starts:
+        low = starts.bit_length() - 1
+        starts ^= 1 << low
+        yield n - low, _delete(bits, low)
 
 
 def scalar_table(s: str, pal: bool) -> list[list[int]]:
@@ -346,20 +357,22 @@ def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:
     return best, hits, count
 
 
-def _reference_sd_report(word: Word, result, witness) -> dict:
+def _reference_sd_report(word: Word, p: int, a: int, witness) -> dict:
+    n = len(word)
     report = {
         "word": str(word),
-        "length": len(word),
+        "length": n,
         "class": word.symmetry_class().value,
-        "lps": result.lps,
-        "las": result.las,
-        "sd": result.value,
+        "lps": n - p,
+        "las": n - a,
+        "sd": min(p, a),
     }
     if witness:
+        deleted, want_pal, residual = witness
         report["witness"] = {
-            "deleted_positions": list(witness.deleted_positions),
-            "target": witness.target.value,
-            "residual": str(witness.residual),
+            "deleted_positions": list(deleted),
+            "target": "palindrome" if want_pal else "antipalindrome",
+            "residual": residual,
         }
     return report
 
@@ -385,14 +398,14 @@ def reference_sd_reports(ws: list[Word], with_witness: bool) -> list[dict]:
     reports = []
     for start in range(0, len(ws), 64):
         chunk = ws[start : start + 64]
+        texts, bits = [str(w) for w in chunk], [w.bits for w in chunk]
+        pal, anti = _target_deletions(bits, list(map(len, texts)))
         if with_witness:
-            witnesses = sd_witnesses(chunk)
-            results = [w.result for w in witnesses]
+            witnesses = _witnesses(texts, bits, pal, anti)
         else:
             witnesses = [None] * len(chunk)
-            results = sd_words(chunk)
-        for word, result, witness in zip(chunk, results, witnesses):
-            reports.append(_reference_sd_report(word, result, witness))
+        for word, p, a, witness in zip(chunk, pal, anti, witnesses):
+            reports.append(_reference_sd_report(word, p, a, witness))
     return reports
 
 

@@ -144,6 +144,28 @@ def test_table_csv(capsys):
     assert lines[2].startswith("4,1,1,2,")
 
 
+@pytest.mark.parametrize("form", ["text", "csv"])
+def test_table_extremal_limit(capsys, form):
+    """``--extremal-limit`` keeps the first words of the default list, 0
+    keeps none, and a negative limit exits 2."""
+    argv = ("table", "--from", "12", "--to", "12", "--jobs", "1", "--format", form)
+    sep = " extremal=" if form == "text" else ","
+    split = " " if form == "text" else ";"
+
+    def row(*flags):
+        code, out, err = run_cli(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        fields, words = out.splitlines()[-1].rsplit(sep, 1)
+        return fields, words.split(split) if words else []
+
+    fields, default = row()
+    assert len(default) == 8
+    assert row("--extremal-limit", "2") == (fields, default[:2])
+    assert row("--extremal-limit", "0") == (fields, [])
+    code, out, err = run_cli(capsys, *argv, "--extremal-limit", "-1")
+    assert (code, out, err) == (2, "", "error: extremal_limit must be >= 0\n")
+
+
 def test_jobs_env_fallback(capsys, monkeypatch):
     monkeypatch.setenv("PALSYM_JOBS", "1")
     code, out, _ = run_cli(capsys, "table", "--from", "6", "--to", "6")
@@ -492,9 +514,10 @@ def test_sd_neither_classifies_nor_dumps(capsys, monkeypatch, form, flags):
 @pytest.mark.parametrize("digits", [False, True], ids=["letters", "digits"])
 @pytest.mark.parametrize("form", ["text", "json"])
 def test_sd_builds_no_word_and_no_result(capsys, monkeypatch, form, digits):
-    """Without ``--witness``, ``sd`` goes from each line to its output line
-    with no ``Word`` and no ``SdResult``, and prints what it printed with
-    them: the empty word, a 63-letter word and a second chunk included."""
+    """With and without ``--witness``, ``sd`` goes from each line to its
+    output line with no ``Word``, ``SdResult`` or ``DeletionWitness``, and
+    prints what it printed with them: the empty word, a 63-letter word and
+    a second chunk included."""
     rng = random.Random(26)
     texts = ["", "a", "ab", "abba", "ab" * 31 + "b"] + [
         "".join(rng.choice("ab") for _ in range(rng.randint(1, 63)))
@@ -505,16 +528,21 @@ def test_sd_builds_no_word_and_no_result(capsys, monkeypatch, form, digits):
             "".join("01"[c == "b"] if i % 2 else c for i, c in enumerate(t))
             for t in texts
         ]
-    flags = ["--format", form] + ["--digits"] * digits
-    expected = _sd_stdin(capsys, monkeypatch, texts, *flags)
+    runs = [
+        ["--format", form] + ["--digits"] * digits + witness
+        for witness in ([], ["--witness"])
+    ]
+    expected = [_sd_stdin(capsys, monkeypatch, texts, *flags) for flags in runs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("built by sd")
 
     monkeypatch.setattr(Word, "__init__", refuse)
     monkeypatch.setattr(deletions, "SdResult", refuse)
-    assert _sd_stdin(capsys, monkeypatch, texts, *flags) == expected
-    assert len(expected.splitlines()) == len(texts)
+    monkeypatch.setattr(deletions, "DeletionWitness", refuse)
+    for flags, out in zip(runs, expected):
+        assert _sd_stdin(capsys, monkeypatch, texts, *flags) == out
+        assert len(out.splitlines()) == len(texts)
 
 
 _EDGE_ERRORS = {

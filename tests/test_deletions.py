@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from palsym import (
     MAX_LENGTH,
     LengthBudgetExceeded,
+    SdResult,
     SymmetryClass,
     all_words,
     brute_force_sd,
@@ -18,7 +19,7 @@ from palsym import (
     sd,
     sd_witness,
 )
-from palsym.deletions import _lane_counts, _tables, sd_witnesses, sd_words
+from palsym.deletions import _lane_counts, _tables, _target_deletions, _witnesses
 
 from _helpers import (
     batched_table_lengths,
@@ -159,22 +160,39 @@ def test_witness_valid_longer_words(text):
     _check_witness(parse_word(text))
 
 
-def _check_witness_rule(text, witness=None):
-    if witness is None:
-        witness = sd_witness(parse_word(text))
+def _check_witness_rule(text):
+    witness = sd_witness(parse_word(text))
     got = (witness.deleted_positions, witness.target, str(witness.residual))
     assert got == reference_witness(text)
+
+
+def _chunk_witnesses(texts):
+    """``sd`` and witness of each word of one chunk, as ``palsym sd``
+    computes them: an ``SdResult`` and (deleted positions, target,
+    residual text)."""
+    bits = [parse_word(t).bits for t in texts]
+    lengths = list(map(len, texts))
+    pal, anti = _target_deletions(bits, lengths)
+    results = [
+        SdResult(min(p, a), n - p, n - a) for n, p, a in zip(lengths, pal, anti)
+    ]
+    targets = {True: SymmetryClass.PALINDROME, False: SymmetryClass.ANTIPALINDROME}
+    witnesses = [
+        (deleted, targets[want_pal], residual)
+        for deleted, want_pal, residual in _witnesses(texts, bits, pal, anti)
+    ]
+    return results, witnesses
 
 
 def test_witness_matches_reference_exhaustive():
     """Target choice and tie-breaks equal the two-table backtrack (all
     words <= 14), answered in chunks of 64 words as ``palsym sd`` sends
     them; single-word ``sd_witness`` is checked by the sampled test."""
-    ws = [w for n in range(15) for w in all_words(n)]
-    for start in range(0, len(ws), 64):
-        chunk = ws[start : start + 64]
-        for w, witness in zip(chunk, sd_witnesses(chunk), strict=True):
-            _check_witness_rule(str(w), witness)
+    texts = [str(w) for n in range(15) for w in all_words(n)]
+    for start in range(0, len(texts), 64):
+        chunk = texts[start : start + 64]
+        _, witnesses = _chunk_witnesses(chunk)
+        assert witnesses == [reference_witness(t) for t in chunk]
 
 
 @given(
@@ -247,7 +265,7 @@ def test_lane_counts_match_numpy(lanes):
 def test_empty_chunk_has_no_lanes():
     """A chunk of no words has no lanes to count and no results."""
     assert _lane_counts(0, 0) == []
-    assert sd_words([]) == []
+    assert _chunk_witnesses([]) == ([], [])
 
 
 @given(mixed_batches)
@@ -269,7 +287,8 @@ def test_packed_lanes_match_scalar_exhaustive():
     random.Random(14).shuffle(words)
     for start in range(0, len(words), 64):
         chunk = words[start : start + 64]
-        assert sd_words(chunk) == [sd(w) for w in chunk]
+        results, _ = _chunk_witnesses([str(w) for w in chunk])
+        assert results == [sd(w) for w in chunk]
 
 
 @given(mixed_batches)
@@ -281,11 +300,9 @@ def test_packed_chunks_match_scalar_sampled(batch):
     """Packed lanes and batched witness tables of mixed lengths 0..63 give
     each word's scalar ``sd`` and its reference witness."""
     texts = [text for text, _ in batch]
-    words = [parse_word(text) for text in texts]
-    assert sd_words(words) == [sd(w) for w in words]
-    for text, witness in zip(texts, sd_witnesses(words)):
-        got = (witness.deleted_positions, witness.target, str(witness.residual))
-        assert got == reference_witness(text)
+    results, witnesses = _chunk_witnesses(texts)
+    assert results == [sd(parse_word(text)) for text in texts]
+    assert witnesses == [reference_witness(text) for text in texts]
 
 
 def test_brute_force_guard():
