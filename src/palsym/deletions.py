@@ -6,11 +6,11 @@ LPS(w) = LCS(w, rev w) and the longest antipalindromic one is
 LAS(w) = LCS(w, comp rev w).  ``_mirror_lcs`` computes both with the
 bit-parallel LCS update of Allison & Dix (IPL 1986) and Hyyrö (2004): n
 steps of a few word operations each.  It is written with integer operators
-only, so the same code runs on a Python ``int`` (``sd``, ``lps_length``,
-``las_length``), on a numpy array of packed words (``search.sd_batch``:
-``uint32`` lanes up to 32 letters, ``int64`` lanes above), and on many
-words of different lengths packed as 64-bit lanes of one Python ``int``
-("SIMD within a register").  There each lane has its own length mask, and
+only, so the same code runs on a Python ``int`` of any length (``sd``,
+``lps_length``, ``las_length``), on a numpy array of packed words
+(``search.sd_batch``), and on many words of different lengths packed as
+64-bit lanes of one Python ``int`` ("SIMD within a register"), each of at
+most ``MAX_LENGTH`` letters.  There each lane has its own length mask, and
 a lane joins the pass at the step of its word's first letter, so one pass
 answers a whole chunk of words; ``int.bit_count`` then counts each lane's
 bits.  ``_target_deletions`` takes the chunk as packed bits and lengths,
@@ -57,9 +57,19 @@ if TYPE_CHECKING:
 ORACLE_MAX_LENGTH = 22
 
 _SWAP = str.maketrans("ab", "ba")
-# Bits per lane of a packed chunk (``_pack``): a word of up to 63 letters
-# and the bit its sums may carry into.
+# Bits per lane of a packed chunk (``_pack``), and the longest word of a
+# lane, whose top bit takes what the word's sums carry: the limit of a
+# ``palsym sd`` line, of ``sd_witness`` and of ``search.sd_batch``.
 _LANE = 64
+MAX_LENGTH = _LANE - 1
+
+
+def _check_lane(n: int) -> None:
+    """Refuse a word of n letters if it does not fit in a lane."""
+    if n > MAX_LENGTH:
+        raise LengthBudgetExceeded(
+            f"word of length {n} exceeds the {MAX_LENGTH}-letter limit"
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,6 +180,7 @@ def _pack(
     """Packed words as lanes of one ``int`` for ``_mirror_lcs``: word k,
     of ``lengths[k]`` letters, in bits 64k .. 64k + 63, with the longest
     length and the lanes by length."""
+    _check_lane(max(lengths, default=0))
     packed, starts, shift = 0, {}, 0
     for b, m in zip(bits, lengths):
         packed |= b << shift

@@ -68,9 +68,9 @@ from .bounds import (
     lower_bound,
     upper_bound,
 )
-from .deletions import _mirror_lcs, sd
+from .deletions import MAX_LENGTH, _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
-from .words import MAX_LENGTH, Word, _is_canonical, _reverse_bits
+from .words import Word, _is_canonical, _reverse_bits
 
 # Row 32 takes 6.5 to 8.2 s on two cores (`table --from 32 --to 32 --jobs
 # 2` as a process on a 2-vCPU Xeon VM, 9 runs, median 7.1 s); each row

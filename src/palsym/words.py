@@ -10,6 +10,7 @@ antipalindrome test ``_is_symmetric`` and the one-letter deletion
 ``deletions._mirror_lcs``, so the same code serves a Python ``int``
 (``Word``) and an ``int64`` numpy array of packed words (the scan filter of
 ``search``, the symmetric words and the subsequence lattice of ``game``).
+A ``Word`` may have any length; ``deletions.MAX_LENGTH`` limits lanes.
 """
 
 from __future__ import annotations
@@ -17,11 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import InvalidLetterError, LengthBudgetExceeded
-
-# One word fits in a single machine word; everything this package computes
-# needs far less.
-MAX_LENGTH = 63
+from .errors import InvalidLetterError
 
 LETTERS = ("a", "b")
 _COMPLEMENT = {"a": "b", "b": "a"}
@@ -111,12 +108,8 @@ class Word:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.length <= MAX_LENGTH:
-            raise LengthBudgetExceeded(
-                f"word length {self.length} outside 0..{MAX_LENGTH}"
-            )
-        if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits outside the low `length` positions")
+        if self.length < 0 or self.bits < 0 or self.bits >> self.length:
+            raise ValueError("length must be >= 0 and bits in [0, 2^length)")
 
     def __len__(self) -> int:
         return self.length
@@ -175,12 +168,7 @@ class Word:
 
 
 def _parse_bits(text: str, allow_digits: bool = False) -> int:
-    """The packed bits of a word's text (see ``parse_word``).  The length
-    is checked first, then the letters."""
-    if len(text) > MAX_LENGTH:
-        raise LengthBudgetExceeded(
-            f"word of length {len(text)} exceeds the {MAX_LENGTH}-letter limit"
-        )
+    """The packed bits of a word's text (see ``parse_word``)."""
     digits = text.translate(_ALIASES_TO_BINARY if allow_digits else _TO_BINARY)
     if digits.strip("01"):  # some character is neither 0 nor 1
         valid = "ab01" if allow_digits else "ab"

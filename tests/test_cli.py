@@ -597,6 +597,28 @@ def test_construct_longer(capsys):
     assert parsed["bound"] == 9
 
 
+@pytest.mark.parametrize(
+    "n, alpha, beta, bound", [(8, 3, 2, 26), (9, 0, 0, 28)], ids=["64", "66"]
+)
+def test_construct_past_a_lane(capsys, n, alpha, beta, bound):
+    """The first family words longer than a 64-bit lane hit their bound."""
+    word = "b" * (n + 1) + "ab" * n
+    word += "b" * (2 * n + 1 + alpha) + "a" * (2 * n + 1 + beta)
+    code, out, err = run_cli(capsys, "construct", str(n), str(alpha), str(beta))
+    assert (code, err) == (0, "")
+    assert out == f"word={word} length={len(word)} bound={bound} sd={bound}\n"
+
+
+def test_verify_lemma4_past_a_lane(capsys):
+    """Lemma 4 checks family parameters past 7, whose words have more
+    than 63 letters."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemma4", "--max-n", "9")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[-1] == "suite lemma4: 70/70 checks passed"
+    assert lines[-2] == "ok   family n=9 alpha=4 beta=2: length=72 sd=30 expected=30"
+
+
 def test_construct_invalid_pair(capsys):
     code, _, err = run_cli(capsys, "construct", "1", "5", "5")
     assert code == 2
@@ -851,7 +873,7 @@ def test_verify_guard_exit_2(capsys):
 @pytest.mark.parametrize(
     "suite, max_n, lowest, guard",
     [
-        ("lemma4", -1, 0, 7),
+        ("lemma4", -1, 0, 300),
         ("bounds", 0, 2, 32),
         ("bounds", 1, 2, 32),
         ("oracle", 0, 1, 22),
@@ -996,6 +1018,24 @@ def test_game_guard_exit_2(capsys, monkeypatch):
     )
     assert (code, err) == (0, "")
     assert out.startswith(f"{symmetric} is already symmetric; no moves to play\n")
+
+
+def test_game_past_a_lane(capsys):
+    """A 70-letter antipalindrome has already ended its game; a 70-letter
+    word that has not stops at the game guard."""
+    anti = "ab" * 35
+    code, out, err = run_cli(capsys, "game", "solve", anti)
+    assert (code, err) == (0, "")
+    assert out == f"word={anti} value=0 line=- final={anti} class=antipalindrome\n"
+    code, out, err = run_cli(
+        capsys, "game", "play", anti, "--side", "first", "--engine", "exact"
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith(f"{anti} is already symmetric; no moves to play\n")
+    text = "a" * 69 + "b"
+    code, out, err = run_cli(capsys, "game", "solve", text)
+    assert (code, out) == (2, "")
+    assert err == "error: game solver supports at most 22 letters, got 70\n"
 
 
 @pytest.mark.parametrize(
@@ -1176,17 +1216,31 @@ def _source_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
+_NO_ARRAYS = ("numpy", "palsym.search", "palsym.game")
+
+
 @pytest.mark.parametrize(
     "argv, stdin, unused",
     [
-        (["construct", "1", "0", "0"], "", ("numpy", "palsym.search", "palsym.game")),
-        (["sd", "abba"], "", ("numpy", "palsym.search", "palsym.game")),
+        (["construct", "1", "0", "0"], "", _NO_ARRAYS),
+        (["construct", "9", "0", "0"], "", _NO_ARRAYS),
+        (["verify", "--suite", "lemma4"], "", _NO_ARRAYS),
+        (["sd", "abba"], "", _NO_ARRAYS),
         (["sd", "--format", "json", "abba"], "", ("numpy",)),
         (["sd", "--stdin"], "aab\nabba\n" + "ab" * 31 + "\n", ("numpy",)),
         (["game", "solve", "abbab"], "", ("concurrent.futures.process",)),
         (["sd", "--witness", "abba"], "", ("concurrent.futures.process",)),
     ],
-    ids=["construct", "sd", "sd-json", "sd-stdin", "game-solve", "sd-witness"],
+    ids=[
+        "construct",
+        "construct-66",
+        "verify-lemma4",
+        "sd",
+        "sd-json",
+        "sd-stdin",
+        "game-solve",
+        "sd-witness",
+    ],
 )
 def test_command_imports_only_what_it_uses(argv, stdin, unused):
     """In a fresh interpreter, a command that builds no array leaves numpy

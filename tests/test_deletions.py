@@ -11,6 +11,7 @@ from palsym import (
     LengthBudgetExceeded,
     SdResult,
     SymmetryClass,
+    Word,
     all_words,
     brute_force_sd,
     las_length,
@@ -115,6 +116,30 @@ def test_kernel_matches_tables_exhaustive():
 @settings(max_examples=200, deadline=None)
 def test_kernel_matches_tables_sampled(text):
     _check_against_tables(parse_word(text), *table_lengths(text))
+
+
+@given(
+    st.integers(MAX_LENGTH + 1, 160).flatmap(
+        lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+    )
+)
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_tables_past_a_lane(text):
+    """Scalar ``sd``, ``lps_length`` and ``las_length`` have no length
+    limit: on 64..160 letters they equal the scalar interval recurrence."""
+    _check_against_tables(parse_word(text), *table_lengths(text))
+
+
+def test_lanes_refuse_a_64_letter_word():
+    """``sd_witness`` and ``_target_deletions`` pack lanes, so they refuse
+    a word of 64 letters with the message that ``palsym sd`` prints."""
+    message = "^word of length 64 exceeds the 63-letter limit$"
+    with pytest.raises(LengthBudgetExceeded, match=message):
+        sd_witness(Word(64, 0))
+    with pytest.raises(LengthBudgetExceeded, match=message):
+        _target_deletions([0], [64])
+    with pytest.raises(LengthBudgetExceeded, match=message):
+        _target_deletions([0, 1], [3, 64])
 
 
 def test_witness_examples():

@@ -25,7 +25,8 @@ from palsym import (
     sd_max,
 )
 from palsym import search
-from palsym.words import MAX_LENGTH, _is_canonical
+from palsym.deletions import MAX_LENGTH
+from palsym.words import _is_canonical
 
 from _helpers import batched_table_lengths, plain_canonical_scan, table_lengths
 

@@ -12,6 +12,7 @@ from palsym import (
     complement_letter,
     parse_word,
 )
+from palsym.deletions import _check_lane
 from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
 word_texts = st.text(alphabet="ab", max_size=14)
@@ -37,14 +38,22 @@ def test_parse_digit_aliases():
 
 
 def test_parse_length_guard():
-    parse_word("a" * 63)
-    for text in ("a" * 64, "b" * 64, "x" * 64, "ab" * 31 + "a1", "a" * 100):
+    """``parse_word`` takes words of any length and checks their letters;
+    the 63-letter limit belongs to the 64-bit lanes (``_check_lane``)."""
+    for text in ("a" * 64, "b" * 64, "ab" * 32 + "b", "ba" * 50):
         for digits in (False, True):
-            with pytest.raises(LengthBudgetExceeded) as exc:
-                parse_word(text, allow_digits=digits)
-            assert str(exc.value) == (
-                f"word of length {len(text)} exceeds the 63-letter limit"
-            )
+            w = parse_word(text, allow_digits=digits)
+            assert (str(w), len(w)) == (text, len(text))
+    assert str(parse_word("01" * 40, allow_digits=True)) == "ab" * 40
+    for text, position in (("x" * 64, 1), ("ab" * 31 + "a1", 64)):
+        with pytest.raises(InvalidLetterError) as exc:
+            parse_word(text)
+        assert exc.value.position == position
+    _check_lane(63)
+    for n in (64, 100):
+        with pytest.raises(LengthBudgetExceeded) as exc:
+            _check_lane(n)
+        assert str(exc.value) == f"word of length {n} exceeds the 63-letter limit"
 
 
 def test_text_round_trip_exhaustive():
@@ -278,9 +287,14 @@ def test_letter_at():
 
 
 def test_word_validation():
+    """A word has any length of 0 or more, and bits only below it."""
     with pytest.raises(ValueError):
         Word(2, 0b100)
-    with pytest.raises(LengthBudgetExceeded):
-        Word(64, 0)
+    with pytest.raises(ValueError):
+        Word(-1, 0)
     with pytest.raises(ValueError):
         Word(3, -1)
+    assert str(Word(64, 0)) == "a" * 64
+    long = Word(200, (1 << 199) | 1)
+    assert long.reverse() == long and long.is_symmetric()
+    assert long.delete(1) == Word(199, 1)
