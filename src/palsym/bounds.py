@@ -13,6 +13,7 @@ distance of every family word and checks it against the closed form
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .deletions import sd
@@ -98,16 +99,14 @@ class FamilyCheck:
     ok: bool
 
 
-def verify_family(n_max: int) -> list[FamilyCheck]:
-    """Recompute sd for every family word with parameter n in 0..n_max; a
-    check passes when the word hits its bound exactly."""
-    checks = []
+def verify_family(n_max: int) -> Iterator[FamilyCheck]:
+    """Recompute sd for every family word with parameter n in 0..n_max,
+    yielding each check as it is made; a check passes when the word hits
+    its bound exactly."""
     for n in range(n_max + 1):
         for alpha, beta in VALID_PAIRS:
             params = ConstructionParams(n, alpha, beta)
             word = build_word(params)
             bound = family_bound(params)
             computed = sd(word).value
-            ok = computed == bound
-            checks.append(FamilyCheck(params, word, bound, computed, ok))
-    return checks
+            yield FamilyCheck(params, word, bound, computed, computed == bound)

@@ -6,19 +6,22 @@ maximum per length), ``construct`` (extremal family words), ``verify``
 game).  Exit codes: 0 success, 1 failed verification or table mismatch,
 2 usage or guard errors.
 
-``sd`` answers its words in chunks of ``_SD_CHUNK``: it reads each line's
-packed bits (``words._parse_bits``), runs one pass of the sd kernel per
-chunk and, with ``--witness``, one batched interval table for the chunk's
-witnesses, backtracked on each line's own letters; each chunk's lines are
-filled from one template per format and written at once.  No ``Word``,
-``SdResult`` or ``DeletionWitness`` is built.  The output is the same as
-answering one word at a time: a word that does not parse ends the input
-after the reports of the words before it, with exit code 2.
+``sd`` answers its words in chunks of ``_SD_CHUNK``, each written and
+flushed before the next is read, so a pipe gets answers as it feeds lines.
+It reads each line's packed bits (``words._parse_bits``), runs one pass of
+the sd kernel per chunk and, with ``--witness``, one batched interval
+table for the chunk's witnesses, backtracked on each line's own letters;
+each chunk's lines are filled from one template per format and written
+at once.  No ``Word``, ``SdResult`` or ``DeletionWitness`` is built.  The
+output is the same as answering one word at a time: a word that does not
+parse ends the input after the reports of the words before it, with exit
+code 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -138,14 +141,15 @@ def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) 
 
 
 def _cmd_sd(args) -> int:
-    texts = list(args.words)
+    texts = iter(args.words)
     if args.stdin:
-        texts.extend(filter(None, map(str.strip, sys.stdin)))
-    if not texts:
+        texts = itertools.chain(texts, filter(None, map(str.strip, sys.stdin)))
+    # each chunk is read, answered and flushed before the next is read
+    chunk = list(itertools.islice(texts, _SD_CHUNK))
+    if not chunk:
         print("no words given; pass words or use --stdin", file=sys.stderr)
         return 2
-    for start in range(0, len(texts), _SD_CHUNK):
-        chunk = texts[start : start + _SD_CHUNK]
+    while chunk:
         # A bad line ends the input: the words before it are still answered.
         bits, error = [], None
         try:
@@ -158,8 +162,10 @@ def _cmd_sd(args) -> int:
         if args.digits:  # the lines print as letters
             chunk = [text.translate(words._TO_LETTERS) for text in chunk]
         sys.stdout.write(_sd_lines(chunk, bits, args.format, args.witness))
+        sys.stdout.flush()
         if error is not None:
             raise error
+        chunk = list(itertools.islice(texts, _SD_CHUNK))
     return 0
 
 
@@ -181,7 +187,7 @@ def _cmd_table(args) -> int:
                 f"stats: n={row.n} elapsed={row.elapsed_s:.3f}s "
                 f"words={row.words_scanned} "
                 f"words_per_s={row.words_scanned / row.elapsed_s:.0f} "
-                f"tasks={row.tasks} evaluated={row.words_evaluated} "
+                f"evaluated={row.words_evaluated} "
                 f"blocks_pruned={row.blocks_pruned} chunks={row.chunks} "
                 f"pool={int(row.pooled)}",
                 file=sys.stderr,
@@ -622,8 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument(
         "--stats",
         action="store_true",
-        help="print each row's elapsed time, canonical words, words/s, scan "
-        "tasks, words evaluated and blocks pruned to stderr",
+        help="print each row's elapsed time, canonical words, words/s, words "
+        "evaluated, blocks pruned, chunks and pool use to stderr",
     )
     p_table.set_defaults(func=_cmd_table)
 

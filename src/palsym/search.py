@@ -26,25 +26,25 @@ or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Each
 word of a tie block takes ``words._is_canonical`` once, so the kernel
 sees only canonical words.  ``words_scanned`` counts the canonical words of
 every block, evaluated or not: the number of orbits.
-k depends on n alone (``_block_letters``): 0 on the rows of one task
-(n <= 15), where one block holds the a-half and every word takes the
-canonical test, else min(n // 2 - 2, 11).
+k depends on n alone (``_block_letters``): min(n // 2 - 2, 11), and 0 for
+n <= 5, where one tie block holds the a-half and every word takes the
+canonical test.
 
-The a-half is cut into tasks of ``_TASK`` words.  The block tables give,
-before anything runs, the words each task will send to the kernel at most
-(``_task_words``: the words of its kept blocks that hold canonical words),
-and ``_chunk_plan`` cuts a row's tasks into chunks by that count: a chunk
-closes once its words reach ``_BUDGET``, so the kernel runs in full
-batches.  The same plan serves every worker count.  A row's workers are
-those asked for, capped at its chunks and the machine's CPUs.  A row runs
-in this process when that leaves one worker or its counted words are
-below ``_POOL_WORDS``; else it goes to a process pool of that many
-workers, which the row opens and shuts down itself.  A chunk is
-sent the block table rows of its prefixes, builds the words of its kept
-blocks and runs the bit-parallel LCS kernel of ``deletions`` on them in
-batches of ``_TASK`` words.  The parent merges chunk results in chunk order
-and prints progress after each, so the outcome is identical for any worker
-count.
+The a-half is cut into heads: a prefix u and a middle m, whose 2^k words
+u m v share the table row of u.  The block tables give, before anything
+runs, the words each head will send to the kernel at most (``_head_words``:
+the words of its row's kept blocks that hold canonical words), and
+``_chunk_plan`` cuts a row's heads into chunks by that count: a chunk
+closes once its words reach ``_BUDGET``.  The same plan serves every
+worker count.  A row's workers are those asked for, capped at its chunks
+and the machine's CPUs.  A row runs in this process when that leaves one
+worker or its counted words are below ``_POOL_WORDS``; else it goes to a
+process pool of that many workers, which the row opens and shuts down
+itself.  A chunk is sent the block table rows of its heads, builds the
+words of its kept blocks and runs the bit-parallel LCS kernel of
+``deletions`` on them in one call.  The parent merges chunk results in
+chunk order and prints progress after each, so the outcome is identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -77,15 +77,11 @@ from .words import Word, _is_canonical, _reverse_bits
 # below it takes less.
 MAX_SEARCH_LENGTH = 32
 
-# Words per scan task, and per kernel call.  A row whose scan fits in one
-# task runs in this process at any worker count.
-_TASK = 1 << 14
-
-# Counted kernel words that close a chunk, four kernel batches, so the
-# kernel runs mostly on full batches.  compute_table(1, 22) in process at a
-# budget of 2^14, 2^15, 2^16 and 2^17 words: 56, 47, 43 and 41 kernel
-# calls, 0.084, 0.080, 0.077 and 0.076 s, peak RSS 31.8, 31.8, 33.3 and
-# 35.8 MB (2-vCPU Xeon VM, medians of 7 fresh processes).
+# Counted kernel words that close a chunk, which makes one kernel call.
+# compute_table(1, 22) in process at a budget of 2^14, 2^15, 2^16 and 2^17
+# words: 40, 30, 25 and 23 kernel calls, 0.048, 0.042, 0.051 and 0.053 s
+# warm (medians of 11), peak RSS 31.8, 32.1, 33.5 and 36.7 MB (medians of
+# 7 fresh processes; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
 _BUDGET = 1 << 16
 
 # Counted kernel words from which a row goes to a process pool, when two or
@@ -146,14 +142,11 @@ def sd_batch(words, n: int) -> np.ndarray:
 def _block_letters(n: int) -> int:
     """Letters k fixed at each end of a block of row n.
 
-    0 on the rows of one task (n <= 15).  Otherwise min(n // 2 - 2, 11),
-    the fastest of the sizes measured on rows 16..28: it leaves a middle
-    of at least 4 letters and caps the bound table at 2^21 blocks (about
-    50 ms and 30 MB to build).  As k < 14, a task holds whole suffixes.
+    min(n // 2 - 2, 11), the fastest of the sizes measured on rows 16..28:
+    it leaves a middle of at least 4 letters and caps the bound table at
+    2^21 blocks (about 50 ms and 30 MB to build).  0 for n <= 5.
     """
-    if n <= _TASK.bit_length():
-        return 0
-    return min(n // 2 - 2, 11)
+    return max(0, min(n // 2 - 2, 11))
 
 
 def _threshold(n: int) -> int:
@@ -221,11 +214,10 @@ class _Blocks(NamedTuple):
     kept: np.ndarray
     first: int = 0
 
-    def rows(self, n: int, starts: range) -> _Blocks:
-        """The rows that the tasks at ``starts`` read, a chunk's share; a
-        task's words run from its start to the next one's."""
+    def rows(self, n: int, heads: range) -> _Blocks:
+        """The rows that ``heads`` read, a chunk's share."""
         shift = n - self.k
-        lo, hi = starts[0] >> shift, ((starts[-1] + starts.step - 1) >> shift) + 1
+        lo, hi = heads[0] >> shift, (heads[-1] >> shift) + 1
         return self._replace(
             classes=self.classes[lo:hi], kept=self.kept[lo:hi], first=lo
         )
@@ -261,21 +253,26 @@ def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray
     return np.repeat(heads, counts) | cols[first + place]
 
 
-def _task_words(blocks: _Blocks, starts: range) -> np.ndarray:
-    """The words each task at ``starts`` sends to the kernel at most: every
-    word of its kept blocks that hold canonical words, the non-canonical
-    words of tie blocks included.  A head of table row r brings per_row[r]
-    words, and a task sums those of its heads (2^20 heads at n = 32)."""
+def _heads(n: int, k: int) -> range:
+    """The heads of row n in ascending order, each a prefix and a middle
+    (v = 0): the a-half [0, 2^(n-1)) in steps of 2^k words."""
+    return range(0, 1 << (n - 1), 1 << k)
+
+
+def _head_words(n: int, blocks: _Blocks) -> np.ndarray:
+    """The words each head of row n sends to the kernel at most: every word
+    of its row's kept blocks that hold canonical words, the non-canonical
+    words of tie blocks included (2^20 heads at n = 32)."""
     per_row = np.count_nonzero(blocks.kept & (blocks.classes != _NONE), axis=1)
-    heads = (len(starts) * starts.step >> blocks.k) // per_row.size  # per row
-    return np.repeat(per_row, heads).reshape(len(starts), -1).sum(axis=1)
+    return np.repeat(per_row, len(_heads(n, blocks.k)) // per_row.size)
 
 
 def _chunk_plan(words: np.ndarray) -> list[int]:
-    """Cut points of a row's tasks, 0 first and the task count last, given
-    each task's counted words: a chunk closes once its words reach
+    """Cut points of a row's heads, 0 first and the head count last, given
+    each head's counted words: a chunk closes once its words reach
     ``_BUDGET``."""
-    total = np.concatenate(([0], np.cumsum(words)))
+    total = np.zeros(len(words) + 1, np.int64)
+    np.cumsum(words, out=total[1:])
     cuts = [0]
     while cuts[-1] < len(words):
         full = int(np.searchsorted(total, total[cuts[-1]] + _BUDGET))
@@ -284,30 +281,26 @@ def _chunk_plan(words: np.ndarray) -> list[int]:
 
 
 def _scan_chunk(
-    n: int, limit: int, starts: range, blocks: _Blocks
+    n: int, limit: int, heads: range, blocks: _Blocks
 ) -> tuple[int, list[int], int, int]:
-    """Scan the tasks at ``starts``, each of ``starts.step`` words: the best sd
-    evaluated (-1 if none), up to ``limit`` of its canonical achievers in
-    ascending order, the number of canonical words and the number evaluated.
+    """Scan the words of ``heads``: the best sd evaluated (-1 if none), up
+    to ``limit`` of its canonical achievers in ascending order, the number
+    of canonical words and the number evaluated.
 
-    The words are the heads (the fixed bits and the middle, v = 0) joined
-    to each suffix v.  Each tie word takes ``_is_canonical`` once; the
-    canonical ones are counted and, in kept blocks, join the words of kept
-    _ALL blocks in the kernel, so every word evaluated is canonical.
-    The kernel runs in batches of ``_TASK`` words, however few words each
-    task keeps.
+    The words are the heads joined to each suffix v.  Each tie word takes
+    ``_is_canonical`` once; the canonical ones are counted and, in kept
+    blocks, join the words of kept _ALL blocks in one kernel call, so every
+    word evaluated is canonical.
     """
     k, classes, kept, first = blocks
-    heads = np.arange(starts[0], starts[-1] + starts.step, 1 << k, dtype=np.int64)
+    heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
     rows = (heads >> (n - k)) - first
     ties = _spread(heads, rows, classes == _TIE)
     ties = ties[_is_canonical(ties, n)]
     canonical = np.count_nonzero(classes == _ALL, axis=1)[rows].sum() + ties.size
     ties = ties[kept[(ties >> (n - k)) - first, ties & ((1 << k) - 1)]]
     words = np.concatenate((_spread(heads, rows, kept & (classes == _ALL)), ties))
-    values = np.empty(words.size, np.int64)
-    for i in range(0, words.size, _TASK):
-        values[i : i + _TASK] = sd_batch(words[i : i + _TASK], n)
+    values = sd_batch(words, n)
     best = int(values.max(initial=-1))
     hits = np.sort(words[values == best])[:limit]
     return best, hits.tolist(), int(canonical), words.size
@@ -350,7 +343,6 @@ class SdTableRow:
     extremal: tuple[Word, ...]
     words_scanned: int
     # How the scan ran, not what it found: rows compare equal without them.
-    tasks: int = field(default=0, compare=False)
     elapsed_s: float = field(default=0.0, compare=False)
     words_evaluated: int = field(default=0, compare=False)
     blocks_pruned: int = field(default=0, compare=False)
@@ -364,13 +356,6 @@ class TableMismatch(NamedTuple):
     expected: int
 
 
-def _task_starts(n: int) -> range:
-    """First packed word of each scan task of row n, in ascending order:
-    the a-half [0, 2^(n-1)) in tasks of at most ``_TASK`` words."""
-    half = 1 << (n - 1)
-    return range(0, half, min(half, _TASK))
-
-
 def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     """Exact maximum of sd over all 2^n words of length n.
 
@@ -379,19 +364,19 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     since every canonical word starts with a; ``extremal`` holds the least
     canonical achievers.
 
-    The scan runs as tasks of ``_TASK`` words in ascending order, cut into
-    chunks by the words each task sends to the kernel (``_chunk_plan``).
-    The workers asked for are capped at the row's chunks and the machine's
-    CPUs.  The row runs in this process when that leaves one worker or its
-    counted words are below ``_POOL_WORDS``, as they always are for a row
-    of one task (at most ``_TASK``); else on a process pool of that many
-    workers, opened for this row and shut down before it returns.  Results
-    come back one per chunk in chunk order, so the row, including the
-    extremal words and their order, is the same for any worker count;
-    ``config.progress_interval`` prints scan totals to stderr, checked
-    after each chunk.  ``words_evaluated`` counts the words sent to the
-    kernel, ``blocks_pruned`` the blocks with canonical words that the bound
-    skipped, and ``chunks`` and ``pooled`` how the row was dispatched.
+    The scan runs over the row's heads in ascending order, cut into chunks
+    by the words each head sends to the kernel (``_chunk_plan``), one
+    kernel call per chunk.  The workers asked for are capped at the row's
+    chunks and the machine's CPUs.  The row runs in this process when that
+    leaves one worker or its counted words are below ``_POOL_WORDS``; else
+    on a process pool of that many workers, opened for this row and shut
+    down before it returns.  Results come back one per chunk in chunk
+    order, so the row, including the extremal words and their order, is
+    the same for any worker count; ``config.progress_interval`` prints
+    scan totals to stderr, checked after each chunk.  ``words_evaluated``
+    counts the words sent to the kernel, ``blocks_pruned`` the blocks with
+    canonical words that the bound skipped, and ``chunks`` and ``pooled``
+    how the row was dispatched.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -403,18 +388,19 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     limit = config.extremal_limit
     began = time.perf_counter()
 
-    starts = _task_starts(n)
     blocks = _blocks(n)
+    heads = _heads(n, blocks.k)
     task = partial(_scan_chunk, n, limit)
-    words = _task_words(blocks, starts)
-    cuts = _chunk_plan(words)
-    chunks = [starts[i:j] for i, j in zip(cuts, cuts[1:])]
+    words = _head_words(n, blocks)
+    cuts, counted = _chunk_plan(words), int(words.sum())
+    del words  # 8 MB at n = 32, which every forked worker would map
+    chunks = [heads[i:j] for i, j in zip(cuts, cuts[1:])]
     tables = [blocks.rows(n, c) for c in chunks]
     # fork starts every worker at the first submit, so the pool has no more
     # workers than the row has chunks or the machine has CPUs; one worker
     # gains nothing from a pool
     workers = min(config.worker_count, len(chunks), os.cpu_count() or 1)
-    pooled = workers > 1 and int(words.sum()) >= _POOL_WORDS
+    pooled = workers > 1 and counted >= _POOL_WORDS
 
     best, merged, scanned, evaluated = -1, [], 0, 0
     last_report = time.monotonic()
@@ -449,7 +435,6 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
         upper=upper_bound(n),
         extremal=tuple(Word(n, bits) for bits in merged),
         words_scanned=scanned,
-        tasks=len(starts),
         elapsed_s=time.perf_counter() - began,
         words_evaluated=evaluated,
         blocks_pruned=int(np.count_nonzero(~blocks.kept & (blocks.classes != _NONE))),

@@ -86,7 +86,7 @@ def test_criterion_2_bounds_and_exactness(rows_2_to_22, capsys):
 
 
 def test_criterion_3_family_equality(capsys):
-    checks = verify_family(4)
+    checks = list(verify_family(4))
     assert len(checks) == 35  # parameters 0..4, seven pairs each
     for check in checks:
         assert len(check.word) <= 37

@@ -79,7 +79,7 @@ def test_decomposition_identity():
 
 
 def test_verify_family_equality_small():
-    checks = verify_family(1)
+    checks = list(verify_family(1))
     assert len(checks) == 14
     assert all(c.ok for c in checks)
     assert all(c.computed == c.bound for c in checks)

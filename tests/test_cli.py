@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -280,9 +281,9 @@ def test_verify_bad_progress_exits_2(capsys, suite, interval):
 
 
 def test_table_stats_leave_stdout_unchanged(capsys):
-    """The stats lines leave stdout alone; one-task rows evaluate every
-    canonical word, the bound prunes blocks of the larger rows, and no row
-    counts enough kernel words to go to a pool."""
+    """The stats lines leave stdout alone; the bound prunes blocks of every
+    row, the rows make the chunks of their plans, and no row counts enough
+    kernel words to go to a pool."""
     argv = ("table", "--from", "14", "--to", "22", "--jobs", "2")
     code, plain, plain_err = run_cli(capsys, *argv)
     assert code == 0
@@ -293,24 +294,20 @@ def test_table_stats_leave_stdout_unchanged(capsys):
     lines = err.splitlines()
     assert len(lines) == 9
     words = (4_160, 8_256, 16_512, 32_896, 65_792, 131_328, 262_656, 524_800)
-    tasks = (1, 1, 2, 4, 8, 16, 32, 64, 128)
-    for n, line, scanned, task_count in zip(
-        range(14, 23), lines, words + (1_049_600,), tasks
+    chunks = (1, 1, 1, 1, 1, 1, 1, 2, 3)
+    for n, line, scanned, chunk_count in zip(
+        range(14, 23), lines, words + (1_049_600,), chunks
     ):
         match = re.fullmatch(
             rf"stats: n={n} elapsed=\d+\.\d{{3}}s words={scanned} "
-            rf"words_per_s=\d+ tasks={task_count} evaluated=(\d+) "
-            rf"blocks_pruned=(\d+) chunks=(\d+) pool=0",
+            rf"words_per_s=\d+ evaluated=(\d+) "
+            rf"blocks_pruned=(\d+) chunks={chunk_count} pool=0",
             line,
         )
         assert match, line
-        evaluated, pruned, chunks = int(match[1]), int(match[2]), int(match[3])
-        assert 1 <= chunks <= task_count
-        if n <= 15:
-            assert (evaluated, pruned) == (scanned, 0)
-        if n == 22:
-            assert evaluated < scanned
-            assert pruned > 0
+        evaluated, pruned = int(match[1]), int(match[2])
+        assert evaluated < scanned
+        assert pruned > 0
 
 
 def test_one_cpu_runs_every_row_in_process(capsys, monkeypatch):
@@ -318,7 +315,7 @@ def test_one_cpu_runs_every_row_in_process(capsys, monkeypatch):
     words for a pool, but `--jobs 2` leaves it one worker: it runs in this
     process, opens no pool and prints the `--jobs 1` table."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    counted = search._task_words(search._blocks(25), search._task_starts(25))
+    counted = search._head_words(25, search._blocks(25))
     assert counted.sum() >= search._POOL_WORDS
 
     def no_pool(*args, **kwargs):
@@ -416,6 +413,37 @@ def test_sd_stdin_bad_line_after_several_chunks(capsys, monkeypatch):
     assert code == 2
     assert out.splitlines() == expected.splitlines()[:130]
     assert err == "error: invalid letter '1' at position 3\n"
+
+
+def test_sd_stdin_answers_while_its_input_is_open(capsys):
+    """A child `sd --stdin` answers its first 64 lines while its stdin is
+    still open, and exits once it closes; a child that waited for the end
+    of its input would fail the timeout instead of hanging the test."""
+    texts = ["ab" * (i % 31) + "b" * (1 + i % 3) for i in range(64)]
+    code, expected, _ = run_cli(capsys, "sd", *texts, "--witness")
+    assert code == 0
+    lines = []
+    argv = [sys.executable, "-m", "palsym", "sd", "--stdin", "--witness"]
+    with subprocess.Popen(
+        argv,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_source_env(),
+    ) as child:
+        child.stdin.write("".join(t + "\n" for t in texts))
+        child.stdin.flush()
+        reader = threading.Thread(
+            target=lambda: lines.extend(child.stdout.readline() for _ in texts),
+            daemon=True,
+        )
+        reader.start()
+        reader.join(timeout=60)
+        answered = not reader.is_alive()
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+    assert answered, "no answer while stdin was open"
+    assert "".join(lines) == expected
 
 
 def _sd_stdin(capsys, monkeypatch, texts, *flags):
@@ -617,6 +645,23 @@ def test_verify_lemma4_past_a_lane(capsys):
     lines = out.splitlines()
     assert lines[-1] == "suite lemma4: 70/70 checks passed"
     assert lines[-2] == "ok   family n=9 alpha=4 beta=2: length=72 sd=30 expected=30"
+
+
+def test_lemma4_yields_each_check_as_it_is_made(monkeypatch):
+    """The lemma 4 suite makes one sd call for its first check, not one for
+    every family word up to its ``--max-n``."""
+    calls = []
+
+    def counting(word):
+        calls.append(len(word))
+        return deletions.sd(word)
+
+    monkeypatch.setattr(bounds, "sd", counting)
+    checks = cli._suite_lemma4(300, 1, None)
+    assert next(checks) == (
+        "family n=0 alpha=0 beta=0", True, "length=3 sd=1 expected=1"
+    )
+    assert calls == [3]
 
 
 def test_construct_invalid_pair(capsys):

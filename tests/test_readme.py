@@ -52,7 +52,6 @@ def test_stats_example_matches_row_22(capsys):
     assert expected == {
         "n": "22",
         "words": "1049600",
-        "tasks": "128",
         "evaluated": "185632",
         "blocks_pruned": "54190",
         "chunks": "3",

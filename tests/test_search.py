@@ -200,17 +200,25 @@ def test_pruned_equals_unpruned():
 
 
 def _counted_words(n):
-    """The counted kernel words of each task of row n."""
-    return search._task_words(search._blocks(n), search._task_starts(n))
+    """The counted kernel words of each head of row n."""
+    return search._head_words(n, search._blocks(n))
+
+
+def _chunks_of(n, words):
+    """The chunks of row n's plan that hold ``words``."""
+    cuts = search._chunk_plan(_counted_words(n))
+    ends = np.array(cuts[1:]) << search._block_letters(n)  # first word past each
+    bits = [w.bits for w in words]
+    return set(np.searchsorted(ends, bits, side="right").tolist())
 
 
 @pytest.fixture
 def pool_every_row(monkeypatch):
     """Send every row to a pool, however little kernel work it counts, and
-    close a chunk at each task that counts a word, so that such a task is
-    a chunk of its own and a row has chunks enough for every worker."""
+    close a chunk at 2^12 counted words, so that rows 14..23 make 1, 2, 2,
+    2, 2, 10, 6, 20, 45 and 51 chunks and have chunks enough for workers."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
-    monkeypatch.setattr(search, "_BUDGET", 1)
+    monkeypatch.setattr(search, "_BUDGET", 1 << 12)
 
 
 @pytest.fixture
@@ -240,15 +248,17 @@ def recorded(monkeypatch):
 
 
 def test_worker_determinism(pool_every_row):
-    """n = 19 scans 16 tasks on a pool; its first 90 extremal words come
-    from two of them, and the limit cuts the second task's list."""
+    """n = 19 scans ten chunks on a pool; its first 90 extremal words come
+    from three of them, and the limit cuts the last one's list."""
     rows = [
         sd_max(19, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
     ]
     assert [row.pooled for row in rows] == [False, True, True]
     assert len(rows[0].extremal) == 90
-    assert len({w.bits >> 14 for w in rows[0].extremal}) > 1
+    assert _chunks_of(19, rows[0].extremal) == {1, 2, 3}
+    wider = sd_max(19, SearchConfig(worker_count=1, extremal_limit=91))
+    assert _chunks_of(19, wider.extremal[90:]) == {3}
     assert rows[1] == rows[0]
     assert rows[2] == rows[0]
 
@@ -264,7 +274,7 @@ def _row_pools(workers):
 
 
 def test_pool_capped_at_chunk_count(monkeypatch, recorded):
-    """At the real budget row 22's tasks make three chunks, so eight
+    """At the real budget row 22's heads make three chunks, so eight
     requested workers on eight CPUs start a pool of three; the row is the
     one-worker row."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
@@ -275,14 +285,14 @@ def test_pool_capped_at_chunk_count(monkeypatch, recorded):
 
 
 def test_each_pooled_row_starts_its_own_pool(pool_every_row, recorded):
-    """Rows 1..15 have one task each, which leaves one worker, so they run
-    in this process.  Each of rows 16..19 opens its own pool, sized by its
-    own chunks, one per task: 2, 4 and 8, and row 19's 16 chunks capped at
-    the eight CPUs.  Each pool is shut down before the next row opens one,
-    and the rows are the one-worker rows."""
+    """Rows 1..14 make one chunk each, which leaves one worker, so they run
+    in this process.  Each of rows 15..19 opens its own pool, sized by its
+    own chunks: 2, 2, 2 and 2, and row 19's 10 chunks capped at the eight
+    CPUs.  Each pool is shut down before the next row opens one, and the
+    rows are the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    assert recorded == _row_pools({16: 2, 17: 4, 18: 8, 19: 8})
-    assert [row.pooled for row in rows] == [False] * 15 + [True] * 4
+    assert recorded == _row_pools({15: 2, 16: 2, 17: 2, 18: 2, 19: 8})
+    assert [row.pooled for row in rows] == [False] * 14 + [True] * 5
     assert rows == compute_table(1, 19, ONE)
 
 
@@ -304,24 +314,23 @@ def test_pool_capped_at_cpu_count(
 
 def test_small_rows_open_no_pool(recorded):
     """No row up to 22 counts enough kernel words to pay for a pool, so
-    eight workers run the whole table in this process.  A row of one task
-    counts at most ``_TASK`` words, so it never pools."""
+    eight workers run the whole table in this process."""
     rows = compute_table(1, 22, SearchConfig(worker_count=8))
     assert recorded == []
     assert not any(row.pooled for row in rows)
     assert max(_counted_words(n).sum() for n in range(1, 23)) < search._POOL_WORDS
-    assert search._TASK < search._POOL_WORDS
 
 
-def test_pool_opens_at_each_row_over_the_threshold(monkeypatch, recorded):
+def test_pool_opens_at_each_row_over_the_threshold(
+    monkeypatch, pool_every_row, recorded
+):
     """With the threshold at row 19's counted words, rows 16..18 and 20
     run in this process and rows 19 and 21 each on a pool of their own,
     opened while the row runs and shut down before it returns; the
-    decision is per row, not per range.  A chunk per task that counts a
-    word leaves row 19 two workers."""
+    decision is per row, not per range.  The fixture's budget cuts row 19
+    into chunks enough for two workers."""
     counted = {n: _counted_words(n).sum() for n in range(16, 22)}
     monkeypatch.setattr(search, "_POOL_WORDS", counted[19])
-    monkeypatch.setattr(search, "_BUDGET", 1)
     assert [n for n in counted if counted[n] >= counted[19]] == [19, 21]
     scan = search.sd_max
 
@@ -349,35 +358,34 @@ def test_pool_opens_at_each_row_over_the_threshold(monkeypatch, recorded):
     assert [e for e in recorded if e[0] not in ("row", "done")] == []
 
 
-def _task_words_by_spread(n, blocks, starts):
-    """The words of each task's kept blocks of class _ALL or _TIE, spread
+def _head_words_by_spread(n, blocks):
+    """The words of each head's kept blocks of class _ALL or _TIE, spread
     word by word as ``_scan_chunk`` spreads them."""
     k, classes, kept, _ = blocks
-    out = []
-    for lo in starts:
-        heads = np.arange(lo, lo + starts.step, 1 << k, dtype=np.int64)
-        rows = heads >> (n - k)
-        kept_words = search._spread(heads, rows, kept & (classes != search._NONE))
-        out.append(kept_words.size)
-    return out
+    heads = np.array(search._heads(n, k), dtype=np.int64)
+    kept_words = search._spread(
+        heads, heads >> (n - k), kept & (classes != search._NONE)
+    )
+    return np.bincount(kept_words >> k, minlength=heads.size).tolist()
 
 
-def test_chunk_plan_covers_every_task_once():
-    """Per-task counts equal the words the scan builds, and the plan cuts
-    the tasks in order into chunks, each closed at the first task that
+def test_chunk_plan_covers_every_head_once():
+    """Per-head counts equal the words the scan builds, and the plan cuts
+    the heads in order into chunks, each closed at the first head that
     brings its words to ``_BUDGET``: every chunk but the last reaches it,
-    and none reaches it without its last task."""
+    and none reaches it without its last head."""
     for n in range(1, 27):
-        starts, blocks = search._task_starts(n), search._blocks(n)
-        words = search._task_words(blocks, starts)
+        blocks = search._blocks(n)
+        words = search._head_words(n, blocks)
+        assert len(words) << blocks.k == 1 << (n - 1)
         if n <= 22:
-            assert words.tolist() == _task_words_by_spread(n, blocks, starts)
+            assert words.tolist() == _head_words_by_spread(n, blocks)
         cuts = search._chunk_plan(words)
-        assert cuts[0] == 0 and cuts[-1] == len(starts)
+        assert cuts[0] == 0 and cuts[-1] == len(words)
         for i, j in zip(cuts, cuts[1:]):
             assert i < j
             assert words[i : j - 1].sum() < search._BUDGET
-            if j < len(starts):
+            if j < len(words):
                 assert words[i:j].sum() >= search._BUDGET
 
 
@@ -385,12 +393,13 @@ def test_chunk_counts_bound_the_words_evaluated():
     """Each chunk's counted words are at least the words it sends to the
     kernel, and the chunks together evaluate the row's words."""
     for n in range(14, 24):
-        starts, blocks = search._task_starts(n), search._blocks(n)
-        words = search._task_words(blocks, starts)
+        blocks = search._blocks(n)
+        words = search._head_words(n, blocks)
         cuts = search._chunk_plan(words)
+        heads = search._heads(n, blocks.k)
         evaluated = 0
         for i, j in zip(cuts, cuts[1:]):
-            chunk = starts[i:j]
+            chunk = heads[i:j]
             count = search._scan_chunk(n, 0, chunk, blocks.rows(n, chunk))[3]
             assert count <= words[i:j].sum()
             evaluated += count
@@ -399,23 +408,39 @@ def test_chunk_counts_bound_the_words_evaluated():
         assert row.chunks == len(cuts) - 1
 
 
+def test_scan_chunk_calls_the_kernel_once(monkeypatch):
+    """A chunk sends all its words to ``sd_batch`` in one call: row 24's
+    first chunk evaluates more than 2^16 words."""
+    calls = []
+    kernel = search.sd_batch
+
+    def counting(words, n):
+        calls.append(len(words))
+        return kernel(words, n)
+
+    monkeypatch.setattr(search, "sd_batch", counting)
+    n, blocks = 24, search._blocks(24)
+    cuts = search._chunk_plan(search._head_words(n, blocks))
+    chunk = search._heads(n, blocks.k)[cuts[0] : cuts[1]]
+    count = search._scan_chunk(n, 8, chunk, blocks.rows(n, chunk))[3]
+    assert calls == [count]
+    assert count > 1 << 16
+
+
 def test_table_determinism_across_chunks(pool_every_row):
-    """Row 19's first 90 extremal words end inside its second task; row 21
-    merges the hits of several tasks and row 23 the hits of several chunks
-    of its plan.  Every worker count, on a pool or not, gives the same
-    rows."""
+    """Row 19's first 90 extremal words end inside its fourth chunk; rows 21
+    and 23 merge the hits of several chunks of their plans.  Every worker
+    count, on a pool or not, gives the same rows."""
     tables = [
         compute_table(19, 23, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
     ]
     row19, _, row21, _, row23 = tables[0]
     assert len(row19.extremal) == 90
-    assert {w.bits >> 14 for w in row19.extremal} == {0, 1}
-    assert len({w.bits >> 14 for w in row21.extremal}) > 1
-    ends = np.array(search._chunk_plan(_counted_words(23))[1:]) << 14
-    bits = [w.bits for w in row23.extremal]
-    assert len(set(np.searchsorted(ends, bits, side="right"))) > 1
-    assert [row.tasks for row in tables[0]] == [16, 32, 64, 128, 256]
+    assert _chunks_of(19, row19.extremal) == {1, 2, 3}
+    assert len(_chunks_of(21, row21.extremal)) > 1
+    assert len(_chunks_of(23, row23.extremal)) > 1
+    assert [row.chunks for row in tables[0]] == [10, 6, 20, 45, 51]
     assert all(row.pooled for row in tables[1])
     assert tables[1] == tables[0]
     assert tables[2] == tables[0]
@@ -440,8 +465,8 @@ def _plain_scan(n, limit):
 
 
 def test_sd_max_matches_plain_scan():
-    """Scanning only the a-half in tasks gives the answer of the plain scan
-    of every word, on one worker and on two."""
+    """Scanning only the a-half in chunks gives the answer of the plain
+    scan of every word, on one worker and on two."""
     for n in range(1, 19):
         best, hits, count = _plain_scan(n, 64)
         for jobs in (1, 2):
@@ -493,14 +518,14 @@ def test_threshold_is_the_lower_bound():
         assert search._threshold(n) == lower_bound(n)
 
 
-def test_block_letters_fit_a_task():
-    """k is 0 on one-task rows; otherwise a block has a middle and a task
-    holds whole suffixes."""
+def test_block_letters_leave_a_middle():
+    """k is 0 up to five letters; otherwise a block has a middle of at
+    least four letters, and the bound table at most 2^21 blocks."""
     for n in range(1, MAX_SEARCH_LENGTH + 1):
         k = search._block_letters(n)
-        assert (k == 0) == (len(search._task_starts(n)) == 1)
-        assert 2 * k < n
-        assert 1 << k <= search._TASK
+        assert (k == 0) == (n <= 5)
+        assert k == 0 or n - 2 * k >= 4
+        assert k <= 11
 
 
 @pytest.fixture(scope="module")
@@ -531,16 +556,14 @@ def test_branch_and_bound_matches_plain_canonical_scan(
 def test_progress_reports_at_chunk_boundaries(pool_every_row, capsys):
     """At two workers row 22 goes out on a pool in the chunks of its plan;
     with a zero interval each chunk reports once, with the exact canonical
-    total of the tasks before its end."""
-    n, task = 22, 1 << 14
+    total of the heads before its end."""
+    n = 22
     row = sd_max(n, SearchConfig(worker_count=2, progress_interval=0))
     lines = capsys.readouterr().err.splitlines()
     cuts = search._chunk_plan(_counted_words(n))
-    per_task = [
-        int(np.count_nonzero(_is_canonical(np.arange(lo, lo + task), n)))
-        for lo in search._task_starts(n)
-    ]
-    totals = np.cumsum(per_task)[np.array(cuts[1:]) - 1].tolist()
+    canonical = _is_canonical(np.arange(1 << (n - 1)), n)
+    per_head = canonical.reshape(-1, 1 << search._block_letters(n)).sum(axis=1)
+    totals = np.cumsum(per_head)[np.array(cuts[1:]) - 1].tolist()
     assert row.pooled and row.chunks == len(cuts) - 1 > 2
     assert [int(line.split()[2]) for line in lines] == totals
     assert lines[-1] == f"n=22: scanned {row.words_scanned} words, current max 8"
