@@ -105,8 +105,8 @@ _NEITHER = words.SymmetryClass.NEITHER.value
 
 def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) -> str:
     """The output lines of a chunk of words, given as their letters and
-    packed bits: one kernel pass, and with ``with_witness`` one batched
-    table for all of their witnesses.
+    packed bits: one kernel pass over the bits, and with ``with_witness``
+    one batched table over the letters for all of their witnesses.
 
     A word's class is read from its counts: a word of n letters is a
     palindrome iff lps = LCS(w, rev w) = n, an antipalindrome iff las = n,
@@ -117,7 +117,7 @@ def _sd_lines(texts: list[str], bits: list[int], form: str, with_witness: bool) 
     lengths = list(map(len, texts))
     pal, anti = deletions._target_deletions(bits, lengths)
     if with_witness:
-        witnesses = deletions._witnesses(texts, bits, pal, anti)
+        witnesses = deletions._witnesses(texts, pal, anti)
     else:
         witnesses = [None] * len(texts)
     lines = []

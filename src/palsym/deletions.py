@@ -27,7 +27,8 @@ antipalindromic (A) subsequence of w_i..w_j is
 with P(i, i) = 1 and A(i, i) = 0.  An end pair counts for P when
 w_i == w_j and for A when w_i != w_j; keeping such a pair is always
 optimal.  ``_tables`` fills T for many words at once, each for its own
-target, as one numpy array of right-aligned words in which row i is a
+target, as one numpy array read from the words' text padded on the right:
+each word's table is the top-left corner of its slice, and row i is a
 running maximum over row i + 1.  ``_witnesses`` builds the table of each
 word's target in one such array and backtracks through it on the word's
 own text with fixed tie-breaks, so the witness is reproducible;
@@ -96,27 +97,29 @@ class DeletionWitness:
     result: SdResult
 
 
-def _tables(bits: np.ndarray, n: int, pal: np.ndarray) -> np.ndarray:
+def _tables(texts: Sequence[str], pal: np.ndarray) -> np.ndarray:
     """Interval tables of many words at once, each for its own target.
 
-    ``bits`` holds packed words of at most ``n`` letters, read right-aligned
-    in n places: a word of m letters fills places n - m .. n - 1, so entry
-    ``[k, i, j]`` is the longest palindromic (``pal[k]``) or antipalindromic
-    subsequence of letters i..j of word k, and its own table is the
-    bottom-right m by m corner of slice k.  Rows fill from the bottom; past
-    the diagonal, row i is the running maximum over j of ``T(i+1, j-1) + 2``
-    where the end pair (i, j) counts and of ``T(i+1, j)`` where it does not.
-    That equals the recurrence because T(i, j) never decreases in j and a
+    The texts are padded on the right to the longest, of n letters, so
+    entry ``[k, i, j]`` is the longest palindromic (``pal[k]``) or
+    antipalindromic subsequence of letters i..j of word k, and the table of
+    a word of m letters is the top-left m by m corner of slice k, which
+    never reads the padding.  Rows fill from the bottom; past the diagonal,
+    row i is the running maximum over j of ``T(i+1, j-1) + 2`` where the
+    end pair (i, j) counts and of ``T(i+1, j)`` where it does not.  That
+    equals the recurrence because T(i, j) never decreases in j and a
     counting end pair never loses to ``T(i, j-1)``, which is at most
     ``T(i+1, j-1) + 2``.  Entries below the diagonal stay 0, the empty
     interval, so ``T(i+1, i)`` reads 0.
     """
     import numpy as np
 
-    letters = (bits[:, None] >> np.arange(n - 1, -1, -1)) & 1
+    n = max(map(len, texts), default=0)
+    padded = "".join(s.ljust(n) for s in texts).encode()
+    letters = np.frombuffer(padded, np.uint8).reshape(len(texts), n)
     match = letters[:, :, None] == letters[:, None, :]
     np.equal(match, pal[:, None, None], out=match)  # where end pairs count
-    t = np.zeros((len(bits), n, n), np.int8)
+    t = np.zeros((len(texts), n, n), np.int8)
     diagonal = np.arange(n)
     t[:, diagonal, diagonal] = pal[:, None]
     for i in range(n - 2, -1, -1):
@@ -227,23 +230,21 @@ def sd(w: Word) -> SdResult:
 
 
 def _witnesses(
-    texts: Sequence[str], bits: Sequence[int], pal: Sequence[int], anti: Sequence[int]
+    texts: Sequence[str], pal: Sequence[int], anti: Sequence[int]
 ) -> list[tuple[tuple[int, ...], bool, str]]:
     """Each word's deleted positions, target (True for a palindrome) and
-    residual text, from its letters, its packed bits and its deletions to
-    each target as ``_target_deletions`` gives them.  The word targets a
-    palindrome iff ``pal <= anti`` (lps >= las); one batched interval
-    table holds the table of each word's target, and each word is
-    backtracked through its own table on its own text."""
+    residual text, from its letters and its deletions to each target as
+    ``_target_deletions`` gives them.  The word targets a palindrome iff
+    ``pal <= anti`` (lps >= las); one batched interval table holds the
+    table of each word's target, and each word is backtracked through its
+    own table on its own text."""
     import numpy as np
 
     targets = [p <= a for p, a in zip(pal, anti)]
-    n = max(map(len, texts), default=0)
-    t = memoryview(_tables(np.array(bits, np.int64), n, np.array(targets, bool)))
+    t = memoryview(_tables(texts, np.array(targets, bool)))
     witnesses = []
     for k, (s, want_pal) in enumerate(zip(texts, targets)):
         m = len(s)
-        o = n - m  # the word's table starts at row and column o
         kept = [False] * m
         i, j = 0, m - 1
         while i < j:
@@ -251,7 +252,7 @@ def _witnesses(
                 kept[i] = kept[j] = True
                 i += 1
                 j -= 1
-            elif t[k, o + i, o + j] == t[k, o + i, o + j - 1]:
+            elif t[k, i, j] == t[k, i, j - 1]:
                 j -= 1
             else:
                 i += 1
@@ -273,7 +274,7 @@ def sd_witness(w: Word) -> DeletionWitness:
     """
     n = len(w)
     [p], [a] = _target_deletions([w.bits], [n])
-    [(deleted, want_pal, residual)] = _witnesses([str(w)], [w.bits], [p], [a])
+    [(deleted, want_pal, residual)] = _witnesses([str(w)], [p], [a])
     target = SymmetryClass.PALINDROME if want_pal else SymmetryClass.ANTIPALINDROME
     return DeletionWitness(
         deleted, target, parse_word(residual), SdResult(min(p, a), n - p, n - a)

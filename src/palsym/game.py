@@ -304,10 +304,6 @@ def max_game_value(n: int, solver: GameSolver | None = None) -> tuple[int, Word]
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n > GAME_MAX_LENGTH:
-        raise LengthBudgetExceeded(
-            f"full scan supports at most {GAME_MAX_LENGTH} letters, got {n}"
-        )
     solver = solver if solver is not None else GameSolver()
     word = Word(n, int(np.argmax(solver._table(n, False))))
     return solver.value(word), word

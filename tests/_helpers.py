@@ -143,9 +143,10 @@ def batched_table_lengths(n: int) -> tuple[list[int], list[int]]:
     from one batched table that holds both targets of every word."""
     if n == 0:
         return [0], [0]
-    words = np.arange(1 << n, dtype=np.int64)
+    # in the order of their packed bits: the first letter is the top bit
+    texts = ["".join(p) for p in itertools.product("ab", repeat=n)]
     pal = np.repeat([True, False], 1 << n)
-    corners = _tables(np.concatenate([words, words]), n, pal)[:, 0, -1]
+    corners = _tables(texts + texts, pal)[:, 0, -1]
     return corners[: 1 << n].tolist(), corners[1 << n :].tolist()
 
 
@@ -398,10 +399,10 @@ def reference_sd_reports(ws: list[Word], with_witness: bool) -> list[dict]:
     reports = []
     for start in range(0, len(ws), 64):
         chunk = ws[start : start + 64]
-        texts, bits = [str(w) for w in chunk], [w.bits for w in chunk]
-        pal, anti = _target_deletions(bits, list(map(len, texts)))
+        texts = [str(w) for w in chunk]
+        pal, anti = _target_deletions([w.bits for w in chunk], list(map(len, texts)))
         if with_witness:
-            witnesses = _witnesses(texts, bits, pal, anti)
+            witnesses = _witnesses(texts, pal, anti)
         else:
             witnesses = [None] * len(chunk)
         for word, p, a, witness in zip(chunk, pal, anti, witnesses):

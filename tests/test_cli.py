@@ -964,9 +964,10 @@ def test_game_best(capsys):
 
 
 def test_game_best_guard(capsys):
-    code, _, err = run_cli(capsys, "game", "best", "23")
+    code, out, err = run_cli(capsys, "game", "best", "23")
     assert code == 2
-    assert "at most 22 letters" in err
+    assert out == ""
+    assert err == "error: game solver supports at most 22 letters, got 23\n"
     code, out, err = run_cli(capsys, "verify", "--suite", "game", "--max-n", "23")
     assert code == 2
     assert out == ""

@@ -195,16 +195,15 @@ def _chunk_witnesses(texts):
     """``sd`` and witness of each word of one chunk, as ``palsym sd``
     computes them: an ``SdResult`` and (deleted positions, target,
     residual text)."""
-    bits = [parse_word(t).bits for t in texts]
     lengths = list(map(len, texts))
-    pal, anti = _target_deletions(bits, lengths)
+    pal, anti = _target_deletions([parse_word(t).bits for t in texts], lengths)
     results = [
         SdResult(min(p, a), n - p, n - a) for n, p, a in zip(lengths, pal, anti)
     ]
     targets = {True: SymmetryClass.PALINDROME, False: SymmetryClass.ANTIPALINDROME}
     witnesses = [
         (deleted, targets[want_pal], residual)
-        for deleted, want_pal, residual in _witnesses(texts, bits, pal, anti)
+        for deleted, want_pal, residual in _witnesses(texts, pal, anti)
     ]
     return results, witnesses
 
@@ -232,12 +231,11 @@ def test_witness_matches_reference_sampled(text):
 
 def _check_batched_tables(texts, pal):
     n = max(map(len, texts))
-    bits = np.array([parse_word(t).bits for t in texts], dtype=np.int64)
-    tables = _tables(bits, n, np.array(pal, dtype=bool))
+    tables = _tables(texts, np.array(pal, dtype=bool))
     assert tables.shape == (len(texts), n, n)
     for table, text, want_pal in zip(tables, texts, pal):
-        corner = table[n - len(text) :, n - len(text) :]
-        assert corner.tolist() == scalar_table(text, want_pal)
+        m = len(text)
+        assert table[:m, :m].tolist() == scalar_table(text, want_pal)
 
 
 def test_batched_tables_match_scalar_exhaustive():
@@ -300,7 +298,8 @@ def test_empty_chunk_has_no_lanes():
 @example([("", False)])
 @settings(max_examples=60, deadline=None)
 def test_batched_tables_match_scalar_mixed_lengths(batch):
-    """Words of different lengths share one right-aligned batched table."""
+    """Words of different lengths share one batched table, each in the
+    top-left corner of its slice."""
     texts, pal = zip(*batch)
     _check_batched_tables(texts, pal)
 
