@@ -629,7 +629,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stats",
         action="store_true",
         help="print each row's elapsed time, canonical words, words/s, words "
-        "evaluated, blocks pruned, chunks and pool use to stderr",
+        "evaluated, blocks pruned (blocks with canonical words that the bound "
+        "skipped in every head: below the threshold in force when their "
+        "prefix's first head was scanned), chunks and pool use to stderr",
     )
     p_table.set_defaults(func=_cmd_table)
 

@@ -16,9 +16,10 @@ block from above by
 the paired ends of a palindrome around the majority letter of the rest, or
 the paired ends of an antipalindrome.  The threshold T is the exact sd of
 the family word of length n (``bounds.build_word``), so the row's maximum
-is at least T and T needs no lemma.  Only blocks whose bound reaches T are
-evaluated; every word of sd >= T is among them, so the maximum, its
-achievers and their order are those of the full scan.
+is at least T and T needs no lemma.  Only blocks whose bound reaches the
+threshold, T or more (see below), are evaluated; every word of sd at or
+above it is among them, so the maximum, its achievers and their order are
+those of the full scan.
 
 Each block also has a class, from comparing u with rev v and comp rev v:
 none of its words is canonical (u above either), all are (u below both),
@@ -31,20 +32,36 @@ n <= 5, where one tie block holds the a-half and every word takes the
 canonical test.
 
 The a-half is cut into heads: a prefix u and a middle m, whose 2^k words
-u m v share the table row of u.  The block tables give, before anything
-runs, the words each head will send to the kernel at most (``_head_words``:
-the words of its row's kept blocks that hold canonical words), and
-``_chunk_plan`` cuts a row's heads into chunks by that count: a chunk
-closes once its words reach ``_BUDGET``.  The same plan serves every
-worker count.  A row's workers are those asked for, capped at its chunks
-and the machine's CPUs.  A row runs in this process when that leaves one
-worker or its counted words are below ``_POOL_WORDS``; else it goes to a
-process pool of that many workers, which the row opens and shuts down
-itself.  A chunk is sent the block table rows of its heads, builds the
-words of its kept blocks and runs the bit-parallel LCS kernel of
-``deletions`` on them in one call.  The parent merges chunk results in
-chunk order and prints progress after each, so the outcome is identical
-for any worker count.
+u m v share the table row of u.  A row runs its heads in ascending order,
+in chunks of one kernel call each, and keeps an incumbent (Land & Doig's):
+the best value found, which starts at T since the family word reaches it,
+and its least canonical achievers, up to ``extremal_limit`` of them.  Each
+chunk is cut at the threshold in force: the incumbent's value while its
+list is short, one above it once the list is full, for from then on only a
+word of larger sd can change the row (a later achiever of the same value
+is larger than every listed word).  The threshold only rises; with an
+extremal limit of 0 the list is full from the start.  The block tables
+give, at a threshold, the words each head builds (``_row_words``: the
+words of its row's kept blocks that hold canonical words, which bound
+those it sends to the kernel, and of its tie blocks, which all take the
+canonical test), and ``_cut`` closes a chunk once its words reach its
+budget: ``_FIRST_BUDGET`` for the first chunk and four times the one
+before for each later chunk, up to ``_BUDGET``, so that the early chunks
+are small and the threshold rises close to where the list fills.
+
+A row's workers are those asked for, capped at the machine's CPUs and at
+the chunks its counted words could fill.  A row runs in this process when
+that leaves one worker or its counted words are below ``_POOL_WORDS``;
+else on a process pool of that many workers, which the row opens and shuts
+down itself, and to which it submits its chunks in order with at most two
+a worker in flight.  A chunk cut before the threshold rose evaluates a
+superset of the words the new threshold keeps, so its result still holds.
+A chunk is sent its threshold and the block table rows of its heads,
+builds the words of its kept blocks and runs the bit-parallel LCS kernel
+of ``deletions`` on them in one call.  The parent merges chunk results in
+chunk order and prints progress after each, so the row is identical for
+any worker count; only the words evaluated and the chunks they were cut
+into can differ.
 """
 
 from __future__ import annotations
@@ -54,6 +71,7 @@ import math
 import os
 import sys
 import time
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,16 +90,20 @@ from .deletions import MAX_LENGTH, _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import Word, _is_canonical, _reverse_bits
 
-# Row 32 takes 6.5 to 8.2 s on two cores (`table --from 32 --to 32 --jobs
-# 2` as a process on a 2-vCPU Xeon VM, 9 runs, median 7.1 s); each row
+# Row 32 takes 2.7 to 3.0 s on two cores (`table --from 32 --to 32 --jobs
+# 2` as a process on a 2-vCPU Xeon VM, 5 runs, median 2.95 s); each row
 # below it takes less.
 MAX_SEARCH_LENGTH = 32
 
-# Counted kernel words that close a chunk, which makes one kernel call.
-# compute_table(1, 22) in process at a budget of 2^14, 2^15, 2^16 and 2^17
-# words: 40, 30, 25 and 23 kernel calls, 0.048, 0.042, 0.051 and 0.053 s
-# warm (medians of 11), peak RSS 31.8, 32.1, 33.5 and 36.7 MB (medians of
-# 7 fresh processes; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6).
+# Counted kernel words that close a row's first chunk, and the most that
+# close any later chunk, whose budget is four times the one before.  Whole
+# `table --from 29 --to 32 --jobs 2` processes, medians of 5 alternating
+# runs: a first chunk of 2^11, 2^12, 2^13 and 2^14 words took 3.79, 3.71,
+# 3.88 and 4.16 s (cap 2^16), and in another sweep a cap of 2^15, 2^16 and
+# 2^17 took 4.80, 4.48 and 4.94 s (first chunk 2^12).  Rows 25..28 (medians
+# of 7) and warm compute_table(1, 22) (medians of 61) moved by less than
+# their spread with either; 2-vCPU Xeon VM, Python 3.11.7, numpy 2.4.6.
+_FIRST_BUDGET = 1 << 12
 _BUDGET = 1 << 16
 
 # Counted kernel words from which a row goes to a process pool, when two or
@@ -150,7 +172,10 @@ def _block_letters(n: int) -> int:
 
 
 def _threshold(n: int) -> int:
-    """sd of the family word of length n (n >= 3), a value the row reaches."""
+    """sd of the family word of length n, a value the row reaches; 0 for
+    n < 3, where every word has sd 0."""
+    if n < 3:
+        return 0
     p, s = divmod(n - 3, 7)
     alpha, beta = next(pair for pair in VALID_PAIRS if sum(pair) == s)
     return sd(build_word(ConstructionParams(p, alpha, beta))).value
@@ -205,13 +230,13 @@ class _Blocks(NamedTuple):
     """Row n cut into blocks: the first and last k letters fixed.
 
     ``classes[u - first, v]`` says whether none, all or some of the words
-    u m v are canonical, and ``kept[u - first, v]`` whether the block is
-    evaluated.
+    u m v are canonical, and ``bounds[u - first, v]`` bounds their sd from
+    above: the block is evaluated at a threshold its bound reaches.
     """
 
     k: int
     classes: np.ndarray
-    kept: np.ndarray
+    bounds: np.ndarray
     first: int = 0
 
     def rows(self, n: int, heads: range) -> _Blocks:
@@ -219,7 +244,7 @@ class _Blocks(NamedTuple):
         shift = n - self.k
         lo, hi = heads[0] >> shift, (heads[-1] >> shift) + 1
         return self._replace(
-            classes=self.classes[lo:hi], kept=self.kept[lo:hi], first=lo
+            classes=self.classes[lo:hi], bounds=self.bounds[lo:hi], first=lo
         )
 
 
@@ -228,7 +253,7 @@ def _blocks(n: int) -> _Blocks:
     every word takes the canonical test."""
     k = _block_letters(n)
     if k == 0:
-        return _Blocks(0, np.full((1, 1), _TIE, np.int8), np.ones((1, 1), bool))
+        return _Blocks(0, np.full((1, 1), _TIE, np.int8), _block_bounds(n, 0))
     mask = (1 << k) - 1
     u = np.arange(1 << (k - 1), dtype=np.int64)[:, None]
     rev = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
@@ -238,7 +263,10 @@ def _blocks(n: int) -> _Blocks:
     some = (u <= rev) & (u <= rev ^ mask)
     tie = (u == rev) | (u == rev ^ mask)
     classes = some.astype(np.int8) + (some & tie)  # _NONE, _ALL or _TIE
-    return _Blocks(k, classes, _block_bounds(n, k) >= _threshold(n))
+    # a copy, made while the table sits above the build's freed temporaries,
+    # lets the heap give them back before the pool forks: the row-28 parent
+    # held 58 MB when its pool opened without it and 40 MB with it
+    return _Blocks(k, classes, _block_bounds(n, k).copy())
 
 
 def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -259,40 +287,64 @@ def _heads(n: int, k: int) -> range:
     return range(0, 1 << (n - 1), 1 << k)
 
 
-def _head_words(n: int, blocks: _Blocks) -> np.ndarray:
-    """The words each head of row n sends to the kernel at most: every word
-    of its row's kept blocks that hold canonical words, the non-canonical
-    words of tie blocks included (2^20 heads at n = 32)."""
-    per_row = np.count_nonzero(blocks.kept & (blocks.classes != _NONE), axis=1)
-    return np.repeat(per_row, len(_heads(n, blocks.k)) // per_row.size)
+def _row_words(blocks: _Blocks, threshold: int) -> np.ndarray:
+    """The words one head of each table row builds at ``threshold``: every
+    word of the row's blocks that hold canonical words and whose bound
+    reaches it, which bound the words the head sends to the kernel, and of
+    its tie blocks, which all take the canonical test.  Counting the tie
+    words caps a chunk's heads once few blocks are kept: row 31's chunks
+    above its threshold spanned up to 197 k heads without them, and a
+    worker's peak RSS rose from 33 to 54 MB.  The row's heads share one
+    table row 2^(n - 2k) at a time."""
+    kept = (blocks.bounds >= threshold) & (blocks.classes != _NONE)
+    return np.count_nonzero(kept | (blocks.classes == _TIE), axis=1)
 
 
-def _chunk_plan(words: np.ndarray) -> list[int]:
-    """Cut points of a row's heads, 0 first and the head count last, given
-    each head's counted words: a chunk closes once its words reach
-    ``_BUDGET``."""
-    total = np.zeros(len(words) + 1, np.int64)
-    np.cumsum(words, out=total[1:])
-    cuts = [0]
-    while cuts[-1] < len(words):
-        full = int(np.searchsorted(total, total[cuts[-1]] + _BUDGET))
-        cuts.append(min(full, len(words)))
-    return cuts
+def _budget(chunk: int) -> int:
+    """The counted words that close a row's chunk of index ``chunk``."""
+    return min(_FIRST_BUDGET << 2 * chunk, _BUDGET)
+
+
+def _cut(row_words: np.ndarray, span: int, start: int, budget: int) -> int:
+    """The end of the chunk that starts at head ``start``: the first head
+    that brings the chunk's counted words to ``budget``, or the row's last
+    head.  ``row_words`` gives one head's words for each table row, which
+    ``span`` heads in a row share."""
+    total = np.zeros(row_words.size + 1, np.int64)
+    np.cumsum(row_words * span, out=total[1:])
+    row, col = divmod(start, span)
+    target = total[row] + col * row_words[row] + budget
+    # the chunk ends in the first table row whose words reach the target
+    row = int(np.searchsorted(total, target)) - 1
+    if row == row_words.size:
+        return row * span
+    return row * span + int(-(-(target - total[row]) // row_words[row]))
+
+
+def _most_chunks(counted: int) -> int:
+    """The most chunks a row of ``counted`` words can be cut into: every
+    chunk but the last holds at least its budget, at any threshold."""
+    chunks = filled = 0
+    while filled + _budget(chunks) <= counted:
+        filled += _budget(chunks)
+        chunks += 1
+    return chunks + 1
 
 
 def _scan_chunk(
-    n: int, limit: int, heads: range, blocks: _Blocks
+    n: int, limit: int, threshold: int, heads: range, blocks: _Blocks
 ) -> tuple[int, list[int], int, int]:
     """Scan the words of ``heads``: the best sd evaluated (-1 if none), up
     to ``limit`` of its canonical achievers in ascending order, the number
     of canonical words and the number evaluated.
 
     The words are the heads joined to each suffix v.  Each tie word takes
-    ``_is_canonical`` once; the canonical ones are counted and, in kept
-    blocks, join the words of kept _ALL blocks in one kernel call, so every
-    word evaluated is canonical.
+    ``_is_canonical`` once; the canonical ones are counted and, in blocks
+    whose bound reaches ``threshold``, join the words of such _ALL blocks in
+    one kernel call, so every word evaluated is canonical.
     """
-    k, classes, kept, first = blocks
+    k, classes, bounds, first = blocks
+    kept = bounds >= threshold
     heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
     rows = (heads >> (n - k)) - first
     ties = _spread(heads, rows, classes == _TIE)
@@ -334,7 +386,16 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SdTableRow:
-    """Exact maximum sd at length n with bounds and sample extremal words."""
+    """Exact maximum sd at length n with bounds and sample extremal words.
+
+    The fields after ``words_scanned`` say how the scan ran:
+    ``words_evaluated`` counts the words sent to the kernel, and
+    ``blocks_pruned`` the blocks holding canonical words that the bound
+    skipped in every head: those below the threshold in force when the
+    chunk holding their prefix's first head was cut (the threshold only
+    rises along a row, so no later head evaluates them).  ``chunks`` and
+    ``pooled`` say how the row was dispatched.
+    """
 
     n: int
     sd: int
@@ -364,19 +425,23 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     since every canonical word starts with a; ``extremal`` holds the least
     canonical achievers.
 
-    The scan runs over the row's heads in ascending order, cut into chunks
-    by the words each head sends to the kernel (``_chunk_plan``), one
-    kernel call per chunk.  The workers asked for are capped at the row's
-    chunks and the machine's CPUs.  The row runs in this process when that
-    leaves one worker or its counted words are below ``_POOL_WORDS``; else
-    on a process pool of that many workers, opened for this row and shut
-    down before it returns.  Results come back one per chunk in chunk
-    order, so the row, including the extremal words and their order, is
-    the same for any worker count; ``config.progress_interval`` prints
-    scan totals to stderr, checked after each chunk.  ``words_evaluated``
-    counts the words sent to the kernel, ``blocks_pruned`` the blocks with
-    canonical words that the bound skipped, and ``chunks`` and ``pooled``
-    how the row was dispatched.
+    The scan runs over the row's heads in ascending order, in chunks of
+    one kernel call each, cut at the threshold in force (``_cut``): the
+    incumbent value, which starts at T, or one above it once the incumbent
+    holds ``extremal_limit`` achievers.  The workers asked for are capped
+    at the machine's CPUs and at the chunks the row's counted words could
+    fill.  The row runs in this process when that leaves one worker or its
+    counted words are below ``_POOL_WORDS``; else on a process pool of that
+    many workers, opened for this row and shut down before it returns,
+    with at most two chunks a worker in flight.  Results are merged one
+    per chunk in chunk order, so the row, including the extremal words and
+    their order, is the same for any worker count;
+    ``config.progress_interval`` prints scan totals and the incumbent value
+    to stderr, checked after each chunk.  ``words_evaluated``,
+    ``blocks_pruned``, ``chunks`` and ``pooled`` say how the row ran (see
+    ``SdTableRow``); a pooled row cuts the chunks in flight when the
+    threshold rises at the old one, so they can differ between worker
+    counts.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -390,19 +455,22 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
 
     blocks = _blocks(n)
     heads = _heads(n, blocks.k)
+    span = len(heads) // blocks.classes.shape[0]  # heads per table row
     task = partial(_scan_chunk, n, limit)
-    words = _head_words(n, blocks)
-    cuts, counted = _chunk_plan(words), int(words.sum())
-    del words  # 8 MB at n = 32, which every forked worker would map
-    chunks = [heads[i:j] for i, j in zip(cuts, cuts[1:])]
-    tables = [blocks.rows(n, c) for c in chunks]
+    # the incumbent: the family word reaches T, and no achiever is listed
+    best, merged = _threshold(n), []
+    threshold = best + (limit == 0)
+    row_words = _row_words(blocks, threshold)
+    counted = int(row_words.sum()) * span
     # fork starts every worker at the first submit, so the pool has no more
-    # workers than the row has chunks or the machine has CPUs; one worker
-    # gains nothing from a pool
-    workers = min(config.worker_count, len(chunks), os.cpu_count() or 1)
+    # workers than the row can have chunks or the machine has CPUs; one
+    # worker gains nothing from a pool
+    workers = min(config.worker_count, _most_chunks(counted), os.cpu_count() or 1)
     pooled = workers > 1 and counted >= _POOL_WORDS
+    window = 2 * workers if pooled else 1
 
-    best, merged, scanned, evaluated = -1, [], 0, 0
+    start = chunks = scanned = evaluated = pruned = 0
+    pending = deque()  # each chunk in flight, as a call that returns its result
     last_report = time.monotonic()
     # the class is read through the module (see ``__getattr__``)
     pool = (
@@ -411,14 +479,29 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
         else nullcontext()
     )
     with pool:
-        run = pool.map if pooled else map
-        for chunk_best, hits, canonical, count in run(task, chunks, tables):
+        while start < len(heads) or pending:
+            while start < len(heads) and len(pending) < window:
+                stop = _cut(row_words, span, start, _budget(chunks))
+                chunk = heads[start:stop]
+                args = (threshold, chunk, blocks.rows(n, chunk))
+                pending.append(
+                    pool.submit(task, *args).result if pooled else partial(task, *args)
+                )
+                # the blocks of the prefixes whose first head is in the chunk
+                first = slice(-(-start // span), -(-stop // span))
+                skipped = blocks.bounds[first] < threshold
+                pruned += np.count_nonzero(skipped & (blocks.classes[first] != _NONE))
+                start, chunks = stop, chunks + 1
+            chunk_best, hits, canonical, count = pending.popleft()()
             scanned += canonical
             evaluated += count
             if chunk_best > best:
                 best, merged = chunk_best, []
             if chunk_best == best:
                 merged.extend(hits[: limit - len(merged)])
+            if best + (len(merged) == limit) > threshold:
+                threshold = best + (len(merged) == limit)
+                row_words = _row_words(blocks, threshold)
             if config.progress_interval is not None:
                 now = time.monotonic()
                 if now - last_report >= config.progress_interval:
@@ -437,8 +520,8 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
         words_scanned=scanned,
         elapsed_s=time.perf_counter() - began,
         words_evaluated=evaluated,
-        blocks_pruned=int(np.count_nonzero(~blocks.kept & (blocks.classes != _NONE))),
-        chunks=len(chunks),
+        blocks_pruned=int(pruned),
+        chunks=chunks,
         pooled=pooled,
     )
 

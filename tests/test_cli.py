@@ -294,7 +294,7 @@ def test_table_stats_leave_stdout_unchanged(capsys):
     lines = err.splitlines()
     assert len(lines) == 9
     words = (4_160, 8_256, 16_512, 32_896, 65_792, 131_328, 262_656, 524_800)
-    chunks = (1, 1, 1, 1, 1, 1, 1, 2, 3)
+    chunks = (1, 2, 2, 2, 2, 3, 3, 3, 3)
     for n, line, scanned, chunk_count in zip(
         range(14, 23), lines, words + (1_049_600,), chunks
     ):
@@ -315,8 +315,10 @@ def test_one_cpu_runs_every_row_in_process(capsys, monkeypatch):
     words for a pool, but `--jobs 2` leaves it one worker: it runs in this
     process, opens no pool and prints the `--jobs 1` table."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    counted = search._head_words(25, search._blocks(25))
-    assert counted.sum() >= search._POOL_WORDS
+    blocks = search._blocks(25)
+    span = len(search._heads(25, blocks.k)) // blocks.classes.shape[0]
+    counted = search._row_words(blocks, search._threshold(25)).sum() * span
+    assert counted >= search._POOL_WORDS
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-worker row opened a pool")

@@ -52,8 +52,8 @@ def test_stats_example_matches_row_22(capsys):
     assert expected == {
         "n": "22",
         "words": "1049600",
-        "evaluated": "185632",
-        "blocks_pruned": "54190",
+        "evaluated": "34631",
+        "blocks_pruned": "63537",
         "chunks": "3",
         "pool": "0",
     }

@@ -199,24 +199,59 @@ def test_pruned_equals_unpruned():
             assert [w.bits for w in row.extremal] == hits, (n, limit)
 
 
-def _counted_words(n):
-    """The counted kernel words of each head of row n."""
-    return search._head_words(n, search._blocks(n))
+def _counted_words(n, threshold=None):
+    """The counted kernel words of each head of row n at ``threshold``,
+    the row's own threshold T by default."""
+    blocks = search._blocks(n)
+    threshold = search._threshold(n) if threshold is None else threshold
+    span = len(search._heads(n, blocks.k)) // blocks.classes.shape[0]
+    return np.repeat(search._row_words(blocks, threshold), span)
 
 
-def _chunks_of(n, words):
-    """The chunks of row n's plan that hold ``words``."""
-    cuts = search._chunk_plan(_counted_words(n))
-    ends = np.array(cuts[1:]) << search._block_letters(n)  # first word past each
+@pytest.fixture
+def plans(monkeypatch):
+    """The chunks of each row that the test scans, one list per row of
+    (threshold, start, stop): the threshold the chunk was cut at and the
+    range of the row's heads it holds."""
+    plans, thresholds = [], []
+    scan, row_words, cut = search.sd_max, search._row_words, search._cut
+
+    def sd_max_recorded(*args, **kwargs):
+        plans.append([])
+        return scan(*args, **kwargs)
+
+    def row_words_recorded(b, threshold):
+        thresholds.append(threshold)
+        return row_words(b, threshold)
+
+    def cut_recorded(words, span, start, budget):
+        stop = cut(words, span, start, budget)
+        plans[-1].append((thresholds[-1], start, stop))
+        return stop
+
+    monkeypatch.setattr(search, "sd_max", sd_max_recorded)
+    monkeypatch.setattr(search, "_row_words", row_words_recorded)
+    monkeypatch.setattr(search, "_cut", cut_recorded)
+    return plans
+
+
+def _chunks_of(n, plan, words):
+    """The indices of the chunks of row n's ``plan`` that hold ``words``."""
+    ends = np.array([stop for _, _, stop in plan]) << search._block_letters(n)
     bits = [w.bits for w in words]
     return set(np.searchsorted(ends, bits, side="right").tolist())
+
+
+def _thresholds(plan):
+    """The threshold of each chunk of a plan, in order."""
+    return [threshold for threshold, _, _ in plan]
 
 
 @pytest.fixture
 def pool_every_row(monkeypatch):
     """Send every row to a pool, however little kernel work it counts, and
-    close a chunk at 2^12 counted words, so that rows 14..23 make 1, 2, 2,
-    2, 2, 10, 6, 20, 45 and 51 chunks and have chunks enough for workers."""
+    close every chunk at 2^12 counted words, so that rows 14..23 have
+    chunks enough for workers."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
     monkeypatch.setattr(search, "_BUDGET", 1 << 12)
 
@@ -224,8 +259,8 @@ def pool_every_row(monkeypatch):
 @pytest.fixture
 def recorded(monkeypatch):
     """The events of every pool the test opens: ("open", workers asked
-    for), ("map", row n) and ("shutdown",), on a machine that reports eight
-    CPUs."""
+    for), ("submit", row n) for a row's chunks and ("shutdown",), on a
+    machine that reports eight CPUs."""
     events = []
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
 
@@ -235,9 +270,10 @@ def recorded(monkeypatch):
             # never start more than two processes, whatever is asked for
             super().__init__(max_workers=min(max_workers, 2), **kwargs)
 
-        def map(self, fn, *iterables, **kwargs):
-            events.append(("map", fn.args[0]))
-            return super().map(fn, *iterables, **kwargs)
+        def submit(self, fn, *args, **kwargs):
+            if events[-1] != ("submit", fn.args[0]):
+                events.append(("submit", fn.args[0]))
+            return super().submit(fn, *args, **kwargs)
 
         def shutdown(self, *args, **kwargs):
             events.append(("shutdown",))
@@ -247,18 +283,24 @@ def recorded(monkeypatch):
     return events
 
 
-def test_worker_determinism(pool_every_row):
-    """n = 19 scans ten chunks on a pool; its first 90 extremal words come
-    from three of them, and the limit cuts the last one's list."""
+def test_worker_determinism(pool_every_row, plans):
+    """n = 19 scans its chunks on a pool; its first 90 extremal words come
+    from three of them, and the limit cuts the last one's list.  The list
+    is full there, at the row's value 7, so in this process the next chunk
+    is cut at 8.  Two workers keep four chunks in flight: the three cut at
+    7 after the one that fills the list still run at 7, and the rows are
+    the same."""
     rows = [
-        sd_max(19, SearchConfig(worker_count=jobs, extremal_limit=90))
+        search.sd_max(19, SearchConfig(worker_count=jobs, extremal_limit=90))
         for jobs in (1, 2, 3)
     ]
     assert [row.pooled for row in rows] == [False, True, True]
     assert len(rows[0].extremal) == 90
-    assert _chunks_of(19, rows[0].extremal) == {1, 2, 3}
-    wider = sd_max(19, SearchConfig(worker_count=1, extremal_limit=91))
-    assert _chunks_of(19, wider.extremal[90:]) == {3}
+    assert _chunks_of(19, plans[0], rows[0].extremal) == {1, 2, 3}
+    assert _thresholds(plans[0]) == [7, 7, 7, 7, 8, 8]
+    assert _thresholds(plans[1]) == [7] * 7 + [8]
+    wider = search.sd_max(19, SearchConfig(worker_count=1, extremal_limit=91))
+    assert _chunks_of(19, plans[3], wider.extremal[90:]) == {3}
     assert rows[1] == rows[0]
     assert rows[2] == rows[0]
 
@@ -269,29 +311,42 @@ def _row_pools(workers):
     return [
         event
         for n, w in workers.items()
-        for event in (("open", w), ("map", n), ("shutdown",))
+        for event in (("open", w), ("submit", n), ("shutdown",))
     ]
 
 
 def test_pool_capped_at_chunk_count(monkeypatch, recorded):
-    """At the real budget row 22's heads make three chunks, so eight
-    requested workers on eight CPUs start a pool of three; the row is the
-    one-worker row."""
+    """At the real budgets row 22's counted words fill at most five
+    chunks, so eight requested workers on eight CPUs start a pool of five;
+    the row is the one-worker row."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
+    counted = _counted_words(22).sum()
+    assert search._most_chunks(counted) == 5
     row = sd_max(22, SearchConfig(worker_count=8))
-    assert recorded == _row_pools({22: 3})
-    assert row.pooled and row.chunks == 3
+    assert recorded == _row_pools({22: 5})
+    assert row.pooled and row.chunks <= 5
     assert row == sd_max(22, ONE)
+
+
+def test_most_chunks_bounds_every_plan(pool_every_row, plans):
+    """No row up to 22 cuts more chunks than its counted words at T can
+    fill, whatever the extremal limit, even where the threshold never
+    rises."""
+    for limit in (0, 8, 1 << 20):
+        compute_table(1, 22, SearchConfig(worker_count=1, extremal_limit=limit))
+    for i, plan in enumerate(plans):
+        n = i % 22 + 1
+        assert len(plan) <= search._most_chunks(_counted_words(n).sum()), n
 
 
 def test_each_pooled_row_starts_its_own_pool(pool_every_row, recorded):
     """Rows 1..14 make one chunk each, which leaves one worker, so they run
-    in this process.  Each of rows 15..19 opens its own pool, sized by its
-    own chunks: 2, 2, 2 and 2, and row 19's 10 chunks capped at the eight
-    CPUs.  Each pool is shut down before the next row opens one, and the
-    rows are the one-worker rows."""
+    in this process.  Each of rows 15..19 opens its own pool, sized by the
+    chunks it can fill: 2, 2, 2 and 3, and row 19's 11 chunks capped at the
+    eight CPUs.  Each pool is shut down before the next row opens one, and
+    the rows are the one-worker rows."""
     rows = compute_table(1, 19, SearchConfig(worker_count=8))
-    assert recorded == _row_pools({15: 2, 16: 2, 17: 2, 18: 2, 19: 8})
+    assert recorded == _row_pools({15: 2, 16: 2, 17: 2, 18: 3, 19: 8})
     assert [row.pooled for row in rows] == [False] * 14 + [True] * 5
     assert rows == compute_table(1, 19, ONE)
 
@@ -347,9 +402,9 @@ def test_pool_opens_at_each_row_over_the_threshold(
         ("row", 16), ("done", 16),
         ("row", 17), ("done", 17),
         ("row", 18), ("done", 18),
-        ("row", 19), ("open", 2), ("map", 19), ("shutdown",), ("done", 19),
+        ("row", 19), ("open", 2), ("submit", 19), ("shutdown",), ("done", 19),
         ("row", 20), ("done", 20),
-        ("row", 21), ("open", 2), ("map", 21), ("shutdown",), ("done", 21),
+        ("row", 21), ("open", 2), ("submit", 21), ("shutdown",), ("done", 21),
     ]
     assert [row.pooled for row in rows] == [0, 0, 0, 1, 0, 1]
     assert rows == compute_table(16, 21, ONE)
@@ -358,59 +413,71 @@ def test_pool_opens_at_each_row_over_the_threshold(
     assert [e for e in recorded if e[0] not in ("row", "done")] == []
 
 
-def _head_words_by_spread(n, blocks):
-    """The words of each head's kept blocks of class _ALL or _TIE, spread
-    word by word as ``_scan_chunk`` spreads them."""
-    k, classes, kept, _ = blocks
+def _head_words_by_spread(n, blocks, threshold):
+    """The words of each head's blocks of class _ALL whose bound reaches
+    ``threshold`` and of all its _TIE blocks, spread word by word as
+    ``_scan_chunk`` spreads them."""
+    k, classes, bounds, _ = blocks
     heads = np.array(search._heads(n, k), dtype=np.int64)
-    kept_words = search._spread(
-        heads, heads >> (n - k), kept & (classes != search._NONE)
-    )
-    return np.bincount(kept_words >> k, minlength=heads.size).tolist()
+    rows = heads >> (n - k)
+    kept = (bounds >= threshold) & (classes == search._ALL)
+    built = np.concatenate((
+        search._spread(heads, rows, kept),
+        search._spread(heads, rows, classes == search._TIE),
+    ))
+    return np.bincount(built >> k, minlength=heads.size).tolist()
 
 
-def test_chunk_plan_covers_every_head_once():
-    """Per-head counts equal the words the scan builds, and the plan cuts
-    the heads in order into chunks, each closed at the first head that
-    brings its words to ``_BUDGET``: every chunk but the last reaches it,
-    and none reaches it without its last head."""
+def test_chunk_plan_covers_every_head_once(plans):
+    """Per-head counts equal the words the scan builds, at T and one above
+    it, and each row cuts its heads in order into chunks, each closed at
+    the first head that brings its words, counted at the chunk's threshold,
+    to its own budget: every chunk but the last reaches it, and none
+    reaches it without its last head.  The budgets start at 2^12 and grow
+    four times a chunk up to 2^16."""
+    assert [search._budget(i) for i in range(5)] == [1 << 12, 1 << 14] + [1 << 16] * 3
     for n in range(1, 27):
         blocks = search._blocks(n)
-        words = search._head_words(n, blocks)
-        assert len(words) << blocks.k == 1 << (n - 1)
-        if n <= 22:
-            assert words.tolist() == _head_words_by_spread(n, blocks)
-        cuts = search._chunk_plan(words)
-        assert cuts[0] == 0 and cuts[-1] == len(words)
-        for i, j in zip(cuts, cuts[1:]):
-            assert i < j
-            assert words[i : j - 1].sum() < search._BUDGET
-            if j < len(words):
-                assert words[i:j].sum() >= search._BUDGET
+        t = search._threshold(n)
+        for threshold in (t, t + 1):
+            words = _counted_words(n, threshold)
+            assert len(words) << blocks.k == 1 << (n - 1)
+            if n <= 22:
+                assert words.tolist() == _head_words_by_spread(n, blocks, threshold)
+        search.sd_max(n, ONE)
+        plan = plans[-1]
+        assert plan[0][1] == 0 and plan[-1][2] == len(words)
+        for i, (threshold, start, stop) in enumerate(plan):
+            assert start < stop
+            assert i == 0 or start == plan[i - 1][2]
+            words = _counted_words(n, threshold)
+            assert words[start : stop - 1].sum() < search._budget(i)
+            if stop < len(words):
+                assert words[start:stop].sum() >= search._budget(i)
 
 
-def test_chunk_counts_bound_the_words_evaluated():
-    """Each chunk's counted words are at least the words it sends to the
-    kernel, and the chunks together evaluate the row's words."""
+def test_chunk_counts_bound_the_words_evaluated(plans):
+    """Each chunk's counted words at its threshold are at least the words
+    it sends to the kernel, and the chunks together evaluate the row's
+    words."""
     for n in range(14, 24):
+        row = search.sd_max(n, ONE)
+        plan = plans[-1]
         blocks = search._blocks(n)
-        words = search._head_words(n, blocks)
-        cuts = search._chunk_plan(words)
         heads = search._heads(n, blocks.k)
         evaluated = 0
-        for i, j in zip(cuts, cuts[1:]):
-            chunk = heads[i:j]
-            count = search._scan_chunk(n, 0, chunk, blocks.rows(n, chunk))[3]
-            assert count <= words[i:j].sum()
+        for threshold, start, stop in plan:
+            chunk = heads[start:stop]
+            count = search._scan_chunk(n, 0, threshold, chunk, blocks.rows(n, chunk))[3]
+            assert count <= _counted_words(n, threshold)[start:stop].sum()
             evaluated += count
-        row = sd_max(n, ONE)
         assert evaluated == row.words_evaluated
-        assert row.chunks == len(cuts) - 1
+        assert row.chunks == len(plan)
 
 
 def test_scan_chunk_calls_the_kernel_once(monkeypatch):
     """A chunk sends all its words to ``sd_batch`` in one call: row 24's
-    first chunk evaluates more than 2^16 words."""
+    first 2^17 counted words evaluate more than 2^16 words."""
     calls = []
     kernel = search.sd_batch
 
@@ -420,14 +487,17 @@ def test_scan_chunk_calls_the_kernel_once(monkeypatch):
 
     monkeypatch.setattr(search, "sd_batch", counting)
     n, blocks = 24, search._blocks(24)
-    cuts = search._chunk_plan(search._head_words(n, blocks))
-    chunk = search._heads(n, blocks.k)[cuts[0] : cuts[1]]
-    count = search._scan_chunk(n, 8, chunk, blocks.rows(n, chunk))[3]
+    t = search._threshold(n)
+    row_words = search._row_words(blocks, t)
+    span = len(search._heads(n, blocks.k)) // row_words.size
+    stop = search._cut(row_words, span, 0, 1 << 17)
+    chunk = search._heads(n, blocks.k)[:stop]
+    count = search._scan_chunk(n, 8, t, chunk, blocks.rows(n, chunk))[3]
     assert calls == [count]
     assert count > 1 << 16
 
 
-def test_table_determinism_across_chunks(pool_every_row):
+def test_table_determinism_across_chunks(pool_every_row, plans):
     """Row 19's first 90 extremal words end inside its fourth chunk; rows 21
     and 23 merge the hits of several chunks of their plans.  Every worker
     count, on a pool or not, gives the same rows."""
@@ -437,10 +507,10 @@ def test_table_determinism_across_chunks(pool_every_row):
     ]
     row19, _, row21, _, row23 = tables[0]
     assert len(row19.extremal) == 90
-    assert _chunks_of(19, row19.extremal) == {1, 2, 3}
-    assert len(_chunks_of(21, row21.extremal)) > 1
-    assert len(_chunks_of(23, row23.extremal)) > 1
-    assert [row.chunks for row in tables[0]] == [10, 6, 20, 45, 51]
+    assert _chunks_of(19, plans[0], row19.extremal) == {1, 2, 3}
+    assert len(_chunks_of(21, plans[2], row21.extremal)) > 1
+    assert len(_chunks_of(23, plans[4], row23.extremal)) > 1
+    assert [row.chunks for row in tables[0]] == [6, 7, 22, 11, 55]
     assert all(row.pooled for row in tables[1])
     assert tables[1] == tables[0]
     assert tables[2] == tables[0]
@@ -536,13 +606,14 @@ def plain_rows():
     return [plain_canonical_scan(n, 100) for n in range(1, 23)]
 
 
-@pytest.mark.parametrize("limit", [0, 1, 8, 100])
+@pytest.mark.parametrize("limit", [0, 1, 8, 64, 100])
 def test_branch_and_bound_matches_plain_canonical_scan(
     pool_every_row, plain_rows, limit
 ):
     """Every row up to 22, in this process and on a pool of two workers,
-    has the maximum, the extremal words and the canonical count of the
-    scan with no bound."""
+    has the maximum, the extremal words and the canonical count of
+    ``sd_batch`` over every canonical word of the a-half, sorted: the scan
+    with no bound and no incumbent."""
     for jobs in (1, 2):
         rows = compute_table(
             1, 22, SearchConfig(worker_count=jobs, extremal_limit=limit)
@@ -553,20 +624,104 @@ def test_branch_and_bound_matches_plain_canonical_scan(
             assert row.words_scanned == count
 
 
-def test_progress_reports_at_chunk_boundaries(pool_every_row, capsys):
+def test_progress_reports_at_chunk_boundaries(pool_every_row, plans, capsys):
     """At two workers row 22 goes out on a pool in the chunks of its plan;
     with a zero interval each chunk reports once, with the exact canonical
-    total of the heads before its end."""
+    total of the heads before its end and the incumbent value, which
+    starts at the row's threshold 8."""
     n = 22
-    row = sd_max(n, SearchConfig(worker_count=2, progress_interval=0))
+    row = search.sd_max(n, SearchConfig(worker_count=2, progress_interval=0))
     lines = capsys.readouterr().err.splitlines()
-    cuts = search._chunk_plan(_counted_words(n))
+    ends = np.array([stop for _, _, stop in plans[0]])
     canonical = _is_canonical(np.arange(1 << (n - 1)), n)
     per_head = canonical.reshape(-1, 1 << search._block_letters(n)).sum(axis=1)
-    totals = np.cumsum(per_head)[np.array(cuts[1:]) - 1].tolist()
-    assert row.pooled and row.chunks == len(cuts) - 1 > 2
+    totals = np.cumsum(per_head)[ends - 1].tolist()
+    assert row.pooled and row.chunks == len(ends) > 2
     assert [int(line.split()[2]) for line in lines] == totals
+    assert {line.split()[-1] for line in lines} == {"8"}
     assert lines[-1] == f"n=22: scanned {row.words_scanned} words, current max 8"
+
+
+def _beats_a_full_list(results, start, limit):
+    """Whether, merged in order from an incumbent at ``start`` with an
+    empty list, a chunk's value (its first field) beats a list already
+    full: ``results`` are the chunk results of one row."""
+    best, listed = start, 0
+    for value, hits, *_ in results:
+        if value > best:
+            if listed == limit:
+                return True
+            best, listed = value, 0
+        if value == best:
+            listed += len(hits)
+    return False
+
+
+@pytest.mark.parametrize("drop", [1, 2])
+def test_threshold_rises_again_when_a_later_chunk_beats_a_full_list(
+    monkeypatch, pool_every_row, plans, drop
+):
+    """With the incumbent started below the row's value, the list fills at
+    the lower value, the threshold rises one above it, and a later chunk
+    that finds a larger value empties the list and raises it again: rows
+    18 and 19 of rows 14..22 take that path.  In this process and on a
+    pool of two workers the rows are those of the real threshold, byte for
+    byte, and each row's threshold only rises."""
+    config = SearchConfig(worker_count=1)
+    expected = [row_to_json(row) for row in compute_table(14, 22, config)]
+    threshold = search._threshold
+    monkeypatch.setattr(search, "_threshold", lambda n: threshold(n) - drop)
+    pooled = compute_table(14, 22, SearchConfig(worker_count=2))
+    results = {n: [] for n in range(14, 23)}
+    scan_chunk = search._scan_chunk
+
+    def scan_chunk_recorded(n, *args):
+        results[n].append(scan_chunk(n, *args))
+        return results[n][-1]
+
+    monkeypatch.setattr(search, "_scan_chunk", scan_chunk_recorded)
+    del plans[:]
+    rows = compute_table(14, 22, config)
+    assert [row_to_json(row) for row in pooled] == expected
+    assert [row_to_json(row) for row in rows] == expected
+    beaten = [
+        n
+        for n in results
+        if _beats_a_full_list(results[n], search._threshold(n), 8)
+    ]
+    assert beaten == [18, 19]
+    for n, plan in zip(results, plans):
+        assert _thresholds(plan) == sorted(_thresholds(plan))
+        assert _thresholds(plan)[0] == search._threshold(n)
+
+
+def test_limit_zero_starts_one_above_the_threshold(plans):
+    """With no extremal word kept the list is full from the start: every
+    chunk is cut one above T, and the row's value is the larger of T and
+    the best value found, which every real row reaches."""
+    rows = compute_table(3, 24, SearchConfig(worker_count=1, extremal_limit=0))
+    for row, plan in zip(rows, plans):
+        t = search._threshold(row.n)
+        assert set(_thresholds(plan)) == {t + 1}, row.n
+        assert row.sd == t == lower_bound(row.n)
+        assert row.extremal == ()
+
+
+def test_limit_above_the_achievers_never_switches(plans):
+    """A limit above the row's canonical achievers never fills the list:
+    every chunk is cut at T, and the row evaluates every canonical word of
+    the blocks whose bound reaches T, as the scan without an incumbent."""
+    limit = 1 << 20
+    rows = compute_table(1, 22, SearchConfig(worker_count=1, extremal_limit=limit))
+    for row, plan in zip(rows, plans):
+        n, t = row.n, search._threshold(row.n)
+        assert set(_thresholds(plan)) == {t}, n
+        blocks = search._blocks(n)
+        heads = search._heads(n, blocks.k)
+        whole = search._scan_chunk(n, limit, t, heads, blocks)
+        assert row.words_evaluated == whole[3]
+        assert [w.bits for w in row.extremal] == whole[1]
+        assert len(row.extremal) < limit
 
 
 def test_extremal_limit_respected():
