@@ -115,6 +115,18 @@ _BUDGET = 1 << 16
 # 12 ms of that.
 _POOL_WORDS = 1 << 18
 
+# Chunks a pooled row keeps in flight for each worker.  A chunk cut before
+# the threshold rises runs at the old one, so a wider window evaluates more
+# words, but one chunk a worker leaves a worker idle while the parent waits
+# on an older chunk.  Whole `table --from 29 --to 32 --jobs 2` processes,
+# medians of 7 alternating runs: a window of 1, 2 and 3 chunks a worker took
+# 4.93, 4.08 and 3.77 s (1 against 2 in one sweep, 2 against 3 in another,
+# where 2 took 3.95 s), and in a third sweep 2, 3 and 4 took 3.79, 3.68 and
+# 3.59 s, within the 0.4 s between the quartiles of 2; rows 25..28 (medians
+# of 9) took 0.72, 0.76, 0.77 and 0.76 s with 1 to 4.  2-vCPU Xeon VM,
+# Python 3.11.7, numpy 2.4.6.
+_WINDOW = 2
+
 
 def __getattr__(name: str):
     # The pool class is read as ``search.ProcessPoolExecutor`` when a pool
@@ -463,11 +475,14 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     row_words = _row_words(blocks, threshold)
     counted = int(row_words.sum()) * span
     # fork starts every worker at the first submit, so the pool has no more
-    # workers than the row can have chunks or the machine has CPUs; one
-    # worker gains nothing from a pool
+    # workers than the machine has CPUs or the row's counted words at T can
+    # fill chunks; one worker gains nothing from a pool.  The chunk cap is a
+    # bound: a row whose threshold rises cuts fewer (rows 26, 27 and 28 cut
+    # 5, 7 and 24 chunks in process against caps of 15, 18 and 52), so with
+    # more CPUs than chunks some workers get none.
     workers = min(config.worker_count, _most_chunks(counted), os.cpu_count() or 1)
     pooled = workers > 1 and counted >= _POOL_WORDS
-    window = 2 * workers if pooled else 1
+    window = _WINDOW * workers if pooled else 1
 
     start = chunks = scanned = evaluated = pruned = 0
     pending = deque()  # each chunk in flight, as a call that returns its result

@@ -315,17 +315,26 @@ def _row_pools(workers):
     ]
 
 
-def test_pool_capped_at_chunk_count(monkeypatch, recorded):
+def test_pool_capped_at_chunk_count(monkeypatch, recorded, plans):
     """At the real budgets row 22's counted words fill at most five
-    chunks, so eight requested workers on eight CPUs start a pool of five;
-    the row is the one-worker row."""
+    chunks, so eight requested workers on eight CPUs start a pool of five.
+    Its window holds ten chunks, so all five are cut at T before the first
+    result returns: the row cuts one chunk per worker and evaluates every
+    word whose block reaches T.  In process its list fills in the second
+    chunk and the third is cut at T + 1.  The row is the one-worker row."""
     monkeypatch.setattr(search, "_POOL_WORDS", 0)
     counted = _counted_words(22).sum()
     assert search._most_chunks(counted) == 5
-    row = sd_max(22, SearchConfig(worker_count=8))
+    row = search.sd_max(22, SearchConfig(worker_count=8))
     assert recorded == _row_pools({22: 5})
-    assert row.pooled and row.chunks <= 5
-    assert row == sd_max(22, ONE)
+    assert row.pooled
+    assert row.chunks == 5 == recorded[0][1]
+    assert row.words_evaluated == 185632
+    alone = search.sd_max(22, ONE)
+    assert (alone.chunks, alone.words_evaluated) == (3, 34631)
+    t = search._threshold(22)
+    assert [_thresholds(plan) for plan in plans] == [[t] * 5, [t, t, t + 1]]
+    assert row == alone
 
 
 def test_most_chunks_bounds_every_plan(pool_every_row, plans):
