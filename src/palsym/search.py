@@ -21,15 +21,17 @@ threshold, T or more (see below), are evaluated; every word of sd at or
 above it is among them, so the maximum, its achievers and their order are
 those of the full scan.
 
-Each block also has a class, from comparing u with rev v and comp rev v:
-none of its words is canonical (u above either), all are (u below both),
-or some are (a tie: u equals one of them, about 2 blocks in 2^k).  Each
-word of a tie block takes ``words._is_canonical`` once, so the kernel
-sees only canonical words.  ``words_scanned`` counts the canonical words of
-every block, evaluated or not: the number of orbits.
-k depends on n alone (``_block_letters``): min(n // 2 - 2, 11), and 0 for
-n <= 5, where one tie block holds the a-half and every word takes the
-canonical test.
+A word u m v starts with u, its reversal with x = rev v and its reversed
+complement with comp x (its complement starts with b), so every word of a
+block is canonical when u < x < comp u, and none is when u is above x or
+comp x.  Each prefix u has two tie blocks, whose middles decide: v = rev u,
+canonical where m <= rev m, and v = comp rev u, where m <= comp rev m.  Each
+tie word takes ``words._is_canonical`` once, so the kernel sees only
+canonical words.  ``words_scanned`` counts the canonical words of every
+block, evaluated or not: the number of orbits, 2^(n-2) + 2^(n // 2 - 1)
+(Burnside's lemma; OEIS A005418).  k depends on n alone (``_block_letters``):
+min(n // 2 - 2, 11), and 0 for n <= 5, where one tie block holds the a-half
+and every word takes the canonical test.
 
 The a-half is cut into heads: a prefix u and a middle m, whose 2^k words
 u m v share the table row of u.  A row runs its heads in ascending order,
@@ -42,9 +44,9 @@ word of larger sd can change the row (a later achiever of the same value
 is larger than every listed word).  The threshold only rises; with an
 extremal limit of 0 the list is full from the start.  The block tables
 give, at a threshold, the words each head builds (``_row_words``: the
-words of its row's kept blocks that hold canonical words, which bound
-those it sends to the kernel, and of its tie blocks, which all take the
-canonical test), and ``_cut`` closes a chunk once its words reach its
+words of its row's kept all-canonical blocks and of its two tie blocks,
+which all take the canonical test, and which bound those it sends to the
+kernel), and ``_cut`` closes a chunk once its words reach its
 budget: ``_FIRST_BUDGET`` for the first chunk and four times the one
 before for each later chunk, up to ``_BUDGET``, so that the early chunks
 are small and the threshold rises close to where the list fills.
@@ -138,11 +140,6 @@ def __getattr__(name: str):
         globals()[name] = ProcessPoolExecutor
         return ProcessPoolExecutor
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-# Block classes: whether no word, every word or only some words of a block
-# are canonical.
-_NONE, _ALL, _TIE = 0, 1, 2
 
 
 def sd_batch(words, n: int) -> np.ndarray:
@@ -241,44 +238,43 @@ def _block_bounds(n: int, k: int) -> np.ndarray:
 class _Blocks(NamedTuple):
     """Row n cut into blocks: the first and last k letters fixed.
 
-    ``classes[u - first, v]`` says whether none, all or some of the words
-    u m v are canonical, and ``bounds[u - first, v]`` bounds their sd from
-    above: the block is evaluated at a threshold its bound reaches.
+    ``bounds[u - first, v]`` bounds the sd of the words u m v from above
+    where all of them are canonical, and is -1, which no threshold keeps,
+    elsewhere; ``ties[u - first]`` bounds the tie blocks of u, in the order
+    of ``_tie_suffixes``.  A block is evaluated at a threshold its bound
+    reaches.
     """
 
     k: int
-    classes: np.ndarray
     bounds: np.ndarray
+    ties: np.ndarray
     first: int = 0
 
     def rows(self, n: int, heads: range) -> _Blocks:
         """The rows that ``heads`` read, a chunk's share."""
         shift = n - self.k
         lo, hi = heads[0] >> shift, (heads[-1] >> shift) + 1
-        return self._replace(
-            classes=self.classes[lo:hi], bounds=self.bounds[lo:hi], first=lo
-        )
+        return self._replace(bounds=self.bounds[lo:hi], ties=self.ties[lo:hi], first=lo)
+
+
+def _tie_suffixes(prefixes: np.ndarray, k: int) -> np.ndarray:
+    """The suffixes of each prefix u's tie blocks, one row a prefix:
+    v = rev u, whose words u m v are canonical where m <= rev m, and
+    v = comp rev u, where m <= comp rev m; at k = 0 the empty suffix."""
+    rev = _reverse_bits(prefixes, k)
+    return np.stack((rev, rev ^ ((1 << k) - 1)), axis=1)[:, : 1 + (k > 0)]
 
 
 def _blocks(n: int) -> _Blocks:
-    """The blocks of row n; with k = 0 one tie block holds the a-half and
-    every word takes the canonical test."""
+    """The blocks of row n."""
     k = _block_letters(n)
-    if k == 0:
-        return _Blocks(0, np.full((1, 1), _TIE, np.int8), _block_bounds(n, 0))
-    mask = (1 << k) - 1
-    u = np.arange(1 << (k - 1), dtype=np.int64)[:, None]
-    rev = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
-    # w = u m v starts with u, rev w with rev v and comp rev w with
-    # rev v ^ mask: u below both makes every word of the block canonical,
-    # u above either none, and a tie leaves it to the middle.
-    some = (u <= rev) & (u <= rev ^ mask)
-    tie = (u == rev) | (u == rev ^ mask)
-    classes = some.astype(np.int8) + (some & tie)  # _NONE, _ALL or _TIE
-    # a copy, made while the table sits above the build's freed temporaries,
-    # lets the heap give them back before the pool forks: the row-28 parent
-    # held 58 MB when its pool opened without it and 40 MB with it
-    return _Blocks(k, classes, _block_bounds(n, k).copy())
+    bounds = _block_bounds(n, k)
+    u = np.arange(bounds.shape[0], dtype=np.int64)
+    ties = np.take_along_axis(bounds, _tie_suffixes(u, k), axis=1)
+    # every word u m v is canonical where u < x < comp u, x = rev v
+    x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
+    canonical = (u[:, None] < x) & (u[:, None] < x ^ ((1 << k) - 1))
+    return _Blocks(k, np.where(canonical, bounds, -1), ties)
 
 
 def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -301,15 +297,14 @@ def _heads(n: int, k: int) -> range:
 
 def _row_words(blocks: _Blocks, threshold: int) -> np.ndarray:
     """The words one head of each table row builds at ``threshold``: every
-    word of the row's blocks that hold canonical words and whose bound
-    reaches it, which bound the words the head sends to the kernel, and of
-    its tie blocks, which all take the canonical test.  Counting the tie
-    words caps a chunk's heads once few blocks are kept: row 31's chunks
-    above its threshold spanned up to 197 k heads without them, and a
-    worker's peak RSS rose from 33 to 54 MB.  The row's heads share one
-    table row 2^(n - 2k) at a time."""
-    kept = (blocks.bounds >= threshold) & (blocks.classes != _NONE)
-    return np.count_nonzero(kept | (blocks.classes == _TIE), axis=1)
+    word of the row's all-canonical blocks whose bound reaches it, and of
+    its tie blocks, which all take the canonical test; these bound the
+    words the head sends to the kernel.  Counting the tie words caps a
+    chunk's heads once few blocks are kept: row 31's chunks above its
+    threshold spanned up to 197 k heads without them, and a worker's peak
+    RSS rose from 33 to 54 MB.  The row's heads share one table row
+    2^(n - 2k) at a time."""
+    return np.count_nonzero(blocks.bounds >= threshold, axis=1) + blocks.ties.shape[1]
 
 
 def _budget(chunk: int) -> int:
@@ -350,24 +345,24 @@ def _scan_chunk(
     to ``limit`` of its canonical achievers in ascending order, the number
     of canonical words and the number evaluated.
 
-    The words are the heads joined to each suffix v.  Each tie word takes
-    ``_is_canonical`` once; the canonical ones are counted and, in blocks
-    whose bound reaches ``threshold``, join the words of such _ALL blocks in
-    one kernel call, so every word evaluated is canonical.
+    The words are the heads joined to each suffix v.  Each head's tie
+    words take ``_is_canonical`` once; the canonical ones are counted and,
+    where their tie bound reaches ``threshold``, join the words of the
+    all-canonical blocks whose bound reaches it in one kernel call, so
+    every word evaluated is canonical.
     """
-    k, classes, bounds, first = blocks
-    kept = bounds >= threshold
+    k, bounds, ties, first = blocks
     heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
     rows = (heads >> (n - k)) - first
-    ties = _spread(heads, rows, classes == _TIE)
-    ties = ties[_is_canonical(ties, n)]
-    canonical = np.count_nonzero(classes == _ALL, axis=1)[rows].sum() + ties.size
-    ties = ties[kept[(ties >> (n - k)) - first, ties & ((1 << k) - 1)]]
-    words = np.concatenate((_spread(heads, rows, kept & (classes == _ALL)), ties))
+    tie_words = heads[:, None] | _tie_suffixes(rows + first, k)
+    canonical = _is_canonical(tie_words, n)
+    count = np.count_nonzero(bounds >= 0, axis=1)[rows].sum() + canonical.sum()
+    kept_ties = tie_words[canonical & (ties[rows] >= threshold)]
+    words = np.concatenate((_spread(heads, rows, bounds >= threshold), kept_ties))
     values = sd_batch(words, n)
     best = int(values.max(initial=-1))
     hits = np.sort(words[values == best])[:limit]
-    return best, hits.tolist(), int(canonical), words.size
+    return best, hits.tolist(), int(count), words.size
 
 
 @dataclass
@@ -467,7 +462,7 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
 
     blocks = _blocks(n)
     heads = _heads(n, blocks.k)
-    span = len(heads) // blocks.classes.shape[0]  # heads per table row
+    span = len(heads) // blocks.bounds.shape[0]  # heads per table row
     task = partial(_scan_chunk, n, limit)
     # the incumbent: the family word reaches T, and no achiever is listed
     best, merged = _threshold(n), []
@@ -504,8 +499,9 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
                 )
                 # the blocks of the prefixes whose first head is in the chunk
                 first = slice(-(-start // span), -(-stop // span))
-                skipped = blocks.bounds[first] < threshold
-                pruned += np.count_nonzero(skipped & (blocks.classes[first] != _NONE))
+                bounds, ties = blocks.bounds[first], blocks.ties[first]
+                pruned += np.count_nonzero((bounds >= 0) & (bounds < threshold))
+                pruned += np.count_nonzero(ties < threshold)
                 start, chunks = stop, chunks + 1
             chunk_best, hits, canonical, count = pending.popleft()()
             scanned += canonical

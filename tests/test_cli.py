@@ -316,7 +316,7 @@ def test_one_cpu_runs_every_row_in_process(capsys, monkeypatch):
     process, opens no pool and prints the `--jobs 1` table."""
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     blocks = search._blocks(25)
-    span = len(search._heads(25, blocks.k)) // blocks.classes.shape[0]
+    span = len(search._heads(25, blocks.k)) // blocks.bounds.shape[0]
     counted = search._row_words(blocks, search._threshold(25)).sum() * span
     assert counted >= search._POOL_WORDS
 

@@ -204,7 +204,7 @@ def _counted_words(n, threshold=None):
     the row's own threshold T by default."""
     blocks = search._blocks(n)
     threshold = search._threshold(n) if threshold is None else threshold
-    span = len(search._heads(n, blocks.k)) // blocks.classes.shape[0]
+    span = len(search._heads(n, blocks.k)) // blocks.bounds.shape[0]
     return np.repeat(search._row_words(blocks, threshold), span)
 
 
@@ -423,16 +423,16 @@ def test_pool_opens_at_each_row_over_the_threshold(
 
 
 def _head_words_by_spread(n, blocks, threshold):
-    """The words of each head's blocks of class _ALL whose bound reaches
-    ``threshold`` and of all its _TIE blocks, spread word by word as
-    ``_scan_chunk`` spreads them."""
-    k, classes, bounds, _ = blocks
+    """The words of each head's all-canonical blocks whose bound reaches
+    ``threshold``, spread word by word as ``_scan_chunk`` spreads them, and
+    of its tie blocks, joined to the head from their suffixes."""
+    k, bounds, ties, _ = blocks
     heads = np.array(search._heads(n, k), dtype=np.int64)
     rows = heads >> (n - k)
-    kept = (bounds >= threshold) & (classes == search._ALL)
+    suffixes = search._tie_suffixes(np.arange(len(ties)), k)[rows]
     built = np.concatenate((
-        search._spread(heads, rows, kept),
-        search._spread(heads, rows, classes == search._TIE),
+        search._spread(heads, rows, bounds >= threshold),
+        (heads[:, None] | suffixes).ravel(),
     ))
     return np.bincount(built >> k, minlength=heads.size).tolist()
 
@@ -443,7 +443,8 @@ def test_chunk_plan_covers_every_head_once(plans):
     the first head that brings its words, counted at the chunk's threshold,
     to its own budget: every chunk but the last reaches it, and none
     reaches it without its last head.  The budgets start at 2^12 and grow
-    four times a chunk up to 2^16."""
+    four times a chunk up to 2^16.  Each row counts (2^(n-1) + 2^(n//2)) / 2
+    canonical words, one per orbit (OEIS A005418)."""
     assert [search._budget(i) for i in range(5)] == [1 << 12, 1 << 14] + [1 << 16] * 3
     for n in range(1, 27):
         blocks = search._blocks(n)
@@ -453,7 +454,8 @@ def test_chunk_plan_covers_every_head_once(plans):
             assert len(words) << blocks.k == 1 << (n - 1)
             if n <= 22:
                 assert words.tolist() == _head_words_by_spread(n, blocks, threshold)
-        search.sd_max(n, ONE)
+        row = search.sd_max(n, ONE)
+        assert row.words_scanned == (2**(n - 1) + 2**(n // 2)) // 2
         plan = plans[-1]
         assert plan[0][1] == 0 and plan[-1][2] == len(words)
         for i, (threshold, start, stop) in enumerate(plan):
@@ -579,16 +581,31 @@ def test_block_bound_is_sound_exhaustive():
 
 
 def test_block_classes_exhaustive():
-    """A none block holds no canonical word and an all block only canonical
-    words; each prefix u has two tie blocks, v = rev u and v = comp rev u."""
-    for n in range(16, 21):
-        k = search._block_letters(n)
-        classes = search._blocks(n).classes
+    """On every row up to 20, a block with a bound holds only canonical
+    words, each tie block of a prefix (v = rev u and v = comp rev u) holds
+    some but not all of them, and every other block holds none; at k = 0
+    the one tie block holds the a-half.  Each bound is ``_block_bounds``'s,
+    and the tie blocks have none in the table."""
+    for n in range(1, 21):
+        blocks = search._blocks(n)
+        k, bounds, ties, _ = blocks
+        prefixes = np.arange(len(bounds))
         canon = _is_canonical(np.arange(1 << (n - 1), dtype=np.int64), n)
-        share = canon.reshape(1 << (k - 1), 1 << (n - 2 * k), 1 << k).mean(axis=1)
-        assert (share[classes == search._NONE] == 0).all()
-        assert (share[classes == search._ALL] == 1).all()
-        assert np.count_nonzero(classes == search._TIE) == 2 * (1 << (k - 1))
+        share = canon.reshape(len(bounds), -1, 1 << k).mean(axis=1)
+        tie = np.zeros(bounds.shape, bool)
+        suffixes = search._tie_suffixes(prefixes, k)
+        tie[prefixes[:, None], suffixes] = True
+        assert np.count_nonzero(tie) == (2 * len(bounds) if k else 1)
+        assert (share[bounds >= 0] == 1).all()
+        if k:
+            assert ((share[tie] > 0) & (share[tie] < 1)).all()
+        else:
+            assert share[tie] > 0
+        assert (share[~tie & (bounds < 0)] == 0).all()
+        assert (bounds[tie] == -1).all()
+        exact = search._block_bounds(n, k)
+        assert (bounds[bounds >= 0] == exact[bounds >= 0]).all()
+        assert (ties == np.take_along_axis(exact, suffixes, axis=1)).all()
 
 
 def test_threshold_is_the_lower_bound():
