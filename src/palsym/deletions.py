@@ -132,8 +132,10 @@ def _tables(texts: Sequence[str], pal: np.ndarray) -> np.ndarray:
     return t
 
 
-def _mirror_lcs(bits, n: int, starts=None):
-    """LCS state vectors of w against rev w and against comp rev w.
+def _mirror_lcs(bits, n: int, starts=None, pal: bool = True, anti: bool = True):
+    """LCS state vectors of w against rev w (``vp``, if ``pal``) and
+    against comp rev w (``va``, if ``anti``), as ``(vp, va)`` with
+    ``None`` for a vector not asked for.
 
     ``bits`` is a packed word of length ``n`` (a Python ``int``) or an
     integer array of them whose lanes hold n bits: ``uint32`` for n <= 32,
@@ -142,7 +144,10 @@ def _mirror_lcs(bits, n: int, starts=None):
     sign bit of an ``int64`` lane at n = 63, which the mask clears; bits
     0..n-1 are exact either way.  Bit i of each vector stands for the letter i
     places from the right end of w.  The number of clear bits is the LCS
-    length, so LPS = n - popcount(vp) and LAS = n - popcount(va).
+    length, so LPS = n - popcount(vp) and LAS = n - popcount(va).  Both
+    vectors share each step's letter test.  The updates are augmented
+    assignments: in place on an array, which the vectors own, and a new
+    binding on an ``int``.
 
     With ``starts``, ``bits`` is a Python ``int`` of 64-bit lanes (see
     ``_pack``), each holding one word of at most ``n`` letters in its low
@@ -160,7 +165,9 @@ def _mirror_lcs(bits, n: int, starts=None):
         mask |= lanes
     ones = mask & ~(mask << 1)  # bit 0 of every lane
     comp = bits ^ mask
-    vp = va = bits | comp  # all ones, with the type and shape of bits
+    # all ones, with the type and shape of bits, a copy for each vector
+    vp = bits | comp if pal else None
+    va = bits | comp if anti else None
     live = 0
     for k in range(n - 1, -1, -1):  # letters of w from the left end
         if k in starts:  # always at k = n - 1, the longest word's start
@@ -169,11 +176,22 @@ def _mirror_lcs(bits, n: int, starts=None):
         # all ones across each live lane whose letter is b: its match set
         # against rev w is then bits, else comp, and against comp rev w
         # the other one
-        s = ((bits >> k) & ones) * fill
-        u = vp & (c ^ s)
-        vp = ((vp + u) | (vp - u)) & mask
-        u = va & (b ^ s)
-        va = ((va + u) | (va - u)) & mask
+        s = (bits >> k) & ones
+        s *= fill
+        if pal:
+            u = c ^ s
+            u &= vp
+            t = vp - u
+            vp += u
+            vp |= t
+            vp &= mask
+        if anti:
+            u = b ^ s
+            u &= va
+            t = va - u
+            va += u
+            va |= t
+            va &= mask
     return vp, va
 
 

@@ -25,45 +25,50 @@ A word u m v starts with u, its reversal with x = rev v and its reversed
 complement with comp x (its complement starts with b), so every word of a
 block is canonical when u < x < comp u, and none is when u is above x or
 comp x.  Each prefix u has two tie blocks, whose middles decide: v = rev u,
-canonical where m <= rev m, and v = comp rev u, where m <= comp rev m.  Each
-tie word takes ``words._is_canonical`` once, so the kernel sees only
-canonical words.  ``words_scanned`` counts the canonical words of every
-block, evaluated or not: the number of orbits, 2^(n-2) + 2^(n // 2 - 1)
-(Burnside's lemma; OEIS A005418).  k depends on n alone (``_block_letters``):
-min(n // 2 - 2, 11), and 0 for n <= 5, where one tie block holds the a-half
-and every word takes the canonical test.
+canonical where m <= rev m, and v = comp rev u, where m <= comp rev m.  So
+a head's canonical tie words are read from a table over its middle
+(``_tie_middles``), and only those whose tie bound reaches the threshold
+are built: the kernel sees only canonical words.  ``words_scanned`` counts
+the canonical words of every block, evaluated or not: the number of orbits,
+2^(n-2) + 2^(n // 2 - 1) (Burnside's lemma; OEIS A005418).  k depends on n
+alone (``_block_letters``): min(n // 2 - 2, 11), and 0 for n <= 5, where
+one tie block holds the a-half, its middle is the whole word and the table
+is ``words._is_canonical``.
 
 The a-half is cut into heads: a prefix u and a middle m, whose 2^k words
-u m v share the table row of u.  A row runs its heads in ascending order,
-in chunks of one kernel call each, and keeps an incumbent (Land & Doig's):
-the best value found, which starts at T since the family word reaches it,
-and its least canonical achievers, up to ``extremal_limit`` of them.  Each
-chunk is cut at the threshold in force: the incumbent's value while its
-list is short, one above it once the list is full, for from then on only a
-word of larger sd can change the row (a later achiever of the same value
-is larger than every listed word).  The threshold only rises; with an
-extremal limit of 0 the list is full from the start.  The block tables
-give, at a threshold, the words each head builds (``_row_words``: the
-words of its row's kept all-canonical blocks and of its two tie blocks,
-which all take the canonical test, and which bound those it sends to the
-kernel), and ``_cut`` closes a chunk once its words reach its
-budget: ``_FIRST_BUDGET`` for the first chunk and four times the one
-before for each later chunk, up to ``_BUDGET``, so that the early chunks
-are small and the threshold rises close to where the list fills.
+u m v share the table row of u.  A row runs its heads in ascending order, in
+chunks of at most two kernel calls each, and keeps an incumbent (Land &
+Doig's): the best value found, which starts at T since the family word
+reaches it, and its least canonical achievers, up to ``extremal_limit`` of
+them.  Each chunk is cut at the threshold in force: the incumbent's value
+while its list is short, one above it once the list is full, for from then
+on only a word of larger sd can change the row (a later achiever of the
+same value is larger than every listed word).  The threshold only rises;
+with an extremal limit of 0 the list is full from the start.  The block
+tables give, at a threshold, the words each head counts (``_row_words``:
+the words of its row's kept all-canonical blocks and both its tie words,
+which bound those it sends to the kernel), and ``_cut`` closes a chunk once
+its words reach its budget: ``_FIRST_BUDGET`` for the first chunk and four
+times the one before for each later chunk, up to ``_BUDGET``, so that the
+early chunks are small and the threshold rises close to where the list
+fills.
 
 A row's workers are those asked for, capped at the machine's CPUs and at
 the chunks its counted words could fill.  A row runs in this process when
-that leaves one worker or its counted words are below ``_POOL_WORDS``;
-else on a process pool of that many workers, which the row opens and shuts
-down itself, and to which it submits its chunks in order with at most two
-a worker in flight.  A chunk cut before the threshold rose evaluates a
-superset of the words the new threshold keeps, so its result still holds.
-A chunk is sent its threshold and the block table rows of its heads,
-builds the words of its kept blocks and runs the bit-parallel LCS kernel
-of ``deletions`` on them in one call.  The parent merges chunk results in
-chunk order and prints progress after each, so the row is identical for
-any worker count; only the words evaluated and the chunks they were cut
-into can differ.
+that leaves one worker or its counted words are below ``_POOL_WORDS``; else
+on a process pool of that many workers, which the row opens and shuts down
+itself, and to which it submits its chunks in order with at most two a
+worker in flight.  A chunk cut before the threshold rose evaluates a
+superset of the words the new threshold keeps, so its result still holds.  A
+chunk is sent its threshold and the block table rows of its heads, builds
+the words of its kept blocks and runs the bit-parallel LCS kernel of
+``deletions`` on them in two calls: the palindrome vector on all of them,
+and the antipalindrome vector on those whose deletions to a palindrome
+reach the threshold, since sd is the smaller of the two counts.  A chunk
+none of whose words reaches its threshold returns -1, which no merge keeps.
+The parent merges chunk results in chunk order and prints progress after
+each, so the row is identical for any worker count; only the words
+evaluated and the chunks they were cut into can differ.
 """
 
 from __future__ import annotations
@@ -92,8 +97,8 @@ from .deletions import MAX_LENGTH, _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import Word, _is_canonical, _reverse_bits
 
-# Row 32 takes 2.7 to 3.0 s on two cores (`table --from 32 --to 32 --jobs
-# 2` as a process on a 2-vCPU Xeon VM, 5 runs, median 2.95 s); each row
+# Row 32 takes 1.7 to 1.9 s on two cores (`table --from 32 --to 32 --jobs
+# 2` as a process on a 2-vCPU Xeon VM, 5 runs, median 1.82 s); each row
 # below it takes less.
 MAX_SEARCH_LENGTH = 32
 
@@ -190,6 +195,20 @@ def _threshold(n: int) -> int:
     return sd(build_word(ConstructionParams(p, alpha, beta))).value
 
 
+def _next_level(v: np.ndarray, match: np.ndarray, mask: int) -> np.ndarray:
+    """The LCS vectors ``v`` of a level of prefixes, each against every x,
+    one letter on, where ``match`` holds the positions of x that hold each
+    letter: the bit-parallel update of ``_mirror_lcs``, one row for each
+    prefix and letter.  It is made in place in one new array, and no other
+    array of the level's size outlives the call."""
+    t = v & match
+    s = v - t
+    t += v
+    t |= s
+    t &= mask
+    return t
+
+
 def _block_bounds(n: int, k: int) -> np.ndarray:
     """Upper bound on sd over each block of row n: an int8 array indexed by
     the packed prefix u (a-prefixed) and the packed suffix v.
@@ -205,6 +224,10 @@ def _block_bounds(n: int, k: int) -> np.ndarray:
     read from the table ``best_j`` over the 2^k vectors.
     """
     mask = (1 << k) - 1
+    # made before the arrays of the levels, so that the memory they free
+    # can go back to the system: row 32's parent opened its pool at 45 MB
+    # with the table made last, and at 36 MB made first
+    table = np.empty((1 << max(k - 1, 0), 1 << k), np.int8)
     v = np.arange(1 << k, dtype=np.int16)
     # best_j[e][V]: max over j of 2 LCS(., x[:j]) + (e + 1 - j) // 2 for
     # the LCS vector V; with e = (n - i) % 2, adding (n - i) // 2 gives
@@ -223,16 +246,15 @@ def _block_bounds(n: int, k: int) -> np.ndarray:
         # prefixes of i letters, each its parent's row and a last letter;
         # every prefix starts with a
         letter = match[:, :1] if i == 1 else match
-        t = vp & letter
-        vp = ((vp + t) | (vp - t)) & mask
-        t = va & (letter ^ mask)
-        va = ((va + t) | (va - t)) & mask
+        vp = _next_level(vp, letter, mask)
+        va = _next_level(va, letter ^ mask, mask)
         row = best_j[(n - i) % 2][vp]
         row += (n - i) // 2
         best = np.maximum(best, row, out=row)
         vp, va, best = (a.reshape(-1, 1, v.size) for a in (vp, va, best))
     las = 2 * (k - np.bitwise_count(va[:, 0]).astype(np.int8))
-    return n - np.maximum(best[:, 0], las)
+    np.maximum(best[:, 0], las, out=table)
+    return np.subtract(n, table, out=table)
 
 
 class _Blocks(NamedTuple):
@@ -240,14 +262,16 @@ class _Blocks(NamedTuple):
 
     ``bounds[u - first, v]`` bounds the sd of the words u m v from above
     where all of them are canonical, and is -1, which no threshold keeps,
-    elsewhere; ``ties[u - first]`` bounds the tie blocks of u, in the order
-    of ``_tie_suffixes``.  A block is evaluated at a threshold its bound
-    reaches.
+    elsewhere; ``ties[u - first]`` bounds the tie blocks of u, and
+    ``middles[m]`` says for each of them whether its words u m v are
+    canonical, both in the order of ``_tie_suffixes``.  A block is
+    evaluated at a threshold its bound reaches.
     """
 
     k: int
     bounds: np.ndarray
     ties: np.ndarray
+    middles: np.ndarray
     first: int = 0
 
     def rows(self, n: int, heads: range) -> _Blocks:
@@ -265,16 +289,31 @@ def _tie_suffixes(prefixes: np.ndarray, k: int) -> np.ndarray:
     return np.stack((rev, rev ^ ((1 << k) - 1)), axis=1)[:, : 1 + (k > 0)]
 
 
+def _tie_middles(n: int, k: int) -> np.ndarray:
+    """Whether the words u m v of each tie block of row n are canonical,
+    one row a middle m of n - 2k letters, in the order of ``_tie_suffixes``:
+    m <= rev m, and m <= comp rev m; at k = 0, where m is the whole word,
+    the canonical test."""
+    r = n - 2 * k
+    m = np.arange(1 << r, dtype=np.int64)
+    if not k:
+        return _is_canonical(m, n)[:, None]
+    rev = _reverse_bits(m, r)
+    return np.stack((m <= rev, m <= rev ^ ((1 << r) - 1)), axis=1)
+
+
 def _blocks(n: int) -> _Blocks:
     """The blocks of row n."""
     k = _block_letters(n)
     bounds = _block_bounds(n, k)
     u = np.arange(bounds.shape[0], dtype=np.int64)
     ties = np.take_along_axis(bounds, _tie_suffixes(u, k), axis=1)
-    # every word u m v is canonical where u < x < comp u, x = rev v
+    # every word u m v is canonical where u < x < comp u, x = rev v, that
+    # is where u < min(x, comp x); int16 holds both and compares faster
     x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
-    canonical = (u[:, None] < x) & (u[:, None] < x ^ ((1 << k) - 1))
-    return _Blocks(k, np.where(canonical, bounds, -1), ties)
+    low = np.minimum(x, x ^ ((1 << k) - 1)).astype(np.int16)
+    np.putmask(bounds, u.astype(np.int16)[:, None] >= low, -1)
+    return _Blocks(k, bounds, ties, _tie_middles(n, k))
 
 
 def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -283,10 +322,14 @@ def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray
     per_row = np.count_nonzero(mask, axis=1)
     counts = per_row[rows]
     _, cols = np.nonzero(mask)  # row by row, each row ascending
-    # a word's v sits at its row's first v in cols plus its place in the row
-    first = np.repeat((np.cumsum(per_row) - per_row)[rows], counts)
-    place = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(heads, counts) | cols[first + place]
+    # word j of a head takes the v at j + (its row's first v in cols - the
+    # head's first word)
+    shift = (np.cumsum(per_row) - per_row)[rows] - (np.cumsum(counts) - counts)
+    index = np.arange(counts.sum())
+    index += np.repeat(shift, counts)
+    words = cols[index]
+    words |= np.repeat(heads, counts)
+    return words
 
 
 def _heads(n: int, k: int) -> range:
@@ -296,14 +339,14 @@ def _heads(n: int, k: int) -> range:
 
 
 def _row_words(blocks: _Blocks, threshold: int) -> np.ndarray:
-    """The words one head of each table row builds at ``threshold``: every
-    word of the row's all-canonical blocks whose bound reaches it, and of
-    its tie blocks, which all take the canonical test; these bound the
-    words the head sends to the kernel.  Counting the tie words caps a
-    chunk's heads once few blocks are kept: row 31's chunks above its
-    threshold spanned up to 197 k heads without them, and a worker's peak
-    RSS rose from 33 to 54 MB.  The row's heads share one table row
-    2^(n - 2k) at a time."""
+    """The words one head of each table row counts at ``threshold``: every
+    word of the row's all-canonical blocks whose bound reaches it, and both
+    of its tie words; these bound the words the head sends to the kernel.
+    A tie word counts whether or not it is canonical or built, which caps
+    a chunk's heads once few blocks are kept: row 31's chunks above its
+    threshold spanned up to 197 k heads without the tie words, and a
+    worker's peak RSS rose from 33 to 54 MB.  The row's heads share one
+    table row 2^(n - 2k) at a time."""
     return np.count_nonzero(blocks.bounds >= threshold, axis=1) + blocks.ties.shape[1]
 
 
@@ -341,28 +384,44 @@ def _most_chunks(counted: int) -> int:
 def _scan_chunk(
     n: int, limit: int, threshold: int, heads: range, blocks: _Blocks
 ) -> tuple[int, list[int], int, int]:
-    """Scan the words of ``heads``: the best sd evaluated (-1 if none), up
-    to ``limit`` of its canonical achievers in ascending order, the number
-    of canonical words and the number evaluated.
+    """Scan the words of ``heads``: the best sd evaluated if it reaches
+    ``threshold`` (else -1), up to ``limit`` of its canonical achievers in
+    ascending order, the number of canonical words and the number
+    evaluated.
 
-    The words are the heads joined to each suffix v.  Each head's tie
-    words take ``_is_canonical`` once; the canonical ones are counted and,
-    where their tie bound reaches ``threshold``, join the words of the
-    all-canonical blocks whose bound reaches it in one kernel call, so
-    every word evaluated is canonical.
+    The words are the heads joined to each suffix v.  Each head's canonical
+    tie words are counted from its middle (``_Blocks.middles``); those
+    whose tie bound reaches ``threshold`` are built and join the words of
+    the all-canonical blocks whose bound reaches it, so every word
+    evaluated is canonical.  The kernel runs the palindrome vector on all
+    of them and the antipalindrome vector only on those whose deletions to
+    a palindrome reach ``threshold``, since sd is the smaller of the two
+    counts; a chunk with no words makes no kernel call.
     """
-    k, bounds, ties, first = blocks
+    k, bounds, ties, middles, first = blocks
     heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
     rows = (heads >> (n - k)) - first
-    tie_words = heads[:, None] | _tie_suffixes(rows + first, k)
-    canonical = _is_canonical(tie_words, n)
+    canonical = middles[(heads >> k) & (len(middles) - 1)]
     count = np.count_nonzero(bounds >= 0, axis=1)[rows].sum() + canonical.sum()
-    kept_ties = tie_words[canonical & (ties[rows] >= threshold)]
-    words = np.concatenate((_spread(heads, rows, bounds >= threshold), kept_ties))
-    values = sd_batch(words, n)
-    best = int(values.max(initial=-1))
-    hits = np.sort(words[values == best])[:limit]
-    return best, hits.tolist(), int(count), words.size
+    head, tie = np.nonzero(canonical & (ties[rows] >= threshold))
+    suffixes = _tie_suffixes(np.arange(first, first + len(ties)), k)
+    words = np.concatenate((
+        _spread(heads, rows, bounds >= threshold),
+        heads[head] | suffixes[rows[head], tie],
+    ))
+    best, hits = -1, []
+    if words.size:
+        lanes = words.astype(np.uint32) if n <= 32 else words
+        pal = np.bitwise_count(_mirror_lcs(lanes, n, anti=False)[0])
+        near = np.flatnonzero(pal >= threshold)
+        if near.size:
+            anti = np.bitwise_count(_mirror_lcs(lanes[near], n, pal=False)[1])
+            values = np.minimum(pal[near], anti)
+            best = int(values.max())
+            hits = np.sort(words[near[values == best]])[:limit].tolist()
+    if best < threshold:
+        best, hits = -1, []
+    return best, hits, int(count), words.size
 
 
 @dataclass
@@ -432,8 +491,8 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     since every canonical word starts with a; ``extremal`` holds the least
     canonical achievers.
 
-    The scan runs over the row's heads in ascending order, in chunks of
-    one kernel call each, cut at the threshold in force (``_cut``): the
+    The scan runs over the row's heads in ascending order, in chunks of at
+    most two kernel calls each, cut at the threshold in force (``_cut``): the
     incumbent value, which starts at T, or one above it once the incumbent
     holds ``extremal_limit`` achievers.  The workers asked for are capped
     at the machine's CPUs and at the chunks the row's counted words could

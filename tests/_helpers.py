@@ -26,7 +26,14 @@ deletions gives the next level and each child's index, and
 ``_is_symmetric`` drops the symmetric children.
 ``plain_canonical_scan`` is the scan that the branch and bound of
 ``search.sd_max`` replaced: every canonical word of the a-half goes to the
-kernel, with no bound.
+kernel, with no bound.  ``reference_mirror_lcs`` is the kernel that the
+in-place updates of ``deletions._mirror_lcs`` replaced: both vectors in
+every pass, each step a new value.  ``reference_scan_chunk`` is the chunk
+scan that the two passes of ``search._scan_chunk`` replaced: both tie words
+of every head take the canonical test, and every word gets both vectors.
+Its ``reference_spread`` is the spread of block words that
+``search._spread`` replaced, which indexes each word's suffix from its
+row's first and its place in its head.
 ``reference_sd_reports`` and ``reference_sd_output`` are the report
 builder and printer that the line templates of ``cli._sd_lines``
 replaced: a dict per word with ``Word.symmetry_class``, printed by
@@ -41,6 +48,7 @@ import numpy as np
 
 from palsym import GameOutcome, GameSolver, Player, SymmetryClass, Word, sd_batch
 from palsym.deletions import _mirror_lcs, _tables, _target_deletions, _witnesses
+from palsym.search import _tie_suffixes
 from palsym.words import _delete, _is_canonical, _is_symmetric, _reverse_bits
 
 SWAP = str.maketrans("ab", "ba")
@@ -356,6 +364,63 @@ def plain_canonical_scan(n: int, limit: int) -> tuple[int, list[int], int]:
         if top == best:
             hits.extend(arr[values == best][: limit - len(hits)].tolist())
     return best, hits, count
+
+
+def reference_mirror_lcs(bits, n: int, starts=None):
+    """LCS state vectors of w against rev w and against comp rev w, as
+    ``deletions._mirror_lcs`` takes and returns them with both asked for."""
+    fill = (1 << n) - 1
+    if starts is None:
+        starts = {n - 1: fill}
+    mask = 0
+    for lanes in starts.values():
+        mask |= lanes
+    ones = mask & ~(mask << 1)
+    comp = bits ^ mask
+    vp = va = bits | comp
+    live = 0
+    for k in range(n - 1, -1, -1):
+        if k in starts:
+            live |= starts[k]
+            b, c = bits & live, comp & live
+        s = ((bits >> k) & ones) * fill
+        u = vp & (c ^ s)
+        vp = ((vp + u) | (vp - u)) & mask
+        u = va & (b ^ s)
+        va = ((va + u) | (va - u)) & mask
+    return vp, va
+
+
+def reference_spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray):
+    """``head | v`` for each head and each suffix v that ``mask`` marks in
+    the head's row, in ascending order."""
+    per_row = np.count_nonzero(mask, axis=1)
+    counts = per_row[rows]
+    _, cols = np.nonzero(mask)
+    first = np.repeat((np.cumsum(per_row) - per_row)[rows], counts)
+    place = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(heads, counts) | cols[first + place]
+
+
+def reference_scan_chunk(n: int, limit: int, threshold: int, heads: range, blocks):
+    """The best sd of the words of ``heads`` (-1 if none), up to ``limit``
+    of its canonical achievers in ascending order, the number of canonical
+    words and the number evaluated, as ``search._scan_chunk`` gives them
+    where the best reaches ``threshold``."""
+    k, bounds, ties, _, first = blocks
+    heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
+    rows = (heads >> (n - k)) - first
+    tie_words = heads[:, None] | _tie_suffixes(rows + first, k)
+    canonical = _is_canonical(tie_words, n)
+    count = np.count_nonzero(bounds >= 0, axis=1)[rows].sum() + canonical.sum()
+    kept_ties = tie_words[canonical & (ties[rows] >= threshold)]
+    spread = reference_spread(heads, rows, bounds >= threshold)
+    words = np.concatenate((spread, kept_ties))
+    vp, va = reference_mirror_lcs(words.astype(np.uint32 if n <= 32 else np.int64), n)
+    values = np.minimum(np.bitwise_count(vp), np.bitwise_count(va)).astype(np.int64)
+    best = int(values.max(initial=-1))
+    hits = np.sort(words[values == best])[:limit]
+    return best, hits.tolist(), int(count), words.size
 
 
 def _reference_sd_report(word: Word, p: int, a: int, witness) -> dict:

@@ -20,7 +20,14 @@ from palsym import (
     sd,
     sd_witness,
 )
-from palsym.deletions import _lane_counts, _tables, _target_deletions, _witnesses
+from palsym.deletions import (
+    _lane_counts,
+    _mirror_lcs,
+    _pack,
+    _tables,
+    _target_deletions,
+    _witnesses,
+)
 
 from _helpers import (
     batched_table_lengths,
@@ -28,6 +35,7 @@ from _helpers import (
     brute_lps,
     deletion_set_sd,
     is_symmetric_text,
+    reference_mirror_lcs,
     reference_witness,
     scalar_table,
     table_lengths,
@@ -327,6 +335,60 @@ def test_packed_chunks_match_scalar_sampled(batch):
     results, witnesses = _chunk_witnesses(texts)
     assert results == [sd(parse_word(text)) for text in texts]
     assert witnesses == [reference_witness(text) for text in texts]
+
+
+def _plain(vector):
+    return vector.tolist() if isinstance(vector, np.ndarray) else vector
+
+
+def _check_vectors_asked_for(bits, n, starts=None):
+    """Each vector alone and both together equal the reference kernel's,
+    and the kernel leaves an array it is given as it was."""
+    before = _plain(bits)
+    vp, va = map(_plain, reference_mirror_lcs(bits, n, starts))
+    for pal, anti in ((True, True), (True, False), (False, True)):
+        got = _mirror_lcs(bits, n, starts, pal=pal, anti=anti)
+        assert tuple(map(_plain, got)) == (vp if pal else None, va if anti else None)
+    assert _plain(bits) == before
+
+
+def test_vectors_asked_for_match_both_exhaustive():
+    """The palindrome or antipalindrome vector computed alone, and both in
+    one pass, equal the reference kernel on every word of 1..14 letters:
+    on ``uint32`` and ``int64`` arrays, and on packed 64-bit lanes of mixed
+    lengths, shuffled into chunks of 64 as ``palsym sd`` packs them."""
+    for n in range(1, 15):
+        for dtype in (np.uint32, np.int64):
+            _check_vectors_asked_for(np.arange(1 << n, dtype=dtype), n)
+    words = [w for n in range(1, 15) for w in all_words(n)]
+    random.Random(15).shuffle(words)
+    for start in range(0, len(words), 64):
+        chunk = words[start : start + 64]
+        _check_vectors_asked_for(*_pack([w.bits for w in chunk], list(map(len, chunk))))
+
+
+@given(
+    st.integers(1, MAX_LENGTH).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=20)
+        )
+    ),
+    mixed_batches,
+)
+@example((32, [0, (1 << 32) - 1]), [("b" * MAX_LENGTH, True), ("", True)])
+@example((MAX_LENGTH, [0, (1 << MAX_LENGTH) - 1]), [("a", True)])
+@settings(max_examples=80, deadline=None)
+def test_vectors_asked_for_match_both_sampled(batch, mixed):
+    """The same on words of up to 63 letters: an ``int64`` array, and a
+    ``uint32`` one up to 32 letters, of one length, and packed lanes of
+    mixed lengths."""
+    n, picks = batch
+    for dtype in (np.uint32, np.int64) if n <= 32 else (np.int64,):
+        _check_vectors_asked_for(np.array(picks, dtype=dtype), n)
+    texts = [text for text, _ in mixed]
+    _check_vectors_asked_for(
+        *_pack([parse_word(t).bits for t in texts], list(map(len, texts)))
+    )
 
 
 def test_brute_force_guard():

@@ -28,7 +28,12 @@ from palsym import search
 from palsym.deletions import MAX_LENGTH
 from palsym.words import _is_canonical
 
-from _helpers import batched_table_lengths, plain_canonical_scan, table_lengths
+from _helpers import (
+    batched_table_lengths,
+    plain_canonical_scan,
+    reference_scan_chunk,
+    table_lengths,
+)
 
 ONE = SearchConfig(worker_count=1)
 
@@ -426,7 +431,7 @@ def _head_words_by_spread(n, blocks, threshold):
     """The words of each head's all-canonical blocks whose bound reaches
     ``threshold``, spread word by word as ``_scan_chunk`` spreads them, and
     of its tie blocks, joined to the head from their suffixes."""
-    k, bounds, ties, _ = blocks
+    k, bounds, ties, *_ = blocks
     heads = np.array(search._heads(n, k), dtype=np.int64)
     rows = heads >> (n - k)
     suffixes = search._tie_suffixes(np.arange(len(ties)), k)[rows]
@@ -486,17 +491,20 @@ def test_chunk_counts_bound_the_words_evaluated(plans):
         assert row.chunks == len(plan)
 
 
-def test_scan_chunk_calls_the_kernel_once(monkeypatch):
-    """A chunk sends all its words to ``sd_batch`` in one call: row 24's
-    first 2^17 counted words evaluate more than 2^16 words."""
+def test_scan_chunk_runs_one_kernel_call_a_vector(monkeypatch):
+    """A chunk runs the palindrome vector on all its words in one kernel
+    call, and the antipalindrome vector in one more on exactly the words
+    whose deletions to a palindrome reach the threshold: row 24's first
+    2^17 counted words evaluate 70 240 words, and 4 845 of them take the
+    second pass."""
     calls = []
-    kernel = search.sd_batch
+    kernel = search._mirror_lcs
 
-    def counting(words, n):
-        calls.append(len(words))
-        return kernel(words, n)
+    def recorded(bits, n, starts=None, pal=True, anti=True):
+        calls.append((bits.copy(), pal, anti))
+        return kernel(bits, n, starts, pal, anti)
 
-    monkeypatch.setattr(search, "sd_batch", counting)
+    monkeypatch.setattr(search, "_mirror_lcs", recorded)
     n, blocks = 24, search._blocks(24)
     t = search._threshold(n)
     row_words = search._row_words(blocks, t)
@@ -504,8 +512,48 @@ def test_scan_chunk_calls_the_kernel_once(monkeypatch):
     stop = search._cut(row_words, span, 0, 1 << 17)
     chunk = search._heads(n, blocks.k)[:stop]
     count = search._scan_chunk(n, 8, t, chunk, blocks.rows(n, chunk))[3]
-    assert calls == [count]
-    assert count > 1 << 16
+    assert count == 70240
+    [(words, *first), (near, *second)] = calls
+    assert first == [True, False] and second == [False, True]
+    assert words.size == count
+    vp, _ = kernel(words, n)
+    assert near.tolist() == words[np.bitwise_count(vp) >= t].tolist()
+    assert near.size == 4845
+
+
+def _check_chunks_against_reference(n, plan):
+    """Each chunk of row n's ``plan``, at its threshold and one below and
+    one above it, counts and evaluates the words of the reference chunk
+    scan, and finds its best and hits wherever that best reaches the
+    threshold; elsewhere it finds -1 and no hits."""
+    blocks = search._blocks(n)
+    heads = search._heads(n, blocks.k)
+    for threshold, start, stop in plan:
+        chunk = heads[start:stop]
+        rows = blocks.rows(n, chunk)
+        for t in (threshold - 1, threshold, threshold + 1):
+            best, hits, count, evaluated = reference_scan_chunk(n, 8, t, chunk, rows)
+            if best < t:
+                best, hits = -1, []
+            assert search._scan_chunk(n, 8, t, chunk, rows) == (
+                best, hits, count, evaluated
+            ), (n, t, start)
+
+
+def test_chunks_match_the_reference_scan(monkeypatch, plans):
+    """Every chunk of rows 1..22 at the real budgets, and of rows 23..26
+    with every chunk closed at 2^12 counted words, at the extremal limits
+    0 and 8."""
+    for limit in (0, 8):
+        compute_table(1, 22, SearchConfig(worker_count=1, extremal_limit=limit))
+    with monkeypatch.context() as m:
+        m.setattr(search, "_BUDGET", 1 << 12)
+        for limit in (0, 8):
+            compute_table(23, 26, SearchConfig(worker_count=1, extremal_limit=limit))
+    rows = [*range(1, 23)] * 2 + [*range(23, 27)] * 2
+    assert len(plans) == len(rows)
+    for n, plan in zip(rows, plans):
+        _check_chunks_against_reference(n, plan)
 
 
 def test_table_determinism_across_chunks(pool_every_row, plans):
@@ -588,7 +636,7 @@ def test_block_classes_exhaustive():
     and the tie blocks have none in the table."""
     for n in range(1, 21):
         blocks = search._blocks(n)
-        k, bounds, ties, _ = blocks
+        k, bounds, ties, *_ = blocks
         prefixes = np.arange(len(bounds))
         canon = _is_canonical(np.arange(1 << (n - 1), dtype=np.int64), n)
         share = canon.reshape(len(bounds), -1, 1 << k).mean(axis=1)
@@ -671,7 +719,8 @@ def test_progress_reports_at_chunk_boundaries(pool_every_row, plans, capsys):
 def _beats_a_full_list(results, start, limit):
     """Whether, merged in order from an incumbent at ``start`` with an
     empty list, a chunk's value (its first field) beats a list already
-    full: ``results`` are the chunk results of one row."""
+    full: ``results`` are the chunk results of one row.  The list keeps at
+    most ``limit`` words, as ``sd_max``'s does."""
     best, listed = start, 0
     for value, hits, *_ in results:
         if value > best:
@@ -679,20 +728,24 @@ def _beats_a_full_list(results, start, limit):
                 return True
             best, listed = value, 0
         if value == best:
-            listed += len(hits)
+            listed = min(limit, listed + len(hits))
     return False
 
 
-@pytest.mark.parametrize("drop", [1, 2])
+@pytest.mark.parametrize(
+    "drop, beaten",
+    [(1, [18, 19, 21, 22]), (2, [18, 19, 20, 21, 22])],
+    ids=["1", "2"],
+)
 def test_threshold_rises_again_when_a_later_chunk_beats_a_full_list(
-    monkeypatch, pool_every_row, plans, drop
+    monkeypatch, pool_every_row, plans, drop, beaten
 ):
-    """With the incumbent started below the row's value, the list fills at
-    the lower value, the threshold rises one above it, and a later chunk
-    that finds a larger value empties the list and raises it again: rows
-    18 and 19 of rows 14..22 take that path.  In this process and on a
-    pool of two workers the rows are those of the real threshold, byte for
-    byte, and each row's threshold only rises."""
+    """With the incumbent started ``drop`` below the row's value, the list
+    fills at the lower value, the threshold rises one above it, and a later
+    chunk that finds a larger value empties the list and raises it again:
+    rows ``beaten`` of rows 14..22 take that path.  In this process and on
+    a pool of two workers the rows are those of the real threshold, byte
+    for byte, and each row's threshold only rises."""
     config = SearchConfig(worker_count=1)
     expected = [row_to_json(row) for row in compute_table(14, 22, config)]
     threshold = search._threshold
@@ -710,12 +763,11 @@ def test_threshold_rises_again_when_a_later_chunk_beats_a_full_list(
     rows = compute_table(14, 22, config)
     assert [row_to_json(row) for row in pooled] == expected
     assert [row_to_json(row) for row in rows] == expected
-    beaten = [
+    assert [
         n
         for n in results
         if _beats_a_full_list(results[n], search._threshold(n), 8)
-    ]
-    assert beaten == [18, 19]
+    ] == beaten
     for n, plan in zip(results, plans):
         assert _thresholds(plan) == sorted(_thresholds(plan))
         assert _thresholds(plan)[0] == search._threshold(n)
