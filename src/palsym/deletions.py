@@ -5,18 +5,23 @@ symmetric subsequence.  The longest palindromic subsequence is
 LPS(w) = LCS(w, rev w) and the longest antipalindromic one is
 LAS(w) = LCS(w, comp rev w).  ``_mirror_lcs`` computes both with the
 bit-parallel LCS update of Allison & Dix (IPL 1986) and Hyyrö (2004): n
-steps of a few word operations each.  It is written with integer operators
-only, so the same code runs on a Python ``int`` of any length (``sd``,
-``lps_length``, ``las_length``), on a numpy array of packed words
-(``search.sd_batch``), and on many words of different lengths packed as
-64-bit lanes of one Python ``int`` ("SIMD within a register"), each of at
-most ``MAX_LENGTH`` letters.  There each lane has its own length mask, and
-a lane joins the pass at the step of its word's first letter, so one pass
-answers a whole chunk of words; ``int.bit_count`` then counts each lane's
-bits.  ``_target_deletions`` takes the chunk as packed bits and lengths,
-as ``palsym sd`` reads them from its input lines, and builds no object per
+steps of four word operations each, over one match set a step
+(``_advance``).  The update is written with integer operators only, so the
+same loop runs on a Python ``int`` of any length (``sd``, ``lps_length``,
+``las_length``), on a numpy array of packed words (``search.sd_batch`` and
+the scan), and on many words of different lengths packed as 64-bit lanes
+of one Python ``int`` ("SIMD within a register"), each of at most
+``MAX_LENGTH`` letters.  An array builds the match sets of every step at
+once, one slice of ``_SLICE`` words at a time, so a step costs four numpy
+calls whatever the batch, and masks its vectors once at the end; an
+``int`` builds its sets one step at a time.  Only packed lanes are masked
+every step, each lane with its own length mask, and a lane joins the pass
+at the step of its word's first letter, so one pass answers a whole chunk
+of words; ``int.bit_count`` then counts each lane's bits.
+``_target_deletions`` takes the chunk as packed bits and lengths, as
+``palsym sd`` reads them from its input lines, and builds no object per
 word.  Only the witness tables build arrays, so only ``_tables`` and
-``_witnesses`` import numpy.
+``_witnesses`` import numpy, and ``_mirror_lcs`` when it is given one.
 
 The classic interval recurrence for the longest palindromic (P) or
 antipalindromic (A) subsequence of w_i..w_j is
@@ -43,6 +48,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import compress
+from operator import not_
 from typing import TYPE_CHECKING
 
 from .errors import LengthBudgetExceeded
@@ -63,6 +70,9 @@ _SWAP = str.maketrans("ab", "ba")
 # ``palsym sd`` line, of ``sd_witness`` and of ``search.sd_batch``.
 _LANE = 64
 MAX_LENGTH = _LANE - 1
+# Words of an array whose match sets ``_mirror_lcs`` builds at once: n rows
+# of this many lanes, 2 MB at n = 32 on ``uint32`` lanes.
+_SLICE = 1 << 14
 
 
 def _check_lane(n: int) -> None:
@@ -106,10 +116,10 @@ def _tables(texts: Sequence[str], pal: np.ndarray) -> np.ndarray:
     a word of m letters is the top-left m by m corner of slice k, which
     never reads the padding.  Rows fill from the bottom; past the diagonal,
     row i is the running maximum over j of ``T(i+1, j-1) + 2`` where the
-    end pair (i, j) counts and of ``T(i+1, j)`` where it does not.  That
-    equals the recurrence because T(i, j) never decreases in j and a
-    counting end pair never loses to ``T(i, j-1)``, which is at most
-    ``T(i+1, j-1) + 2``.  Entries below the diagonal stay 0, the empty
+    end pair (i, j) counts and of ``T(i+1, j)``.  That equals the
+    recurrence because T(i, j) never decreases in j, and neither
+    ``T(i+1, j)`` nor ``T(i, j-1)`` beats a counting end pair: each is at
+    most ``T(i+1, j-1) + 2``.  Entries below the diagonal stay 0, the empty
     interval, so ``T(i+1, i)`` reads 0.
     """
     import numpy as np
@@ -119,17 +129,35 @@ def _tables(texts: Sequence[str], pal: np.ndarray) -> np.ndarray:
     letters = np.frombuffer(padded, np.uint8).reshape(len(texts), n)
     match = letters[:, :, None] == letters[:, None, :]
     np.equal(match, pal[:, None, None], out=match)  # where end pairs count
+    pair = match.view(np.int8)
+    np.negative(pair, out=pair)  # all ones where an end pair counts, else 0
     t = np.zeros((len(texts), n, n), np.int8)
     diagonal = np.arange(n)
     t[:, diagonal, diagonal] = pal[:, None]
     for i in range(n - 2, -1, -1):
         below = t[:, i + 1]
-        np.maximum.accumulate(
-            np.where(match[:, i, i + 1 :], below[:, i:-1] + 2, below[:, i + 1 :]),
-            axis=1,
-            out=t[:, i, i + 1 :],
-        )
+        row = below[:, i:-1] + 2
+        row &= pair[:, i, i + 1 :]
+        np.maximum(row, below[:, i + 1 :], out=row)
+        np.maximum.accumulate(row, axis=1, out=t[:, i, i + 1 :])
     return t
+
+
+def _advance(v, matches, lanes=None):
+    """The bit-parallel LCS update of the vector ``v`` over one match set a
+    step, ``u = v & M; v = (v + u) | (v - u)``: in place on an array and a
+    new binding on an ``int``.  A match set has no bit at or above its
+    word's length, so neither has u, and a sum carries only upward: bits
+    0..n-1 stay exact with no mask.  Packed ``lanes`` are masked every
+    step, since a carry past a lane's top bit would enter the next word."""
+    for m in matches:
+        u = m & v
+        t = v - u
+        v += u
+        v |= t
+        if lanes is not None:
+            v &= lanes
+    return v
 
 
 def _mirror_lcs(bits, n: int, starts=None, pal: bool = True, anti: bool = True):
@@ -139,59 +167,72 @@ def _mirror_lcs(bits, n: int, starts=None, pal: bool = True, anti: bool = True):
 
     ``bits`` is a packed word of length ``n`` (a Python ``int``) or an
     integer array of them whose lanes hold n bits: ``uint32`` for n <= 32,
-    ``int64`` for n <= 63.  A sum ``vp + u`` may carry out of bit n - 1: off
-    the top of a ``uint32`` lane at n = 32, where it is lost, or into the
-    sign bit of an ``int64`` lane at n = 63, which the mask clears; bits
-    0..n-1 are exact either way.  Bit i of each vector stands for the letter i
+    ``int64`` for n <= 63.  Bit i of each vector stands for the letter i
     places from the right end of w.  The number of clear bits is the LCS
-    length, so LPS = n - popcount(vp) and LAS = n - popcount(va).  Both
-    vectors share each step's letter test.  The updates are augmented
-    assignments: in place on an array, which the vectors own, and a new
-    binding on an ``int``.
+    length, so LPS = n - popcount(vp) and LAS = n - popcount(va).  At step
+    k, letter k of w from the left, the match set against rev w is
+    ``bits`` where the letter is b and ``comp`` where it is a, and against
+    comp rev w the other one; each vector runs ``_advance`` over its sets.
+    An array builds the sets of all n steps at once, ``_SLICE`` words at a
+    time, with one broadcast shift and three operations in place, and
+    masks its vectors to n bits once at the end: a sum may carry out of
+    bit n - 1, off the top of a ``uint32`` lane at n = 32 or into the sign
+    bit of an ``int64`` lane at n = 63, and bits 0..n-1 are exact either
+    way.  An ``int`` builds the same sets one step at a time.
 
     With ``starts``, ``bits`` is a Python ``int`` of 64-bit lanes (see
     ``_pack``), each holding one word of at most ``n`` letters in its low
     bits, and ``starts[k]`` has ones over the letters of every lane whose
     word has k + 1 letters.  Step k reads bit k of every lane, so such a
     lane joins at step k, the step of its first letter; before that its
-    bits and matches are zero and its vectors rest at all ones.  A lane's
-    sum carries at most into bit 63 of its own lane, which the mask clears.
+    match sets are zero and its vectors rest at all ones.  Only these
+    vectors are masked every step, to their lanes' letters.
     """
     fill = (1 << n) - 1
-    if starts is None:
+    if starts is None and not isinstance(bits, int):
+        import numpy as np
+
+        flat = bits.reshape(-1)
+        shifts = np.arange(n - 1, -1, -1, dtype=flat.dtype)[:, None]
+        vp, va = (np.full_like(flat, fill) if want else None for want in (pal, anti))
+        sets = np.empty((n, min(flat.size, _SLICE)), flat.dtype)
+        for lo in range(0, flat.size, _SLICE):
+            b = flat[lo : lo + _SLICE]
+            # row i: letter i of each word from the left, n - 1 - i from the right
+            m = np.right_shift(b, shifts, out=sets[:, : b.size])
+            m &= 1
+            m *= fill
+            m ^= b ^ fill  # against rev w: bits where the letter is b, else comp
+            if pal:
+                _advance(vp[lo : lo + _SLICE], m)
+            if anti:
+                m ^= fill  # against comp rev w: the other one
+                _advance(va[lo : lo + _SLICE], m)
+        for v in (vp, va):
+            if v is not None:
+                v &= fill
+        return tuple(v if v is None else v.reshape(bits.shape) for v in (vp, va))
+    packed = starts is not None
+    if not packed:
         starts = {n - 1: fill}
     mask = 0
     for lanes in starts.values():
         mask |= lanes
+    lanes = mask if packed else None
     ones = mask & ~(mask << 1)  # bit 0 of every lane
     comp = bits ^ mask
-    # all ones, with the type and shape of bits, a copy for each vector
-    vp = bits | comp if pal else None
-    va = bits | comp if anti else None
-    live = 0
+    pal_sets, anti_sets, live = [], [], 0
     for k in range(n - 1, -1, -1):  # letters of w from the left end
         if k in starts:  # always at k = n - 1, the longest word's start
             live |= starts[k]
             b, c = bits & live, comp & live
-        # all ones across each live lane whose letter is b: its match set
-        # against rev w is then bits, else comp, and against comp rev w
-        # the other one
+        # all ones across each live lane whose letter is b
         s = (bits >> k) & ones
         s *= fill
-        if pal:
-            u = c ^ s
-            u &= vp
-            t = vp - u
-            vp += u
-            vp |= t
-            vp &= mask
-        if anti:
-            u = b ^ s
-            u &= va
-            t = va - u
-            va += u
-            va |= t
-            va &= mask
+        pal_sets.append(c ^ s)
+        anti_sets.append(b ^ s)
+    vp = _advance(mask, pal_sets, lanes) & mask if pal else None
+    va = _advance(mask, anti_sets, lanes) & mask if anti else None
     return vp, va
 
 
@@ -276,8 +317,8 @@ def _witnesses(
                 i += 1
         if i == j:
             kept[i] = want_pal
-        deleted = tuple(p + 1 for p in range(m) if not kept[p])
-        residual = "".join(c for c, keep in zip(s, kept) if keep)
+        deleted = tuple(compress(range(1, m + 1), map(not_, kept)))
+        residual = "".join(compress(s, kept))
         witnesses.append((deleted, want_pal, residual))
     return witnesses
 

@@ -97,9 +97,9 @@ from .deletions import MAX_LENGTH, _mirror_lcs, sd
 from .errors import LengthBudgetExceeded
 from .words import Word, _is_canonical, _reverse_bits
 
-# Row 32 takes 1.7 to 1.9 s on two cores (`table --from 32 --to 32 --jobs
-# 2` as a process on a 2-vCPU Xeon VM, 5 runs, median 1.82 s); each row
-# below it takes less.
+# Row 32 takes 1.8 to 2.2 s on two cores (`table --from 32 --to 32 --jobs
+# 2` as a process on a 2-vCPU Xeon VM loaded by other tenants, 5 runs,
+# median 1.95 s); each row below it takes less.
 MAX_SEARCH_LENGTH = 32
 
 # Counted kernel words that close a row's first chunk, and the most that
@@ -133,6 +133,12 @@ _POOL_WORDS = 1 << 18
 # of 9) took 0.72, 0.76, 0.77 and 0.76 s with 1 to 4.  2-vCPU Xeon VM,
 # Python 3.11.7, numpy 2.4.6.
 _WINDOW = 2
+
+# Cells of a bound table level that ``_gather`` takes at once.  Taking
+# row 32's 2^21-cell top level whole copies 16 MB of indices: ``_blocks(32)``
+# alone in a process peaked at 64.4 MB, against 47.1 MB in pieces and
+# 46.9 MB with plain indexing.
+_TAKE = 1 << 15
 
 
 def __getattr__(name: str):
@@ -209,6 +215,20 @@ def _next_level(v: np.ndarray, match: np.ndarray, mask: int) -> np.ndarray:
     return t
 
 
+def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``table[index]``, taken ``_TAKE`` cells at a time: ``np.take`` runs
+    about 1.6 times as fast as indexing an int8 table by int16 cells (0.25
+    against 0.39 ms on row 22's 2^17-cell top level), but first copies its
+    indices as intp, eight bytes a cell.  Every index is in the table, so
+    clipping changes none, and unlike the default mode it writes straight
+    to ``out``."""
+    out = np.empty(index.shape, table.dtype)
+    cells, flat = index.reshape(-1), out.reshape(-1)
+    for lo in range(0, cells.size, _TAKE):
+        np.take(table, cells[lo : lo + _TAKE], out=flat[lo : lo + _TAKE], mode="clip")
+    return out
+
+
 def _block_bounds(n: int, k: int) -> np.ndarray:
     """Upper bound on sd over each block of row n: an int8 array indexed by
     the packed prefix u (a-prefixed) and the packed suffix v.
@@ -248,7 +268,7 @@ def _block_bounds(n: int, k: int) -> np.ndarray:
         letter = match[:, :1] if i == 1 else match
         vp = _next_level(vp, letter, mask)
         va = _next_level(va, letter ^ mask, mask)
-        row = best_j[(n - i) % 2][vp]
+        row = _gather(best_j[(n - i) % 2], vp)
         row += (n - i) // 2
         best = np.maximum(best, row, out=row)
         vp, va, best = (a.reshape(-1, 1, v.size) for a in (vp, va, best))
@@ -262,14 +282,18 @@ class _Blocks(NamedTuple):
 
     ``bounds[u - first, v]`` bounds the sd of the words u m v from above
     where all of them are canonical, and is -1, which no threshold keeps,
-    elsewhere; ``ties[u - first]`` bounds the tie blocks of u, and
+    elsewhere, and ``all_canonical[u - first]`` counts the blocks of u
+    with a bound, one canonical word each for every head of u.
+    ``suffixes[u - first]`` holds the suffixes of u's tie blocks
+    (``_tie_suffixes``) and ``ties[u - first]`` their bounds, and
     ``middles[m]`` says for each of them whether its words u m v are
-    canonical, both in the order of ``_tie_suffixes``.  A block is
-    evaluated at a threshold its bound reaches.
+    canonical.  A block is evaluated at a threshold its bound reaches.
     """
 
     k: int
     bounds: np.ndarray
+    all_canonical: np.ndarray
+    suffixes: np.ndarray
     ties: np.ndarray
     middles: np.ndarray
     first: int = 0
@@ -277,8 +301,14 @@ class _Blocks(NamedTuple):
     def rows(self, n: int, heads: range) -> _Blocks:
         """The rows that ``heads`` read, a chunk's share."""
         shift = n - self.k
-        lo, hi = heads[0] >> shift, (heads[-1] >> shift) + 1
-        return self._replace(bounds=self.bounds[lo:hi], ties=self.ties[lo:hi], first=lo)
+        rows = slice(heads[0] >> shift, (heads[-1] >> shift) + 1)
+        return self._replace(
+            bounds=self.bounds[rows],
+            all_canonical=self.all_canonical[rows],
+            suffixes=self.suffixes[rows],
+            ties=self.ties[rows],
+            first=rows.start,
+        )
 
 
 def _tie_suffixes(prefixes: np.ndarray, k: int) -> np.ndarray:
@@ -307,13 +337,15 @@ def _blocks(n: int) -> _Blocks:
     k = _block_letters(n)
     bounds = _block_bounds(n, k)
     u = np.arange(bounds.shape[0], dtype=np.int64)
-    ties = np.take_along_axis(bounds, _tie_suffixes(u, k), axis=1)
+    suffixes = _tie_suffixes(u, k)
+    ties = np.take_along_axis(bounds, suffixes, axis=1)
     # every word u m v is canonical where u < x < comp u, x = rev v, that
     # is where u < min(x, comp x); int16 holds both and compares faster
     x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
     low = np.minimum(x, x ^ ((1 << k) - 1)).astype(np.int16)
     np.putmask(bounds, u.astype(np.int16)[:, None] >= low, -1)
-    return _Blocks(k, bounds, ties, _tie_middles(n, k))
+    all_canonical = np.count_nonzero(bounds >= 0, axis=1)
+    return _Blocks(k, bounds, all_canonical, suffixes, ties, _tie_middles(n, k))
 
 
 def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -355,20 +387,28 @@ def _budget(chunk: int) -> int:
     return min(_FIRST_BUDGET << 2 * chunk, _BUDGET)
 
 
-def _cut(row_words: np.ndarray, span: int, start: int, budget: int) -> int:
-    """The end of the chunk that starts at head ``start``: the first head
-    that brings the chunk's counted words to ``budget``, or the row's last
-    head.  ``row_words`` gives one head's words for each table row, which
-    ``span`` heads in a row share."""
+def _totals(row_words: np.ndarray, span: int) -> np.ndarray:
+    """The counted words of a row's heads before each table row, and of all
+    of them last, where ``row_words`` gives one head's words for each table
+    row, which ``span`` heads in a row share."""
     total = np.zeros(row_words.size + 1, np.int64)
     np.cumsum(row_words * span, out=total[1:])
+    return total
+
+
+def _cut(total: np.ndarray, span: int, start: int, budget: int) -> int:
+    """The end of the chunk that starts at head ``start``: the first head
+    that brings the chunk's counted words to ``budget``, or the row's last
+    head.  ``total`` gives the words before each table row (``_totals``),
+    whose ``span`` heads count the same words each."""
     row, col = divmod(start, span)
-    target = total[row] + col * row_words[row] + budget
+    target = total[row] + col * ((total[row + 1] - total[row]) // span) + budget
     # the chunk ends in the first table row whose words reach the target
     row = int(np.searchsorted(total, target)) - 1
-    if row == row_words.size:
+    if row == total.size - 1:
         return row * span
-    return row * span + int(-(-(target - total[row]) // row_words[row]))
+    words = (total[row + 1] - total[row]) // span  # one head's, nonzero here
+    return row * span + int(-(-(target - total[row]) // words))
 
 
 def _most_chunks(counted: int) -> int:
@@ -398,16 +438,15 @@ def _scan_chunk(
     a palindrome reach ``threshold``, since sd is the smaller of the two
     counts; a chunk with no words makes no kernel call.
     """
-    k, bounds, ties, middles, first = blocks
+    k, middles = blocks.k, blocks.middles
     heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
-    rows = (heads >> (n - k)) - first
+    rows = (heads >> (n - k)) - blocks.first
     canonical = middles[(heads >> k) & (len(middles) - 1)]
-    count = np.count_nonzero(bounds >= 0, axis=1)[rows].sum() + canonical.sum()
-    head, tie = np.nonzero(canonical & (ties[rows] >= threshold))
-    suffixes = _tie_suffixes(np.arange(first, first + len(ties)), k)
+    count = blocks.all_canonical[rows].sum() + canonical.sum()
+    head, tie = np.nonzero(canonical & (blocks.ties[rows] >= threshold))
     words = np.concatenate((
-        _spread(heads, rows, bounds >= threshold),
-        heads[head] | suffixes[rows[head], tie],
+        _spread(heads, rows, blocks.bounds >= threshold),
+        heads[head] | blocks.suffixes[rows[head], tie],
     ))
     best, hits = -1, []
     if words.size:
@@ -526,8 +565,8 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     # the incumbent: the family word reaches T, and no achiever is listed
     best, merged = _threshold(n), []
     threshold = best + (limit == 0)
-    row_words = _row_words(blocks, threshold)
-    counted = int(row_words.sum()) * span
+    total = _totals(_row_words(blocks, threshold), span)
+    counted = int(total[-1])
     # fork starts every worker at the first submit, so the pool has no more
     # workers than the machine has CPUs or the row's counted words at T can
     # fill chunks; one worker gains nothing from a pool.  The chunk cap is a
@@ -550,7 +589,7 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     with pool:
         while start < len(heads) or pending:
             while start < len(heads) and len(pending) < window:
-                stop = _cut(row_words, span, start, _budget(chunks))
+                stop = _cut(total, span, start, _budget(chunks))
                 chunk = heads[start:stop]
                 args = (threshold, chunk, blocks.rows(n, chunk))
                 pending.append(
@@ -571,7 +610,7 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
                 merged.extend(hits[: limit - len(merged)])
             if best + (len(merged) == limit) > threshold:
                 threshold = best + (len(merged) == limit)
-                row_words = _row_words(blocks, threshold)
+                total = _totals(_row_words(blocks, threshold), span)
             if config.progress_interval is not None:
                 now = time.monotonic()
                 if now - last_report >= config.progress_interval:

@@ -407,7 +407,7 @@ def reference_scan_chunk(n: int, limit: int, threshold: int, heads: range, block
     of its canonical achievers in ascending order, the number of canonical
     words and the number evaluated, as ``search._scan_chunk`` gives them
     where the best reaches ``threshold``."""
-    k, bounds, ties, _, first = blocks
+    k, bounds, ties, first = blocks.k, blocks.bounds, blocks.ties, blocks.first
     heads = np.arange(heads.start, heads.stop, heads.step, dtype=np.int64)
     rows = (heads >> (n - k)) - first
     tie_words = heads[:, None] | _tie_suffixes(rows + first, k)

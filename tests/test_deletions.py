@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from palsym import (
     sd_witness,
 )
 from palsym.deletions import (
+    _SLICE,
     _lane_counts,
     _mirror_lcs,
     _pack,
@@ -354,12 +356,17 @@ def _check_vectors_asked_for(bits, n, starts=None):
 
 def test_vectors_asked_for_match_both_exhaustive():
     """The palindrome or antipalindrome vector computed alone, and both in
-    one pass, equal the reference kernel on every word of 1..14 letters:
+    one pass, equal the reference kernel on every word of 1..16 letters:
     on ``uint32`` and ``int64`` arrays, and on packed 64-bit lanes of mixed
-    lengths, shuffled into chunks of 64 as ``palsym sd`` packs them."""
-    for n in range(1, 15):
+    lengths up to 14, shuffled into chunks of 64 as ``palsym sd`` packs
+    them.  The arrays of 15 and 16 letters span two and four slices of
+    ``_SLICE`` words; the 16-letter words after the first five span four,
+    the last one short."""
+    assert 1 << 15 > _SLICE
+    for n in range(1, 17):
         for dtype in (np.uint32, np.int64):
             _check_vectors_asked_for(np.arange(1 << n, dtype=dtype), n)
+    _check_vectors_asked_for(np.arange(5, 1 << 16, dtype=np.uint32), 16)
     words = [w for n in range(1, 15) for w in all_words(n)]
     random.Random(15).shuffle(words)
     for start in range(0, len(words), 64):
@@ -389,6 +396,23 @@ def test_vectors_asked_for_match_both_sampled(batch, mixed):
     _check_vectors_asked_for(
         *_pack([parse_word(t).bits for t in texts], list(map(len, texts)))
     )
+
+
+def test_kernel_memory_stays_within_a_slice():
+    """Both vectors of 2^17 ``uint32`` words of 32 letters take less than
+    4 MB above the 1 MB they return: the match sets of one slice of
+    ``_SLICE`` words are built at a time, where those of the whole array
+    would take 16 MB."""
+    words = np.random.default_rng(32).integers(0, 1 << 32, 1 << 17, dtype=np.uint32)
+    tracemalloc.start()
+    try:
+        vp, va = _mirror_lcs(words, 32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - vp.nbytes - va.nbytes < 4 << 20
+    ref_vp, ref_va = reference_mirror_lcs(words, 32)
+    assert (vp == ref_vp).all() and (va == ref_va).all()
 
 
 def test_brute_force_guard():

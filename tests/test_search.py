@@ -229,8 +229,8 @@ def plans(monkeypatch):
         thresholds.append(threshold)
         return row_words(b, threshold)
 
-    def cut_recorded(words, span, start, budget):
-        stop = cut(words, span, start, budget)
+    def cut_recorded(total, span, start, budget):
+        stop = cut(total, span, start, budget)
         plans[-1].append((thresholds[-1], start, stop))
         return stop
 
@@ -431,7 +431,7 @@ def _head_words_by_spread(n, blocks, threshold):
     """The words of each head's all-canonical blocks whose bound reaches
     ``threshold``, spread word by word as ``_scan_chunk`` spreads them, and
     of its tie blocks, joined to the head from their suffixes."""
-    k, bounds, ties, *_ = blocks
+    k, bounds, ties = blocks.k, blocks.bounds, blocks.ties
     heads = np.array(search._heads(n, k), dtype=np.int64)
     rows = heads >> (n - k)
     suffixes = search._tie_suffixes(np.arange(len(ties)), k)[rows]
@@ -509,7 +509,7 @@ def test_scan_chunk_runs_one_kernel_call_a_vector(monkeypatch):
     t = search._threshold(n)
     row_words = search._row_words(blocks, t)
     span = len(search._heads(n, blocks.k)) // row_words.size
-    stop = search._cut(row_words, span, 0, 1 << 17)
+    stop = search._cut(search._totals(row_words, span), span, 0, 1 << 17)
     chunk = search._heads(n, blocks.k)[:stop]
     count = search._scan_chunk(n, 8, t, chunk, blocks.rows(n, chunk))[3]
     assert count == 70240
@@ -633,10 +633,11 @@ def test_block_classes_exhaustive():
     words, each tie block of a prefix (v = rev u and v = comp rev u) holds
     some but not all of them, and every other block holds none; at k = 0
     the one tie block holds the a-half.  Each bound is ``_block_bounds``'s,
-    and the tie blocks have none in the table."""
+    and the tie blocks have none in the table.  The blocks keep each
+    prefix's tie suffixes and its count of blocks with a bound."""
     for n in range(1, 21):
         blocks = search._blocks(n)
-        k, bounds, ties, *_ = blocks
+        k, bounds, ties = blocks.k, blocks.bounds, blocks.ties
         prefixes = np.arange(len(bounds))
         canon = _is_canonical(np.arange(1 << (n - 1), dtype=np.int64), n)
         share = canon.reshape(len(bounds), -1, 1 << k).mean(axis=1)
@@ -654,6 +655,8 @@ def test_block_classes_exhaustive():
         exact = search._block_bounds(n, k)
         assert (bounds[bounds >= 0] == exact[bounds >= 0]).all()
         assert (ties == np.take_along_axis(exact, suffixes, axis=1)).all()
+        assert (blocks.suffixes == suffixes).all()
+        assert (blocks.all_canonical == np.count_nonzero(bounds >= 0, axis=1)).all()
 
 
 def test_threshold_is_the_lower_bound():
