@@ -14,12 +14,23 @@ block from above by
             2 LCS(u, comp rev v)),
 
 the paired ends of a palindrome around the majority letter of the rest, or
-the paired ends of an antipalindrome.  The threshold T is the exact sd of
-the family word of length n (``bounds.build_word``), so the row's maximum
-is at least T and T needs no lemma.  Only blocks whose bound reaches the
-threshold, T or more (see below), are evaluated; every word of sd at or
-above it is among them, so the maximum, its achievers and their order are
-those of the full scan.
+the paired ends of an antipalindrome.  That is n - max(P + n // 2, L),
+where the palindrome term P depends only on k and the parity of n and the
+antipalindrome term L only on k.  So ``_block_terms`` builds P for both
+parities and L once a process for each k, in one pass over a prefix tree,
+along with the parts of a row's blocks that n does not change, and a row
+makes its table from them with an add, a max, a subtraction and the -1
+mask of the blocks that are not all canonical.  The terms of k take
+8.4 MB at k = 11, 2.1 MB at 10, 0.53 MB at 9 and 0.18 MB for all k up to
+8 together.  They stay until the process ends, except that a row that
+opens a pool drops them all first, so that its forked workers do not
+inherit them.
+
+The threshold T is the exact sd of the family word of length n
+(``bounds.build_word``), so the row's maximum is at least T and T needs no
+lemma.  Only blocks whose bound reaches the threshold, T or more (see
+below), are evaluated; every word of sd at or above it is among them, so
+the maximum, its achievers and their order are those of the full scan.
 
 A word u m v starts with u, its reversal with x = rev v and its reversed
 complement with comp x (its complement starts with b), so every word of a
@@ -75,13 +86,14 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import sys
 import time
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -186,7 +198,9 @@ def _block_letters(n: int) -> int:
 
     min(n // 2 - 2, 11), the fastest of the sizes measured on rows 16..28:
     it leaves a middle of at least 4 letters and caps the bound table at
-    2^21 blocks (about 50 ms and 30 MB to build).  0 for n <= 5.
+    2^21 blocks.  The terms of k = 11 (``_block_terms``) take 8.4 MB and
+    20 to 40 ms to build, and a row's table 2 MB and about 0.7 ms to make
+    from them.  0 for n <= 5.
     """
     return max(0, min(n // 2 - 2, 11))
 
@@ -215,43 +229,80 @@ def _next_level(v: np.ndarray, match: np.ndarray, mask: int) -> np.ndarray:
     return t
 
 
+def _mapped(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An empty array in an anonymous memory map of its own, which goes
+    back to the system when the array is freed.  The allocator keeps
+    freed blocks of a few MB for reuse instead, and a pool's forked
+    workers inherit them with the parent's other pages.  Where the system
+    can (Linux), the map's pages are made in one call instead of one fault
+    each: 8 MB took 3.5 against 8.2 ms to make and fill."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if hasattr(mmap, "MAP_POPULATE"):
+        memory = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_POPULATE)
+    else:
+        memory = mmap.mmap(-1, size)
+    return np.frombuffer(memory, dtype).reshape(shape)
+
+
 def _gather(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``table[index]``, taken ``_TAKE`` cells at a time: ``np.take`` runs
-    about 1.6 times as fast as indexing an int8 table by int16 cells (0.25
-    against 0.39 ms on row 22's 2^17-cell top level), but first copies its
-    indices as intp, eight bytes a cell.  Every index is in the table, so
-    clipping changes none, and unlike the default mode it writes straight
-    to ``out``."""
-    out = np.empty(index.shape, table.dtype)
+    """``table[index]`` in a new mapped array (``_mapped``), taken
+    ``_TAKE`` cells at a time: ``np.take`` runs about 2.5 times as fast as
+    indexing the int16 pair table by int16 cells (0.15 against 0.38 ms on
+    row 22's 2^17-cell top level), but first copies its indices as intp,
+    eight bytes a cell.  Every index is in the table, so clipping changes
+    none, and unlike the default mode it writes straight to ``out``."""
+    out = _mapped(index.shape, table.dtype)
     cells, flat = index.reshape(-1), out.reshape(-1)
     for lo in range(0, cells.size, _TAKE):
         np.take(table, cells[lo : lo + _TAKE], out=flat[lo : lo + _TAKE], mode="clip")
     return out
 
 
-def _block_bounds(n: int, k: int) -> np.ndarray:
-    """Upper bound on sd over each block of row n: an int8 array indexed by
-    the packed prefix u (a-prefixed) and the packed suffix v.
+class _Terms(NamedTuple):
+    """The parts of the blocks of k letters that no row's length changes.
+
+    A block's bound (``_block_bounds``) is n - max(P + n // 2, L): ``pal``
+    holds P for each parity of n and ``anti`` holds L, both indexed by the
+    packed prefix u (a-prefixed) and the packed suffix v.  ``masked`` is -1
+    on the blocks that are not all canonical and 0 elsewhere, so that OR-ing
+    it into a row's table sets their bounds to -1, and ``all_canonical``
+    counts each prefix's other blocks.  ``suffixes`` holds each prefix's
+    tie suffixes (``_tie_suffixes``), and ``tie_pal`` and ``tie_anti`` the
+    terms of its tie blocks.  Every array is read-only.
+    """
+
+    pal: np.ndarray
+    anti: np.ndarray
+    masked: np.ndarray
+    all_canonical: np.ndarray
+    suffixes: np.ndarray
+    tie_pal: np.ndarray
+    tie_anti: np.ndarray
+
+
+def _prefix_terms(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """P for both parities of n and L, the terms of the blocks of k letters,
+    in one pass over a prefix tree, each in a mapped array (``_mapped``).
 
     Any middle m gives u m v a palindromic subsequence of
     2 LCS(u[:i], x[:j]) + ceil((n - i - j) / 2) letters for every i, j,
     with x = rev v: the matched ends around the majority letter of the
-    rest.  It also has an antipalindromic one of 2 LCS(u, comp x) letters.
-    The LCS rows come from the bit-parallel update of ``_mirror_lcs``
-    against every x at once (bit j of x is bit j of v), one letter of u
-    per level of a prefix tree, so each prefix is updated once.  A row's
-    best j depends only on its LCS vector and the parity of n - i, and is
-    read from the table ``best_j`` over the 2^k vectors.
+    rest.  With n = 2h + p, that is h plus 2 LCS(u[:i], x[:j]) +
+    (p + 1 - i - j) // 2, whose maximum over i and j is P.  The LCS rows
+    come from the bit-parallel update of ``_mirror_lcs`` against every x
+    at once (bit j of x is bit j of v), one letter of u per level of a
+    prefix tree, so each prefix is updated once.  A row's best j depends
+    only on its LCS vector and the parity of p - i, and both parities'
+    terms are read in one gather from a table of int8 pairs over the 2^k
+    vectors.  u m v also has an antipalindromic subsequence of
+    L = 2 LCS(u, comp x) letters, and the LCS vector of u against comp x
+    is that against x read at x ^ mask: the last level read backwards.
     """
     mask = (1 << k) - 1
-    # made before the arrays of the levels, so that the memory they free
-    # can go back to the system: row 32's parent opened its pool at 45 MB
-    # with the table made last, and at 36 MB made first
-    table = np.empty((1 << max(k - 1, 0), 1 << k), np.int8)
     v = np.arange(1 << k, dtype=np.int16)
     # best_j[e][V]: max over j of 2 LCS(., x[:j]) + (e + 1 - j) // 2 for
-    # the LCS vector V; with e = (n - i) % 2, adding (n - i) // 2 gives
-    # the term of row i.
+    # the LCS vector V; with e = (p - i) % 2, adding (p - i) // 2 gives
+    # the term of row i of P
     lcs = np.zeros(1 << k, np.int8)
     best_j = [np.full(1 << k, (e + 1) // 2, np.int8) for e in (0, 1)]
     for j in range(1, k + 1):
@@ -260,21 +311,80 @@ def _block_bounds(n: int, k: int) -> np.ndarray:
             np.maximum(best_j[e], 2 * lcs + (e + 1 - j) // 2, out=best_j[e])
     # match[c]: the positions of x holding letter c
     match = np.stack([~v & mask, v])[None]
-    vp = va = np.full((1, 1, v.size), mask, np.int16)
-    best = np.full((1, 1, v.size), n // 2 + best_j[n % 2][mask], np.int8)
+    vp = np.full((1, 1, v.size), mask, np.int16)
+    # the empty prefix's terms, (p - 0) // 2 + best_j[p][mask], for p = 0, 1
+    best = np.arange(2, dtype=np.int8).reshape(1, 1, 1, 2)
     for i in range(1, k + 1):
         # prefixes of i letters, each its parent's row and a last letter;
         # every prefix starts with a
-        letter = match[:, :1] if i == 1 else match
-        vp = _next_level(vp, letter, mask)
-        va = _next_level(va, letter ^ mask, mask)
-        row = _gather(best_j[(n - i) % 2], vp)
-        row += (n - i) // 2
+        vp = _next_level(vp, match[:, :1] if i == 1 else match, mask)
+        # the terms of row i for p = 0 and 1 side by side, one int16 a vector
+        pairs = np.stack([best_j[(p - i) % 2] + (p - i) // 2 for p in (0, 1)], axis=1)
+        row = _gather(pairs.view(np.int16)[:, 0], vp).view(np.int8)
+        row = row.reshape(*vp.shape, 2)
         best = np.maximum(best, row, out=row)
-        vp, va, best = (a.reshape(-1, 1, v.size) for a in (vp, va, best))
-    las = 2 * (k - np.bitwise_count(va[:, 0]).astype(np.int8))
-    np.maximum(best[:, 0], las, out=table)
-    return np.subtract(n, table, out=table)
+        vp, best = vp.reshape(-1, 1, v.size), best.reshape(-1, 1, v.size, 2)
+    shape = (1 << max(k - 1, 0), v.size)
+    # made after the levels: their pages are made at once (``_mapped``),
+    # and made first they lifted row 32's peak from 41 to 50 MB
+    anti = _mapped(shape, np.int8)
+    np.bitwise_count(vp[:, 0, ::-1], out=anti)
+    np.multiply(anti, -2, out=anti)
+    anti += 2 * k
+    del vp  # before pal, which would otherwise raise the peak
+    pal = _mapped((2, *shape), np.int8)
+    np.copyto(pal, np.moveaxis(best.reshape(*shape, 2), -1, 0))
+    return pal, anti
+
+
+@cache
+def _block_terms(k: int) -> _Terms:
+    """The terms of the blocks of k letters (``_prefix_terms``) and the rest
+    of their blocks that no row's length changes, built once a process for
+    each k; a row that opens a pool drops them first."""
+    # the large arrays are mapped, like the gathered levels, so that what
+    # they and the levels free goes back to the system: with the
+    # allocator's memory for both, `table --from 26 --to 32 --jobs 2`
+    # opened the pools of rows 27..32 at 51.6 MB instead of 43.7 MB, and
+    # with it for the levels alone, row 26's at 38.5 MB instead of 35.1 MB
+    pal, anti = _prefix_terms(k)
+    masked = _mapped(anti.shape, np.int8)
+    u = np.arange(anti.shape[0], dtype=np.int64)
+    # every word u m v is canonical where u < x < comp u, x = rev v, that
+    # is where u < min(x, comp x); int16 holds both and compares faster
+    x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
+    low = np.minimum(x, x ^ ((1 << k) - 1)).astype(np.int16)
+    np.greater_equal(u.astype(np.int16)[:, None], low, out=masked)
+    np.negative(masked, out=masked)
+    suffixes = _tie_suffixes(u, k)
+    terms = _Terms(
+        pal,
+        anti,
+        masked,
+        anti.shape[1] - np.count_nonzero(masked, axis=1),
+        suffixes,
+        np.take_along_axis(pal, suffixes[None], axis=2),
+        np.take_along_axis(anti, suffixes, axis=1),
+    )
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
+def _bound(pal: np.ndarray, anti: np.ndarray, n: int) -> np.ndarray:
+    """n - max(pal + n // 2, anti), cell by cell, in one new int8 array."""
+    out = np.add(pal, n // 2)
+    np.maximum(out, anti, out=out)
+    return np.subtract(n, out, out=out)
+
+
+def _block_bounds(n: int, k: int) -> np.ndarray:
+    """Upper bound on sd over each block of row n: a new int8 array indexed
+    by the packed prefix u (a-prefixed) and the packed suffix v, made from
+    the terms of k (``_block_terms``) as n - max(P + n // 2, L), where P
+    is the palindrome term of n's parity and L the antipalindrome term."""
+    terms = _block_terms(k)
+    return _bound(terms.pal[n % 2], terms.anti, n)
 
 
 class _Blocks(NamedTuple):
@@ -319,33 +429,34 @@ def _tie_suffixes(prefixes: np.ndarray, k: int) -> np.ndarray:
     return np.stack((rev, rev ^ ((1 << k) - 1)), axis=1)[:, : 1 + (k > 0)]
 
 
+@cache
 def _tie_middles(n: int, k: int) -> np.ndarray:
     """Whether the words u m v of each tie block of row n are canonical,
     one row a middle m of n - 2k letters, in the order of ``_tie_suffixes``:
     m <= rev m, and m <= comp rev m; at k = 0, where m is the whole word,
-    the canonical test."""
+    the canonical test.  Built once a process for each row, read-only."""
     r = n - 2 * k
     m = np.arange(1 << r, dtype=np.int64)
     if not k:
-        return _is_canonical(m, n)[:, None]
-    rev = _reverse_bits(m, r)
-    return np.stack((m <= rev, m <= rev ^ ((1 << r) - 1)), axis=1)
+        middles = _is_canonical(m, n)[:, None]
+    else:
+        rev = _reverse_bits(m, r)
+        middles = np.stack((m <= rev, m <= rev ^ ((1 << r) - 1)), axis=1)
+    middles.flags.writeable = False
+    return middles
 
 
 def _blocks(n: int) -> _Blocks:
-    """The blocks of row n."""
+    """The blocks of row n, the bound tables new and the rest shared with
+    every row of its k."""
     k = _block_letters(n)
+    terms = _block_terms(k)
     bounds = _block_bounds(n, k)
-    u = np.arange(bounds.shape[0], dtype=np.int64)
-    suffixes = _tie_suffixes(u, k)
-    ties = np.take_along_axis(bounds, suffixes, axis=1)
-    # every word u m v is canonical where u < x < comp u, x = rev v, that
-    # is where u < min(x, comp x); int16 holds both and compares faster
-    x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
-    low = np.minimum(x, x ^ ((1 << k) - 1)).astype(np.int16)
-    np.putmask(bounds, u.astype(np.int16)[:, None] >= low, -1)
-    all_canonical = np.count_nonzero(bounds >= 0, axis=1)
-    return _Blocks(k, bounds, all_canonical, suffixes, ties, _tie_middles(n, k))
+    bounds |= terms.masked
+    ties = _bound(terms.tie_pal[n % 2], terms.tie_anti, n)
+    return _Blocks(
+        k, bounds, terms.all_canonical, terms.suffixes, ties, _tie_middles(n, k)
+    )
 
 
 def _spread(heads: np.ndarray, rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -580,6 +691,9 @@ def sd_max(n: int, config: SearchConfig | None = None) -> SdTableRow:
     start = chunks = scanned = evaluated = pruned = 0
     pending = deque()  # each chunk in flight, as a call that returns its result
     last_report = time.monotonic()
+    if pooled:
+        # the pool's workers would inherit the cached terms, 8 MB at k = 11
+        _block_terms.cache_clear()
     # the class is read through the module (see ``__getattr__``)
     pool = (
         sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)

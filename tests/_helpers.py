@@ -33,7 +33,12 @@ scan that the two passes of ``search._scan_chunk`` replaced: both tie words
 of every head take the canonical test, and every word gets both vectors.
 Its ``reference_spread`` is the spread of block words that
 ``search._spread`` replaced, which indexes each word's suffix from its
-row's first and its place in its head.
+row's first and its place in its head.  ``reference_block_bounds`` is the
+bound table that the per-k terms of ``search._block_terms`` replaced: each
+row builds its own prefix tree of LCS vectors against x and against
+comp x, and reads its best j from a table for its length.
+``reference_blocks`` builds each field of ``search._blocks`` on it, one
+row at a time.
 ``reference_sd_reports`` and ``reference_sd_output`` are the report
 builder and printer that the line templates of ``cli._sd_lines``
 replaced: a dict per word with ``Word.symmetry_class``, printed by
@@ -479,3 +484,56 @@ def reference_sd_output(reports: list[dict], form: str) -> str:
     """What ``sd`` prints for these reports in ``form``, "text" or "json"."""
     line = json.dumps if form == "json" else _reference_sd_text
     return "".join(line(report) + "\n" for report in reports)
+
+
+def reference_block_bounds(n: int, k: int) -> np.ndarray:
+    """Upper bound on sd over each block of row n, indexed by the packed
+    prefix u (a-prefixed) and the packed suffix v: n minus the larger of
+    max over i, j of 2 LCS(u[:i], x[:j]) + ceil((n - i - j) / 2) and
+    2 LCS(u, comp x), x = rev v, with one prefix tree of both LCS vectors
+    for the row."""
+    mask = (1 << k) - 1
+    v = np.arange(1 << k, dtype=np.int16)
+    # best_j[e][V]: max over j of 2 LCS(., x[:j]) + (e + 1 - j) // 2 for
+    # the LCS vector V; with e = (n - i) % 2, adding (n - i) // 2 gives
+    # the term of row i
+    lcs = np.zeros(1 << k, np.int8)
+    best_j = [np.full(1 << k, (e + 1) // 2, np.int8) for e in (0, 1)]
+    for j in range(1, k + 1):
+        lcs += 1 - ((v >> (j - 1)) & 1).astype(np.int8)
+        for e in (0, 1):
+            np.maximum(best_j[e], 2 * lcs + (e + 1 - j) // 2, out=best_j[e])
+    match = np.stack([~v & mask, v])[None]
+    vp = va = np.full((1, 1, v.size), mask, np.int16)
+    best = np.full((1, 1, v.size), n // 2 + best_j[n % 2][mask], np.int8)
+    for i in range(1, k + 1):
+        letter = match[:, :1] if i == 1 else match
+        u = vp & letter
+        vp = ((vp + u) | (vp - u)) & mask
+        u = va & (letter ^ mask)
+        va = ((va + u) | (va - u)) & mask
+        best = np.maximum(best, best_j[(n - i) % 2][vp] + (n - i) // 2)
+        vp, va, best = (a.reshape(-1, 1, v.size) for a in (vp, va, best))
+    las = 2 * (k - np.bitwise_count(va[:, 0]).astype(np.int8))
+    return (n - np.maximum(best[:, 0], las)).astype(np.int8)
+
+
+def reference_blocks(n: int) -> tuple:
+    """The fields of ``search._blocks(n)`` in order, built for row n alone
+    on ``reference_block_bounds``."""
+    k = max(0, min(n // 2 - 2, 11))
+    bounds = reference_block_bounds(n, k)
+    u = np.arange(bounds.shape[0], dtype=np.int64)
+    suffixes = _tie_suffixes(u, k)
+    ties = np.take_along_axis(bounds, suffixes, axis=1)
+    x = _reverse_bits(np.arange(1 << k, dtype=np.int64), k)
+    np.putmask(bounds, u[:, None] >= np.minimum(x, x ^ ((1 << k) - 1)), -1)
+    all_canonical = np.count_nonzero(bounds >= 0, axis=1)
+    r = n - 2 * k
+    m = np.arange(1 << r, dtype=np.int64)
+    if k:
+        rev = _reverse_bits(m, r)
+        middles = np.stack((m <= rev, m <= rev ^ ((1 << r) - 1)), axis=1)
+    else:
+        middles = _is_canonical(m, n)[:, None]
+    return k, bounds, all_canonical, suffixes, ties, middles, 0

@@ -31,6 +31,8 @@ from palsym.words import _is_canonical
 from _helpers import (
     batched_table_lengths,
     plain_canonical_scan,
+    reference_block_bounds,
+    reference_blocks,
     reference_scan_chunk,
     table_lengths,
 )
@@ -673,6 +675,73 @@ def test_block_letters_leave_a_middle():
         assert (k == 0) == (n <= 5)
         assert k == 0 or n - 2 * k >= 4
         assert k <= 11
+
+
+def _assert_same_arrays(got, expected, what):
+    """Equal fields, arrays alike in dtype and shape too."""
+    for field, (a, b) in enumerate(zip(got, expected, strict=True)):
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.shape == b.shape, (what, field)
+        assert np.array_equal(a, b), (what, field)
+
+
+def test_blocks_match_the_reference():
+    """Every row 1..34's blocks equal those each row once built alone
+    (``reference_blocks``), field by field with dtypes, and rows 1..24's
+    bound tables at every k up to one above their own (at most 11).  The
+    two rows of each length pair n // 2 share their k with opposite
+    parities, so each pair is built both ways from an empty cache: the
+    row that builds the terms first and the row that reads them."""
+    expected = {n: reference_blocks(n) for n in range(1, 35)}
+    pairs = [(1,)] + [(n, n + 1) for n in range(2, 34, 2)] + [(34,)]
+    for pair in pairs:
+        for order in {pair, pair[::-1]}:
+            search._block_terms.cache_clear()
+            for n in order:
+                _assert_same_arrays(search._blocks(n), expected[n], n)
+    for n in range(1, 25):
+        for k in range(min(search._block_letters(n) + 1, 11) + 1):
+            table = search._block_bounds(n, k)
+            _assert_same_arrays([table], [reference_block_bounds(n, k)], (n, k))
+
+
+def test_cached_parts_refuse_writes_and_tables_are_fresh():
+    """The terms of each k and the tie middles of each row are built once
+    and refuse writes; each ``_blocks`` call makes new, writable bound
+    tables, so writing into one leaves the next call's as they were."""
+    blocks = search._blocks(20)
+    terms = search._block_terms(blocks.k)
+    cached = [*terms, search._tie_middles(20, blocks.k)]
+    for array in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = 0
+    assert search._block_terms(blocks.k) is terms
+    assert blocks.middles is cached[-1]
+    before = reference_blocks(20)
+    _assert_same_arrays(blocks, before, 20)
+    blocks.bounds[:] = 99
+    blocks.ties[:] = 99
+    _assert_same_arrays(search._blocks(20), before, 20)
+
+
+def test_pooled_row_drops_the_cached_terms(recorded, pool_every_row, monkeypatch):
+    """A row that opens a pool drops every k's cached terms first, so that
+    its forked workers do not inherit them; its row is the one this
+    process computes."""
+    cached = []
+
+    class Counted(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            cached.append(search._block_terms.cache_info().currsize)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Counted)
+    one = sd_max(16, ONE)
+    assert search._block_terms.cache_info().currsize > 0
+    row = sd_max(16, SearchConfig(worker_count=2))
+    assert row.pooled and recorded[0] == ("open", 2)
+    assert cached == [0]
+    assert row == one
 
 
 @pytest.fixture(scope="module")
